@@ -22,6 +22,7 @@ from .cone import (
     RadialProfile,
     ambient_cone_area,
     ambient_cone_density,
+    check_apex,
     cone_conormal_curvature,
     develop_cone,
     developed_points,

@@ -200,24 +200,3 @@ def integrate_with_end_fill(s: np.ndarray, interior: np.ndarray) -> float:
     full[-1] = interior[-1]
     return trapezoid(full, s)
 
-
-def composite_simpson_weights(x: np.ndarray) -> np.ndarray:
-    """Weights of composite Simpson on the (even-interval) grid x; pairs of
-    consecutive intervals form panels, uniform spacing not required."""
-    n = len(x) - 1
-    if n < 2 or n % 2:
-        raise ValueError("composite Simpson needs an even interval count >= 2")
-    w = np.zeros(len(x))
-    for k in range(0, n, 2):
-        x0, x1, x2 = x[k], x[k + 1], x[k + 2]
-
-        def bint(tj, tu, tv):
-            def anti(t):
-                return t ** 3 / 3.0 - (tu + tv) * t ** 2 / 2.0 + tu * tv * t
-
-            return (anti(x2) - anti(x0)) / ((tj - tu) * (tj - tv))
-
-        w[k] += bint(x0, x1, x2)
-        w[k + 1] += bint(x1, x0, x2)
-        w[k + 2] += bint(x2, x0, x1)
-    return w

@@ -32,7 +32,7 @@ import numpy as np
 from scipy import optimize, special
 from scipy.stats import qmc
 
-from .cone import ambient_cone_area
+from .cone import ambient_cone_area, check_apex
 from .curvature import TCReport, cone_total_curvature
 from .errors import IterationError, NumericalError, ValidationError
 from .graph import EmbeddedGraph
@@ -171,16 +171,6 @@ def hull_approx(space: SpaceForm, graph: EmbeddedGraph, grid_n: int,
     return HullApprox(center=center, radius=radius, grid=grid)
 
 
-def _apex_is_usable(space: SpaceForm, graph: EmbeddedGraph, apex: np.ndarray,
-                    samples: np.ndarray, clearance: float) -> bool:
-    r = space.dist(apex, samples)
-    if np.min(r) <= clearance:
-        return False
-    if space.model is Model.SPHERICAL and np.max(r) >= space.max_radius - 1e-6:
-        return False
-    return True
-
-
 def extremal_cone_area(space: SpaceForm, graph: EmbeddedGraph,
                        hull: HullApprox, mode: str,
                        clearance: float = 1e-4,
@@ -190,9 +180,9 @@ def extremal_cone_area(space: SpaceForm, graph: EmbeddedGraph,
     the incumbent, with the simplex shrinking to 1e-6.
 
     The refinement replaces the grid incumbent only when it wins by more
-    than the area quadrature's noise floor; on landscapes with flat valleys
-    (cone area can be exactly constant over whole regions) the simplex would
-    otherwise random-walk along noise and return an arbitrary point."""
+    than a relative 1e-6; on landscapes with flat valleys (cone area can be
+    exactly constant over whole regions) the simplex would otherwise
+    random-walk along rounding error and return an arbitrary point."""
     if mode not in ("min", "max"):
         raise ValidationError("mode must be 'min' or 'max'")
     sign = 1.0 if mode == "min" else -1.0
@@ -203,8 +193,7 @@ def extremal_cone_area(space: SpaceForm, graph: EmbeddedGraph,
         try:
             if float(space.dist(apex, hull.center)) > ball_limit:
                 return math.inf
-            if not _apex_is_usable(space, graph, apex, samples, clearance):
-                return math.inf
+            check_apex(space, apex, samples, clearance)
             return sign * ambient_cone_area(space, apex, graph)
         except NumericalError:
             return math.inf

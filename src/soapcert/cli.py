@@ -27,15 +27,14 @@ import time
 import numpy as np
 
 from . import cone as cone_mod
-from .certify import (
-    Mode,
-    _apex_is_usable,
-    certify,
-    density_bound,
-    hull_approx,
-)
+from .certify import Mode, certify, density_bound, hull_approx
 from .curvature import cone_total_curvature
-from .errors import NumericalError, ValidationError
+from .errors import (
+    ApexOnGraphError,
+    ConjugatePointError,
+    NumericalError,
+    ValidationError,
+)
 from .graph import EmbeddedGraph, load_graph_file, resample_arclength
 from .spaceform import Model, SpaceForm
 
@@ -229,8 +228,9 @@ def _cmd_density_map(args) -> list[str]:
     samples = graph.all_samples()
     rows = []
     for apex in hull.grid:
-        if not _apex_is_usable(graph.space, graph, apex, samples,
-                                           1e-4):
+        try:
+            cone_mod.check_apex(graph.space, apex, samples, 1e-4)
+        except (ApexOnGraphError, ConjugatePointError):
             continue
         bound = density_bound(graph.space, apex, graph, report)
         rows.append((apex, bound))
@@ -288,7 +288,9 @@ def _cmd_gb_check(args) -> list[str]:
         z = rng.standard_normal(space.dim)
         z *= rng.uniform(0.1, 1.1) * hull.radius / np.linalg.norm(z)
         apex = space.exp(hull.center, z @ basis)
-        if not _apex_is_usable(space, graph, apex, samples, 1e-3):
+        try:
+            cone_mod.check_apex(space, apex, samples, 1e-3)
+        except (ApexOnGraphError, ConjugatePointError):
             continue
         res = cone_mod.gauss_bonnet_residual(space, apex, graph)
         worst = max(worst, res)

@@ -62,9 +62,14 @@ class ConeDevelopment:
     plane_apex: np.ndarray
 
 
-def _check_apex(space: SpaceForm, apex: np.ndarray, samples: np.ndarray):
+def check_apex(space: SpaceForm, apex: np.ndarray, samples: np.ndarray,
+               clearance: float = APEX_CLEARANCE) -> np.ndarray:
+    """Distances from the apex to the samples, after checking that the apex
+    can carry a cone over them: ApexOnGraphError when a sample lies within
+    `clearance`, ConjugatePointError when a spherical sample sits at or
+    beyond the conjugate radius."""
     r = space.dist(apex, samples)
-    if np.any(r <= APEX_CLEARANCE):
+    if np.any(r <= clearance):
         raise ApexOnGraphError("apex lies on the graph")
     if space.model is Model.SPHERICAL and np.any(r >= space.max_radius - 1e-6):
         raise ConjugatePointError(
@@ -78,7 +83,7 @@ def radial_profile(space: SpaceForm, apex: np.ndarray,
     radial directions along an edge.  rprime is the inner product of the
     radial direction with the unit curve tangent, which equals dr/ds."""
     apex = np.asarray(apex, float)
-    r = _check_apex(space, apex, edge.samples)
+    r = check_apex(space, apex, edge.samples)
     to_apex = space.log(edge.samples, np.broadcast_to(apex, edge.samples.shape))
     u = -to_apex / space.norm(to_apex)[:, None]
     t = edge_unit_tangents(space, edge)
@@ -189,7 +194,7 @@ def ambient_cone_density(space: SpaceForm, apex: np.ndarray,
     apex = np.asarray(apex, float)
     total = 0.0
     for edge in graph.edges:
-        _check_apex(space, apex, edge.samples)
+        check_apex(space, apex, edge.samples)
         w = space.log(np.broadcast_to(apex, edge.samples.shape), edge.samples)
         w = w / space.norm(w)[:, None]
         c = np.clip(space.mdot(w[:-1], w[1:]), -1.0, 1.0)
@@ -197,41 +202,61 @@ def ambient_cone_density(space: SpaceForm, apex: np.ndarray,
     return total / (2.0 * math.pi)
 
 
-def _radial_tangents(space: SpaceForm, apex: np.ndarray, u0: np.ndarray,
-                     t: np.ndarray) -> np.ndarray:
-    """Unit tangents of the geodesics exp_apex(t * u0) at radial parameter t;
-    u0 has shape (..., d), t broadcasts against its leading axes."""
-    if space.model is Model.FLAT:
-        return np.broadcast_to(u0, np.broadcast(t[..., None], u0).shape).copy()
-    k = space.curv
-    if space.model is Model.HYPERBOLIC:
-        return k * np.sinh(k * t)[..., None] * apex + np.cosh(k * t)[..., None] * u0
-    return -k * np.sin(k * t)[..., None] * apex + np.cos(k * t)[..., None] * u0
+def _half_sq_chords(space: SpaceForm, a: np.ndarray,
+                    b: np.ndarray) -> np.ndarray:
+    """Half the squared ambient chord between points: d^2/2 flat,
+    (1 - cos bd)/b^2 on the sphere, (cosh kd - 1)/k^2 on the hyperboloid."""
+    w = a - b
+    return 0.5 * space.mdot(w, w)
+
+
+def _triangle_areas(space: SpaceForm, alpha: np.ndarray, beta: np.ndarray,
+                    gamma: np.ndarray) -> np.ndarray:
+    """Areas of geodesic triangles from half squared chords: alpha and beta
+    from the apex to the other two corners, gamma between those.  g is the
+    corners' Gram determinant, 1 + 2xyz - x^2 - y^2 - z^2 over their
+    unit-scaled products, divided by k^2 and arranged so that thin
+    triangles keep their digits."""
+    k = space.sectional_curvature
+    g = 4.0 * alpha * gamma - (beta - alpha - gamma) ** 2 \
+        - 2.0 * k * alpha * beta * gamma
+    root = np.sqrt(np.maximum(g, 0.0))
+    if k == 0.0:
+        return 0.5 * root
+    return 2.0 / abs(k) * np.arctan2(abs(k) * root,
+                                     4.0 - k * (alpha + beta + gamma))
+
+
+def _edge_cone_area(space: SpaceForm, apex: np.ndarray,
+                    samples: np.ndarray) -> float:
+    """Cone area over one edge, from the triangles on its chords and on
+    coarse chords that each span j = 2 of them (j = 3 for the last one when
+    the chord count is odd).  A triangle misses the cone over its arc by
+    c H^3 to leading order for a chord of length H, so adding (fine -
+    coarse) / (j^2 - 1) per coarse chord, a Richardson step, cancels that
+    term.  Straight edges stay exact."""
+    alpha = _half_sq_chords(space, samples, apex)
+    fine = _triangle_areas(space, alpha[:-1], alpha[1:],
+                           _half_sq_chords(space, samples[:-1], samples[1:]))
+    nodes = np.arange(0, len(fine) + 1, 2)
+    nodes[-1] = len(fine)
+    lo, hi = nodes[:-1], nodes[1:]
+    coarse = _triangle_areas(space, alpha[lo], alpha[hi],
+                             _half_sq_chords(space, samples[lo], samples[hi]))
+    correction = (np.add.reduceat(fine, lo) - coarse) / ((hi - lo) ** 2 - 1)
+    return float(np.sum(fine) + np.sum(correction))
 
 
 def ambient_cone_area(space: SpaceForm, apex: np.ndarray,
-                      graph: EmbeddedGraph, radial_intervals: int = 32) -> float:
-    """Area (with multiplicity) of the ruled cone surface, one edge at a
-    time.  The radial direction is sampled on a composite-Simpson grid; the
-    transverse stretch is the component of the s-derivative of the ruling
-    orthogonal to the unit radial tangent."""
+                      graph: EmbeddedGraph) -> float:
+    """Area (with multiplicity) of the ruled cone surface.  Over each
+    geodesic chord of an edge the cone is a geodesic triangle with a closed
+    form; _edge_cone_area sums them with one Richardson step."""
     apex = np.asarray(apex, float)
-    tau = np.linspace(0.0, 1.0, radial_intervals + 1)
-    w_tau = _num.composite_simpson_weights(tau)
     total = 0.0
     for edge in graph.edges:
-        prof = radial_profile(space, apex, edge)
-        to_pt = space.log(np.broadcast_to(apex, edge.samples.shape), edge.samples)
-        u0 = to_pt / space.norm(to_pt)[:, None]
-        t_grid = prof.r[:, None] * tau[None, :]                # (N, m)
-        points = space.exp(np.broadcast_to(apex, (*t_grid.shape, apex.shape[0])),
-                           t_grid[..., None] * u0[:, None, :])  # (N, m, d)
-        dpoints = _num.curve_first_derivative(edge.s, points)   # d/ds at fixed tau
-        dpoints = space.tangent_project(points, dpoints)
-        radial = _radial_tangents(space, apex, u0[:, None, :], t_grid)
-        perp = dpoints - space.mdot(dpoints, radial)[..., None] * radial
-        integrand = space.norm(perp) @ w_tau * prof.r           # (N,)
-        total += _num.trapezoid(integrand, edge.s)
+        check_apex(space, apex, edge.samples)
+        total += _edge_cone_area(space, apex, edge.samples)
     return total
 
 

@@ -11,11 +11,13 @@ from soapcert import (
     SpaceForm,
     ambient_cone_area,
     ambient_cone_density,
+    check_apex,
     cone_conormal_curvature,
     cone_total_curvature,
     develop_cone,
     gauss_bonnet_residual,
     radial_profile,
+    resample_arclength,
     vertex_star,
 )
 from soapcert import shapes
@@ -27,6 +29,8 @@ from builders import SPACES, random_instance, spherical_cone_circle
 FLAT = SPACES["flat"]
 HYP1 = SpaceForm(Model.HYPERBOLIC, 3, 1.0)
 SPH1 = SpaceForm(Model.SPHERICAL, 3, 1.0)
+UNIT_MODELS = pytest.mark.parametrize("space", [FLAT, HYP1, SPH1],
+                                      ids=lambda s: s.model.value)
 
 
 def radial_segment_edge(space, t0=0.5, t1=1.5, n=64):
@@ -166,6 +170,63 @@ class TestAmbientConeArea:
             dev = develop_cone(space, apex, g)
             amb = ambient_cone_area(space, apex, g)
             assert amb <= dev.hat_area + 1e-5
+
+    @UNIT_MODELS
+    def test_straight_edges_exact(self, space):
+        g = shapes.regular_polygon_graph(space, 5, 0.8, samples_per_edge=8)
+        apex = space.exp(space.base_point(),
+                         np.array([0.2, -0.1, 0.4]) @ space.tangent_basis(
+                             space.base_point()))
+        coarse = ambient_cone_area(space, apex, g)
+        for h in (0.05, 0.04, 0.013):  # odd and even chord counts per edge
+            fine = ambient_cone_area(space, apex, resample_arclength(g, h))
+            assert fine == pytest.approx(coarse, abs=1e-12)
+
+    @UNIT_MODELS
+    @pytest.mark.parametrize("height", [0.0, 0.3, 0.6])
+    def test_circle_from_axis_apex_closed_form(self, space, height):
+        radius = 1.0
+        g = shapes.circle_graph(space, radius, 512)
+        base = space.base_point()
+        apex = space.exp(base, height * space.tangent_basis(base)[2])
+        rho = float(space.dist(apex, g.edges[0].samples[0]))
+        sin_alpha = space.comparison(radius).f / space.comparison(rho).f
+        expected = 2.0 * math.pi * sin_alpha * space.comparison(rho).F
+        assert ambient_cone_area(space, apex, g) == pytest.approx(
+            expected, abs=1e-6)
+
+    @UNIT_MODELS
+    @pytest.mark.parametrize("odd", [0, 1], ids=["even", "odd"])
+    def test_wavy_loop_converges_at_fourth_order(self, space, odd):
+        base = space.base_point()
+        apex = space.exp(base, np.array([0.1, 0.0, 0.2])
+                         @ space.tangent_basis(base))
+
+        def area(n):
+            return ambient_cone_area(space, apex, shapes.wavy_closed_curve_graph(
+                space, base_radius=0.6, wobble=0.12, n=n))
+
+        reference = area(4096)
+        errs = [abs(area(n + odd) - reference) for n in (128, 256, 512, 1024)]
+        for coarse, fine in zip(errs, errs[1:]):
+            assert coarse >= 12.0 * fine
+
+    def test_apex_on_graph_rejected(self):
+        g = shapes.circle_graph(FLAT, 1.0, 128)
+        with pytest.raises(ApexOnGraphError):
+            ambient_cone_area(FLAT, g.edges[0].samples[5], g)
+        near = np.array([1.001, 0.0, 0.0])
+        assert ambient_cone_area(FLAT, near, g) > 0.0
+        with pytest.raises(ApexOnGraphError):
+            check_apex(FLAT, near, g.all_samples(), clearance=1e-2)
+
+    def test_spherical_apex_at_conjugate_distance_rejected(self):
+        g = shapes.circle_graph(SPH1, 0.4, 128)
+        x0 = g.edges[0].samples[0]
+        away = SPH1.tangent_basis(x0)[2]
+        apex = SPH1.exp(x0, (SPH1.max_radius - 5e-7) * away)
+        with pytest.raises(ConjugatePointError):
+            ambient_cone_area(SPH1, apex, g)
 
 
 class TestConeConormalCurvature:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from soapcert._num import (
-    composite_simpson_weights,
     cumulative_quadratic,
     curve_first_derivative,
     curve_second_derivative_interior,
@@ -61,11 +60,3 @@ def test_end_fill_equals_trapezoid_with_copied_ends():
     full = np.concatenate([[interior[0]], interior, [interior[-1]]])
     assert integrate_with_end_fill(s, interior) == pytest.approx(
         trapezoid(full, s))
-
-
-def test_simpson_weights_integrate_cubics_exactly():
-    x = np.linspace(0.0, 1.0, 33)
-    w = composite_simpson_weights(x)
-    assert float(w @ x ** 3) == pytest.approx(0.25, abs=1e-14)
-    with pytest.raises(ValueError):
-        composite_simpson_weights(np.linspace(0, 1, 4))  # odd interval count

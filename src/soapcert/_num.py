@@ -1,7 +1,9 @@
 """Small numerical helpers shared across modules.
 
 All routines are second order (or better) on smoothly graded grids and make
-no uniform-spacing assumption.
+no uniform-spacing assumption.  They take the samples of one edge, so they
+assume at least ``graph.MIN_EDGE_SAMPLES`` nodes, which ``EdgeCurve``
+enforces.
 """
 
 from __future__ import annotations
@@ -13,45 +15,9 @@ def trapezoid(y: np.ndarray, x: np.ndarray) -> float:
     return float(np.trapezoid(y, x))
 
 
-def lagrange_derivative_weights(nodes, at):
-    """Weights of d/dx of the Lagrange interpolant through `nodes` at `at`."""
-    nodes = list(nodes)
-    weights = []
-    for j, tj in enumerate(nodes):
-        others = [tm for m, tm in enumerate(nodes) if m != j]
-        denom = 1.0
-        for tm in others:
-            denom *= tj - tm
-        num = 0.0
-        for k in range(len(others)):
-            prod = 1.0
-            for m, tm in enumerate(others):
-                if m != k:
-                    prod *= at - tm
-            num += prod
-        weights.append(num / denom)
-    return weights
-
-
 def _column(v: np.ndarray, ndim: int) -> np.ndarray:
     """Reshape a 1-D weight vector so it broadcasts over trailing axes."""
     return v.reshape(v.shape + (1,) * (ndim - 1))
-
-
-def _three_point_derivative(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    n = len(s)
-    d = np.empty_like(x)
-    h1 = _column(s[1:-1] - s[:-2], x.ndim)
-    h2 = _column(s[2:] - s[1:-1], x.ndim)
-    d[1:-1] = (-h2 / (h1 * (h1 + h2))) * x[:-2] \
-        + ((h2 - h1) / (h1 * h2)) * x[1:-1] \
-        + (h1 / (h2 * (h1 + h2))) * x[2:]
-    m = min(4, n)
-    w = lagrange_derivative_weights(s[:m], s[0])
-    d[0] = sum(wj * x[j] for j, wj in enumerate(w))
-    w = lagrange_derivative_weights(s[n - m:], s[-1])
-    d[-1] = sum(wj * x[n - m + j] for j, wj in enumerate(w))
-    return d
 
 
 _WINDOW = 5
@@ -62,15 +28,10 @@ def curve_first_derivative(s: np.ndarray, x: np.ndarray) -> np.ndarray:
     at the ends), fourth order on smooth grids.  A uniform scheme is used at
     every sample, interior and ends alike, so the estimate carries no
     leading-order kinks; such kinks would be amplified by any later second
-    differencing.  Grids with fewer than 5 samples fall back to the classic
-    3-point scheme."""
+    differencing."""
     n = len(s)
-    if n < 3:
-        raise ValueError("need at least 3 samples for derivative estimates")
     s = np.asarray(s, float)
     x = np.asarray(x, float)
-    if n < _WINDOW:
-        return _three_point_derivative(s, x)
     start = np.clip(np.arange(n) - _WINDOW // 2, 0, n - _WINDOW)
     # node parameters relative to the evaluation point, shape (n, _WINDOW)
     t = s[start[:, None] + np.arange(_WINDOW)[None, :]] - s[:, None]
@@ -95,9 +56,6 @@ def curve_first_derivative(s: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def curve_second_derivative_interior(s: np.ndarray, x: np.ndarray) -> np.ndarray:
     """d2X/ds2 at interior samples (3-point stencil), shape (n-2, ...)."""
-    n = len(s)
-    if n < 3:
-        raise ValueError("need at least 3 samples for second differences")
     s = np.asarray(s, float)
     x = np.asarray(x, float)
     h1 = _column(s[1:-1] - s[:-2], x.ndim)
@@ -151,36 +109,23 @@ def cumulative_quadratic(s: np.ndarray, g: np.ndarray,
     s = np.asarray(s, float)
     g = np.asarray(g, float)
     n = len(s)
-    if n < 2:
-        return np.zeros(n)
-    if n == 2:
-        inc = np.array([0.5 * (g[0] + g[1]) * (s[1] - s[0])])
-    elif n == 3:
-        inc = np.empty(2)
-        inc[0] = _quadratic_panel_integrals(s[0] - s[0], s[1] - s[0], s[2] - s[0],
-                                            g[0], g[1], g[2], 0.0, s[1] - s[0])
-        inc[1] = _quadratic_panel_integrals(s[0] - s[1], s[1] - s[1], s[2] - s[1],
-                                            g[0], g[1], g[2], 0.0, s[2] - s[1])
-    else:
-        # Shift each interval's coordinates so the panel is well conditioned.
-        left = np.full(n - 1, np.nan)
-        right = np.full(n - 1, np.nan)
-        base = s[:-1]
-        # panel (i-1, i, i+1) integrated over [s_i, s_{i+1}], valid for i >= 1
-        left[1:] = _quadratic_panel_integrals(
-            s[:-2] - base[1:], s[1:-1] - base[1:], s[2:] - base[1:],
-            g[:-2], g[1:-1], g[2:],
-            0.0, s[2:] - base[1:])
-        # panel (i, i+1, i+2) integrated over [s_i, s_{i+1}], valid for i <= n-3
-        right[:-1] = _quadratic_panel_integrals(
-            s[:-2] - base[:-1], s[1:-1] - base[:-1], s[2:] - base[:-1],
-            g[:-2], g[1:-1], g[2:],
-            0.0, s[1:-1] - base[:-1])
-        inc = np.where(np.isnan(left), right,
-                       np.where(np.isnan(right), left, 0.5 * (left + right)))
-        inc[0] = _cubic_panel_integral(s[:4] - s[0], g[:4], 0.0, s[1] - s[0])
-        inc[-1] = _cubic_panel_integral(s[-4:] - s[-2], g[-4:],
-                                        0.0, s[-1] - s[-2])
+    # Shift each interval's coordinates so the panel is well conditioned.
+    base = s[:-1]
+    # panel (i-1, i, i+1) integrated over [s_i, s_{i+1}], for i >= 1
+    left = _quadratic_panel_integrals(
+        s[:-2] - base[1:], s[1:-1] - base[1:], s[2:] - base[1:],
+        g[:-2], g[1:-1], g[2:],
+        0.0, s[2:] - base[1:])
+    # panel (i, i+1, i+2) integrated over [s_i, s_{i+1}], for i <= n-3
+    right = _quadratic_panel_integrals(
+        s[:-2] - base[:-1], s[1:-1] - base[:-1], s[2:] - base[:-1],
+        g[:-2], g[1:-1], g[2:],
+        0.0, s[1:-1] - base[:-1])
+    inc = np.empty(n - 1)
+    inc[1:-1] = 0.5 * (left[:-1] + right[1:])
+    inc[0] = _cubic_panel_integral(s[:4] - s[0], g[:4], 0.0, s[1] - s[0])
+    inc[-1] = _cubic_panel_integral(s[-4:] - s[-2], g[-4:],
+                                    0.0, s[-1] - s[-2])
     if nonnegative:
         inc = np.maximum(inc, 0.0)
     out = np.empty(n)
@@ -189,14 +134,11 @@ def cumulative_quadratic(s: np.ndarray, g: np.ndarray,
     return out
 
 
-def integrate_with_end_fill(s: np.ndarray, interior: np.ndarray) -> float:
-    """Trapezoid rule over the full range of s given values at interior
-    samples only; the two end subintervals take the nearest interior value."""
-    if len(s) != len(interior) + 2:
-        raise ValueError("interior values must cover samples 1..n-2")
-    full = np.empty(len(s))
-    full[1:-1] = interior
-    full[0] = interior[0]
-    full[-1] = interior[-1]
-    return trapezoid(full, s)
-
+def extend_interior(values: np.ndarray) -> np.ndarray:
+    """Pad values at samples 1..n-2 to all n samples by repeating the
+    nearest interior value at the two endpoint samples."""
+    full = np.empty(len(values) + 2)
+    full[1:-1] = values
+    full[0] = values[0]
+    full[-1] = values[-1]
+    return full

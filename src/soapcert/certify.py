@@ -23,6 +23,7 @@ mode uses the sampled extrema and says so.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 import warnings
@@ -45,6 +46,10 @@ CROSSING_DENSITY = 2.0
 KARCHER_TOL = 1e-10
 KARCHER_MAX_ITER = 200
 
+# Apex candidates of the area search must keep at least this distance from
+# every graph sample.
+SEARCH_CLEARANCE = 1e-4
+
 
 class Verdict(enum.Enum):
     EMBEDDED_OR_Y = "EmbeddedOrY"
@@ -60,7 +65,11 @@ class Mode(enum.Enum):
 
 @dataclass(eq=False)
 class Certificate:
+    """One threshold test: ``claim`` is the verdict it tested, ``verdict``
+    is that claim when it qualifies and NO_CERTIFICATE otherwise."""
+
     verdict: Verdict
+    claim: Verdict
     tc_total: float
     threshold: float
     cone_area_term: float
@@ -152,13 +161,12 @@ def _unique_rows(points: np.ndarray) -> np.ndarray:
     return points[np.sort(idx)]
 
 
-def hull_approx(space: SpaceForm, graph: EmbeddedGraph, grid_n: int,
-                radius_scale: float = 1.0) -> HullApprox:
+def hull_approx(space: SpaceForm, graph: EmbeddedGraph,
+                grid_n: int) -> HullApprox:
     """Build the ball approximation of the convex hull and its apex grid.
-    ``radius_scale`` widens or narrows the sampled ball.  A spherical graph
-    whose ball diameter comes within 85% of the pi/b bound triggers a
-    warning: apex candidates near the ball boundary may then see graph
-    points at conjugate distances."""
+    A spherical graph whose ball diameter comes within 85% of the pi/b
+    bound triggers a warning: apex candidates near the ball boundary may
+    then see graph points at conjugate distances."""
     samples = _unique_rows(graph.all_samples())
     center = karcher_center(space, samples)
     radius = float(np.max(space.dist(center, samples)))
@@ -167,13 +175,12 @@ def hull_approx(space: SpaceForm, graph: EmbeddedGraph, grid_n: int,
         warnings.warn(
             "graph spread is close to the diameter bound; apex candidates "
             "near the ball boundary may be rejected", stacklevel=2)
-    grid = _ball_grid(space, center, radius * radius_scale, grid_n)
+    grid = _ball_grid(space, center, radius, grid_n)
     return HullApprox(center=center, radius=radius, grid=grid)
 
 
 def extremal_cone_area(space: SpaceForm, graph: EmbeddedGraph,
                        hull: HullApprox, mode: str,
-                       clearance: float = 1e-4,
                        refine_maxiter: int = 400) -> ExtremalArea:
     """Minimize or maximize the ambient cone area over the hull ball: grid
     sweep, then a simplex (Nelder-Mead) refinement in tangent coordinates at
@@ -193,7 +200,7 @@ def extremal_cone_area(space: SpaceForm, graph: EmbeddedGraph,
         try:
             if float(space.dist(apex, hull.center)) > ball_limit:
                 return math.inf
-            check_apex(space, apex, samples, clearance)
+            check_apex(space, apex, samples, SEARCH_CLEARANCE)
             return sign * ambient_cone_area(space, apex, graph)
         except NumericalError:
             return math.inf
@@ -218,7 +225,7 @@ def extremal_cone_area(space: SpaceForm, graph: EmbeddedGraph,
             return math.inf
         return objective_at(apex)
 
-    scale = max(0.05 * hull.radius, 10.0 * clearance)
+    scale = max(0.05 * hull.radius, 10.0 * SEARCH_CLEARANCE)
     simplex = np.zeros((n + 1, n))
     simplex[1:] = scale * np.eye(n)
     res = optimize.minimize(
@@ -244,9 +251,6 @@ _Y_NOTE = ("assumes the film is a piecewise smooth area-minimizing set in a "
            "in the tetrahedral stationary cone cannot be ruled out here")
 _SIMPLE_NOTE = ("applies to branched minimal immersions bounded by a simple "
                 "closed curve")
-
-_STRENGTH = (Verdict.SIMPLE_CURVE_EMBEDDED, Verdict.EMBEDDED_OR_Y,
-             Verdict.Y_SINGULARITIES_ONLY)
 
 
 def _spherical_strict_area_bound(space: SpaceForm, graph: EmbeddedGraph,
@@ -307,11 +311,17 @@ def evaluate_certificates(space: SpaceForm, graph: EmbeddedGraph,
 
     rows = []
 
-    def add(verdict: Verdict, threshold: float, strict_inequality: bool,
+    def add(claim: Verdict, threshold: float, strict_inequality: bool,
             extra_note: str):
         margin = threshold + area_term - tc.total
-        notes = "; ".join(x for x in (mode_note, fallback_note, extra_note) if x)
-        rows.append((verdict, threshold, margin, strict_inequality, notes))
+        qualifies = margin > 0.0 if strict_inequality else margin >= 0.0
+        rows.append(Certificate(
+            verdict=claim if qualifies else Verdict.NO_CERTIFICATE,
+            claim=claim, tc_total=tc.total, threshold=threshold,
+            cone_area_term=area_term, margin=margin, mode=mode,
+            extremal_apex=extremal_apex,
+            notes="; ".join(x for x in (mode_note, fallback_note, extra_note)
+                            if x)))
 
     if simple_curve:
         add(Verdict.SIMPLE_CURVE_EMBEDDED, 2.0 * math.pi * CROSSING_DENSITY,
@@ -320,51 +330,25 @@ def evaluate_certificates(space: SpaceForm, graph: EmbeddedGraph,
     if space.dim == 3:
         add(Verdict.Y_SINGULARITIES_ONLY, 2.0 * math.pi * T_CONE_DENSITY,
             False, _Y_NOTE)
-
-    out = []
-    for verdict, threshold, margin, strict_ineq, notes in rows:
-        qualifies = margin > 0.0 if strict_ineq else margin >= 0.0
-        if fallback_note:
-            qualifies = False
-        out.append(Certificate(
-            verdict=verdict if qualifies else Verdict.NO_CERTIFICATE,
-            tc_total=tc.total, threshold=threshold,
-            cone_area_term=area_term if math.isfinite(area_term) else -math.inf,
-            margin=margin, mode=mode, extremal_apex=extremal_apex,
-            notes=notes))
-    # keep strength order: rows were appended strongest first already
-    return out
+    return rows
 
 
 def certify(space: SpaceForm, graph: EmbeddedGraph,
             mode: Mode = Mode.STRICT, simple_curve: bool = False,
             grid_n: int = 1000, seed: int = 0,
-            tc: TCReport | None = None,
-            refine_maxiter: int = 400) -> list[Certificate]:
+            tc: TCReport | None = None) -> list[Certificate]:
     """All qualifying certificates, strongest first; when none qualifies, a
     single NoCertificate carrying the margin of the strongest attempted
-    claim."""
+    claim and, in its notes, the margin of every claim."""
     rows = evaluate_certificates(space, graph, mode=mode,
                                  simple_curve=simple_curve, tc=tc,
-                                 grid_n=grid_n, seed=seed,
-                                 refine_maxiter=refine_maxiter)
+                                 grid_n=grid_n, seed=seed)
     winners = [c for c in rows if c.verdict is not Verdict.NO_CERTIFICATE]
     if winners:
-        order = {v: i for i, v in enumerate(_STRENGTH)}
-        winners.sort(key=lambda c: order[c.verdict])
         return winners
     top = rows[0]
-    details = ", ".join(f"{v.value}: margin {c.margin:.6f}"
-                        for c, v in ((r, _row_verdict(r)) for r in rows))
-    top.notes = (top.notes + "; " if top.notes else "") + \
+    details = ", ".join(f"{c.claim.value}: margin {c.margin:.6f}"
+                        for c in rows)
+    notes = (top.notes + "; " if top.notes else "") + \
         "no threshold met (" + details + ")"
-    return [top]
-
-
-def _row_verdict(cert: Certificate) -> Verdict:
-    """Recover which claim a (possibly non-qualifying) row was evaluating."""
-    if abs(cert.threshold - 2.0 * math.pi * CROSSING_DENSITY) < 1e-12:
-        return Verdict.SIMPLE_CURVE_EMBEDDED
-    if abs(cert.threshold - 2.0 * math.pi * Y_CONE_DENSITY) < 1e-12:
-        return Verdict.EMBEDDED_OR_Y
-    return Verdict.Y_SINGULARITIES_ONLY
+    return [dataclasses.replace(top, notes=notes)]

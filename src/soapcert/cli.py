@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from . import cone as cone_mod
-from .certify import Mode, certify, density_bound, hull_approx
+from .certify import SEARCH_CLEARANCE, Mode, certify, density_bound, hull_approx
 from .curvature import cone_total_curvature
 from .errors import (
     ApexOnGraphError,
@@ -229,7 +229,7 @@ def _cmd_density_map(args) -> list[str]:
     rows = []
     for apex in hull.grid:
         try:
-            cone_mod.check_apex(graph.space, apex, samples, 1e-4)
+            cone_mod.check_apex(graph.space, apex, samples, SEARCH_CLEARANCE)
         except (ApexOnGraphError, ConjugatePointError):
             continue
         bound = density_bound(graph.space, apex, graph, report)

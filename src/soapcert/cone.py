@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _num
+from .curvature import edge_curvature
 from .errors import ApexOnGraphError, ConjugatePointError, NumericalError
 from .graph import EdgeCurve, EmbeddedGraph, edge_unit_tangents, vertex_star
 from .spaceform import Model, SpaceForm
@@ -128,8 +129,6 @@ def cone_conormal_curvature(space: SpaceForm, apex: np.ndarray,
     (tangent to the cone, orthogonal to the curve, pointing away from the
     apex), at interior samples.  NaN marks samples where the curve runs
     radially and the conormal is undefined."""
-    from .curvature import edge_curvature
-
     prof = radial_profile(space, apex, edge)
     ec = edge_curvature(space, edge)
     t = edge_unit_tangents(space, edge)
@@ -140,16 +139,6 @@ def cone_conormal_curvature(space: SpaceForm, apex: np.ndarray,
     ok = norms >= 1e-8
     out[ok] = space.mdot(ec.kvec[ok], nu[ok] / norms[ok][:, None])
     return out
-
-
-def _extend_interior(values: np.ndarray) -> np.ndarray:
-    """Pad interior-sample values to full length by repeating the nearest
-    interior value at the two endpoint samples."""
-    full = np.empty(len(values) + 2)
-    full[1:-1] = values
-    full[0] = values[0] if len(values) else np.nan
-    full[-1] = values[-1] if len(values) else np.nan
-    return full
 
 
 def develop_cone(space: SpaceForm, apex: np.ndarray,
@@ -172,7 +161,7 @@ def develop_cone(space: SpaceForm, apex: np.ndarray,
         dev_samples = developed_points(plane, prof.r, theta)
         dev_edge = EdgeCurve(id=edge.id, endpoints=edge.endpoints,
                              samples=dev_samples, s=edge.s.copy())
-        khat = _extend_interior(
+        khat = _num.extend_interior(
             cone_conormal_curvature(plane, plane_apex, dev_edge))
         per_edge.append(EdgeDevelopment(
             edge_id=edge.id, s=edge.s.copy(), r=prof.r, rprime=rp,

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _num
-from .errors import ValidationError
 from .graph import EdgeCurve, EmbeddedGraph, edge_unit_tangents, vertex_star
 from .spaceform import SpaceForm, TangentVector
 
-GRID_ORACLE_MAX_DIM = 4
+# Seeded random starts of the vertex ascent, on top of the structured ones.
+VERTEX_RANDOM_STARTS = 32
 
 
 @dataclass(eq=False)
@@ -58,8 +58,6 @@ def edge_curvature(space: SpaceForm, edge: EdgeCurve) -> EdgeCurvatureSamples:
     """Geodesic-curvature vector of the curve in the model space at interior
     samples: the second difference of the embedding, projected to the tangent
     space, with its component along the unit tangent removed."""
-    if len(edge.s) < 3:
-        raise ValidationError(f"edge {edge.id!r} has fewer than 3 samples")
     acc = _num.curve_second_derivative_interior(edge.s, edge.samples)
     mid = edge.samples[1:-1]
     acc = space.tangent_project(mid, acc)
@@ -77,7 +75,7 @@ def edge_total_curvature(space: SpaceForm, edge: EdgeCurve) -> float:
     carry the nearest interior value.
     """
     ec = edge_curvature(space, edge)
-    return _num.integrate_with_end_fill(edge.s, ec.kmag)
+    return _num.trapezoid(_num.extend_interior(ec.kmag), edge.s)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +160,7 @@ def _star_coordinates(space: SpaceForm, graph: EmbeddedGraph, vertex_id):
 
 
 def vertex_tc(space: SpaceForm, graph: EmbeddedGraph, vertex_id,
-              seed: int = 0, n_random: int = 32) -> VertexTC:
+              seed: int = 0) -> VertexTC:
     """Vertex contribution by multistart projected-gradient ascent on the
     unit tangent sphere.  Starts: every +-T_k, all normalized pairwise sums,
     and seeded random directions; the nonsmooth candidates e = +-T_k are
@@ -177,7 +175,7 @@ def vertex_tc(space: SpaceForm, graph: EmbeddedGraph, vertex_id,
             if norm > 1e-12:
                 starts.append((v / norm)[None, :])
     rng = np.random.default_rng(seed)
-    rand = rng.standard_normal((n_random, n))
+    rand = rng.standard_normal((VERTEX_RANDOM_STARTS, n))
     starts.append(rand / np.linalg.norm(rand, axis=1, keepdims=True))
     E0 = np.concatenate(starts, axis=0)
 
@@ -194,11 +192,7 @@ def vertex_tc_grid(space: SpaceForm, graph: EmbeddedGraph, vertex_id,
     """Brute-force sup of the star objective over a dense direction grid.
     Independent of the ascent path; used to certify vertex_tc."""
     _, _, _, T = _star_coordinates(space, graph, vertex_id)
-    n = T.shape[1]
-    if n > GRID_ORACLE_MAX_DIM:
-        dirs = _unit_grid(n, n_dirs, seed)
-    else:
-        dirs = _unit_grid(n, n_dirs)
+    dirs = _unit_grid(T.shape[1], n_dirs, seed)
     value, _ = _star_objective(T)
     best = -math.inf
     block = 262144

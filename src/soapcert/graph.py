@@ -35,13 +35,23 @@ class EdgeCurve:
     """A sampled edge: points joined by model-space geodesics.
 
     ``s`` holds cumulative geodesic chord lengths, so consecutive chord
-    lengths equal the parameter increments by construction.
+    lengths equal the parameter increments by construction.  Every edge
+    has at least MIN_EDGE_SAMPLES samples, one parameter per sample; the
+    stencils in ``_num`` rely on that.
     """
 
     id: object
     endpoints: tuple
     samples: np.ndarray
     s: np.ndarray
+
+    def __post_init__(self):
+        if len(self.samples) < MIN_EDGE_SAMPLES:
+            raise ValidationError(f"edge {self.id!r} has fewer than "
+                                  f"{MIN_EDGE_SAMPLES} samples")
+        if len(self.s) != len(self.samples):
+            raise ValidationError(f"edge {self.id!r} needs one parameter "
+                                  "per sample")
 
     @property
     def length(self) -> float:
@@ -275,8 +285,6 @@ def edge_unit_tangents(space: SpaceForm, edge: EdgeCurve) -> np.ndarray:
     cached = getattr(edge, "_unit_tangents", None)
     if cached is not None:
         return cached
-    if len(edge.s) < 3:
-        raise ValidationError(f"edge {edge.id!r} has fewer than 3 samples")
     d = _num.curve_first_derivative(edge.s, edge.samples)
     t = space.tangent_project(edge.samples, d)
     n = space.norm(t)

@@ -1,3 +1,4 @@
+import importlib
 import math
 import warnings
 
@@ -149,6 +150,36 @@ class TestCertify:
         assert c.margin == pytest.approx(3.0 * math.pi - 14.7702, abs=1e-2)
         assert "margin" in c.notes
 
+    def test_rows_carry_their_claim_whether_or_not_they_qualify(self):
+        g = shapes.cube_skeleton_graph()
+        tc = cone_total_curvature(FLAT, g)
+        rows = evaluate_certificates(FLAT, g, mode=Mode.STRICT, tc=tc)
+        assert [c.claim for c in rows] == [Verdict.EMBEDDED_OR_Y,
+                                           Verdict.Y_SINGULARITIES_ONLY]
+        assert all(c.verdict is Verdict.NO_CERTIFICATE for c in rows)
+        rows = evaluate_certificates(FLAT, g, mode=Mode.STRICT, tc=tc,
+                                     simple_curve=True)
+        assert [c.claim for c in rows] == [Verdict.SIMPLE_CURVE_EMBEDDED,
+                                           Verdict.EMBEDDED_OR_Y,
+                                           Verdict.Y_SINGULARITIES_ONLY]
+
+    def test_no_certificate_note_lists_every_claim_margin(self, monkeypatch):
+        g = shapes.cube_skeleton_graph()
+        tc = cone_total_curvature(FLAT, g)
+        rows = evaluate_certificates(FLAT, g, mode=Mode.STRICT, tc=tc,
+                                     simple_curve=True)
+        notes_before = [c.notes for c in rows]
+        # the package attribute `certify` is the function, not the module
+        module = importlib.import_module("soapcert.certify")
+        monkeypatch.setattr(module, "evaluate_certificates",
+                            lambda *args, **kwargs: rows)
+        (top,) = certify(FLAT, g, mode=Mode.STRICT, tc=tc, simple_curve=True)
+        assert top.claim is Verdict.SIMPLE_CURVE_EMBEDDED
+        for c in rows:
+            assert f"{c.claim.value}: margin {c.margin:.6f}" in top.notes
+        # the returned row is a copy; the evaluated rows keep their notes
+        assert [c.notes for c in rows] == notes_before
+
     def test_three_arc_junction_hand_computed(self):
         # three half circles of radius a meeting at 120 degrees: each arc
         # contributes pi, each pole contributes the symmetric-junction value
@@ -215,6 +246,8 @@ class TestCertify:
             certs = certify(space, g, mode=Mode.STRICT)
         assert certs[0].verdict is Verdict.NO_CERTIFICATE
         assert "conjugate" in certs[0].notes
+        assert certs[0].cone_area_term == -math.inf
+        assert certs[0].margin == -math.inf
 
     def test_y_note_mentions_the_assumptions(self):
         g = shapes.circle_graph(FLAT, 1.0, 256)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from soapcert import (
+    EdgeCurve,
     Model,
     SpaceForm,
     ValidationError,
@@ -128,6 +129,20 @@ class TestLoad:
         for e in g.edges:
             assert len(e.samples) >= 8
         assert g.edges[0].length == pytest.approx(1.0, abs=1e-12)
+
+    def test_edge_curve_enforces_sample_minimum(self):
+        samples = np.stack([np.linspace(0.0, 1.0, 7), np.zeros(7),
+                            np.zeros(7)], axis=1)
+        with pytest.raises(ValidationError, match="fewer than 8"):
+            EdgeCurve(id="e", endpoints=("a", "b"), samples=samples,
+                      s=np.linspace(0.0, 1.0, 7))
+
+    def test_edge_curve_needs_one_parameter_per_sample(self):
+        samples = np.stack([np.linspace(0.0, 1.0, 9), np.zeros(9),
+                            np.zeros(9)], axis=1)
+        with pytest.raises(ValidationError, match="one parameter per sample"):
+            EdgeCurve(id="e", endpoints=("a", "b"), samples=samples,
+                      s=np.linspace(0.0, 1.0, 10))
 
     def test_duplicate_ids_rejected(self):
         doc = circle_document()

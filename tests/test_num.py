@@ -5,7 +5,7 @@ from soapcert._num import (
     cumulative_quadratic,
     curve_first_derivative,
     curve_second_derivative_interior,
-    integrate_with_end_fill,
+    extend_interior,
     trapezoid,
 )
 
@@ -57,6 +57,8 @@ def test_cumulative_quadratic_nonnegative_clamps():
 def test_end_fill_equals_trapezoid_with_copied_ends():
     s = np.linspace(0.0, 1.0, 11)
     interior = np.linspace(2.0, 3.0, 9)
-    full = np.concatenate([[interior[0]], interior, [interior[-1]]])
-    assert integrate_with_end_fill(s, interior) == pytest.approx(
-        trapezoid(full, s))
+    full = extend_interior(interior)
+    assert np.array_equal(full[1:-1], interior)
+    assert (full[0], full[-1]) == (interior[0], interior[-1])
+    # end subintervals carry 2 and 3, the interior ramps from 2 to 3
+    assert trapezoid(full, s) == pytest.approx(0.1 * 2.0 + 0.8 * 2.5 + 0.1 * 3.0)

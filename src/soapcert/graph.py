@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from . import _num
 from .errors import ValidationError
@@ -133,16 +134,36 @@ def make_edge(space: SpaceForm, edge_id, endpoints, samples) -> EdgeCurve:
 
 
 def _check_spherical_diameter(space: SpaceForm, points: np.ndarray):
+    """Reject any sample pair whose chord reaches that of the angle
+    pi - ANTIPODAL_SLACK, in O(N) when the samples fit in a cap of half
+    that angle about their extrinsic mean and O(N log N) otherwise."""
     if space.model is not Model.SPHERICAL:
         return
-    limit_chord = 2.0 / space.curv * math.sin(0.5 * (math.pi - ANTIPODAL_SLACK))
-    block = 512
-    for i in range(0, len(points), block):
-        chunk = points[i:i + block]
-        d = np.linalg.norm(chunk[:, None, :] - points[None, :, :], axis=-1)
-        if np.any(d >= limit_chord):
-            raise ValidationError(
-                "spherical diameter bound violated: sample pair at distance >= pi/b")
+    radius = 1.0 / space.curv
+    limit_chord = 2.0 * radius * math.sin(0.5 * (math.pi - ANTIPODAL_SLACK))
+    # Sufficient test: every sample within half the limit angle of one point
+    # c on the sphere puts every pair below the limit (triangle inequality).
+    # Near the limit the chord grows only like sin(ANTIPODAL_SLACK / 2) per
+    # radian of angle, so the angular margin must be large against rounding.
+    mean = points.mean(axis=0)
+    mean_norm = float(np.linalg.norm(mean))
+    if mean_norm > 1e-12 * radius:
+        c = mean * (radius / mean_norm)
+        cap_chord = 2.0 * radius * math.sin(
+            0.5 * (0.5 * (math.pi - ANTIPODAL_SLACK) - 1e-6))
+        if np.all(np.linalg.norm(points - c, axis=-1) < cap_chord):
+            return
+    # Fallback: |x_i - x_j| >= limit_chord exactly when -x_i lies within
+    # sqrt(4 r^2 - limit_chord^2) = 2 r sin(ANTIPODAL_SLACK / 2) of x_j, up to
+    # rounding of |x| = r; the enlarged radius keeps every such pair as a
+    # candidate, and each candidate is judged by the exact chord test.
+    reach = 2.0 * radius * math.sin(0.5 * ANTIPODAL_SLACK) + 1e-6 * radius
+    tree = cKDTree(points)
+    for i, near in enumerate(tree.query_ball_point(-points, reach)):
+        if near and np.any(
+                np.linalg.norm(points[near] - points[i], axis=-1) >= limit_chord):
+            raise ValidationError("spherical diameter bound violated: "
+                                  "sample pair at distance >= pi/b")
 
 
 def validate_graph(graph: EmbeddedGraph) -> EmbeddedGraph:
@@ -171,6 +192,45 @@ def validate_graph(graph: EmbeddedGraph) -> EmbeddedGraph:
     return graph
 
 
+def _coordinate_fault(coords, ndim: int, d: int, what: str) -> ValidationError:
+    """The error for raw coordinates that do not form a finite array of
+    shape (d,) or (n, d).  Points are judged one by one, so a ragged list
+    whose points are all numbers reads as a wrongly sized point."""
+    try:
+        items = list(coords) if ndim == 2 else [coords]
+    except TypeError:
+        items = [coords]
+    for c in items:
+        try:
+            finite = bool(np.all(np.isfinite(np.asarray(c, float))))
+        except (TypeError, ValueError):
+            finite = False
+        if not finite:
+            return ValidationError(f"{what}: coordinates must be finite numbers")
+    return ValidationError(f"{what}: expected {d} coordinates")
+
+
+def _take_points(space: SpaceForm, coords, ndim: int, what: str,
+                 tol: float) -> np.ndarray:
+    """Project raw coordinates onto the model manifold as one array: a
+    single point when ndim is 1, a list of points when it is 2.  Each
+    point may move by at most tol."""
+    d = space.embedding_dim
+    try:
+        x = np.asarray(coords, float)
+    except (TypeError, ValueError):
+        raise _coordinate_fault(coords, ndim, d, what) from None
+    if ndim == 2 and x.shape == (0,):
+        return x.reshape(0, d)
+    if x.ndim != ndim or x.shape[-1] != d or not np.all(np.isfinite(x)):
+        raise _coordinate_fault(coords, ndim, d, what)
+    proj = space.project_point(x)
+    if not np.all(np.linalg.norm(proj - x, axis=-1) <= tol):
+        raise ValidationError(f"{what}: point is off the manifold "
+                              f"beyond tolerance {tol:g}")
+    return proj
+
+
 def load_graph(document: dict) -> EmbeddedGraph:
     """Build a validated graph from a parsed document (see the file format
     in the CLI module).  Points are projected onto the model manifold; the
@@ -188,17 +248,6 @@ def load_graph(document: dict) -> EmbeddedGraph:
         raise ValidationError(f"malformed graph document: {exc}") from exc
     tol = float(document.get("tolerance", 1e-6))
 
-    def take_point(coords, what):
-        x = np.asarray(coords, float)
-        if x.shape != (space.embedding_dim,):
-            raise ValidationError(
-                f"{what}: expected {space.embedding_dim} coordinates")
-        proj = space.project_point(x)
-        if float(np.linalg.norm(proj - x)) > tol:
-            raise ValidationError(f"{what}: point is off the manifold "
-                                  f"beyond tolerance {tol:g}")
-        return proj
-
     vertices = []
     seen = set()
     for vb in vertex_blocks:
@@ -206,7 +255,8 @@ def load_graph(document: dict) -> EmbeddedGraph:
         if vid in seen:
             raise ValidationError(f"duplicate vertex id {vid!r}")
         seen.add(vid)
-        vertices.append(Vertex(id=vid, point=take_point(vb["coords"], f"vertex {vid!r}")))
+        vertices.append(Vertex(id=vid, point=_take_points(
+            space, vb["coords"], 1, f"vertex {vid!r}", tol)))
 
     vpoints = {v.id: v.point for v in vertices}
     edges = []
@@ -219,12 +269,12 @@ def load_graph(document: dict) -> EmbeddedGraph:
         endpoints = tuple(eb["endpoints"])
         if len(endpoints) != 2:
             raise ValidationError(f"edge {eid!r} needs exactly two endpoints")
-        raw = [take_point(c, f"edge {eid!r} sample") for c in eb["samples"]]
-        samples = np.asarray(raw, float)
+        samples = _take_points(space, eb["samples"], 2,
+                               f"edge {eid!r} sample", tol)
         # snap edge ends onto their vertices when within tolerance
         for end, idx in ((0, 0), (1, -1)):
             vid = endpoints[end]
-            if vid in vpoints:
+            if vid in vpoints and len(samples):
                 gap = float(space.dist(samples[idx], vpoints[vid]))
                 if gap <= ENDPOINT_TOL:
                     samples[idx] = vpoints[vid]
@@ -304,7 +354,8 @@ def vertex_star(graph: EmbeddedGraph, vertex_id) -> list[TangentVector]:
     q = graph.vertex_point(vertex_id)
     out = []
     for edge, end in ends:
-        if float(graph.space.dist(edge.samples[0], edge.samples[1])) < 1e-12:
+        pair = edge.samples[:2] if end == 0 else edge.samples[-2:]
+        if float(graph.space.dist(pair[0], pair[1])) < 1e-12:
             raise ValidationError(f"edge {edge.id!r} is degenerate at {vertex_id!r}")
         tangents = edge_unit_tangents(graph.space, edge)
         vec = tangents[0] if end == 0 else -tangents[-1]

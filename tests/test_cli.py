@@ -206,6 +206,29 @@ class TestExitCodes:
         assert "validation error" in err
 
 
+    @pytest.mark.parametrize("samples, named", [
+        ([[0, 0, 0], ["x", 0, 0], [1, 0, 0]],
+         "edge 'e' sample: coordinates must be finite numbers"),
+        ([[0, 0, 0], [0.5, 0], [1, 0, 0]],
+         "edge 'e' sample: expected 3 coordinates"),
+    ])
+    def test_malformed_coordinates_are_validation_failures(
+            self, capsys, tmp_path, samples, named):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "space": {"model": "flat", "dim": 3, "curv": 0.0},
+            "vertices": [{"id": "a", "coords": [0, 0, 0]},
+                         {"id": "b", "coords": [1, 0, 0]}],
+            "edges": [{"id": "e", "endpoints": ["a", "b"], "samples": samples},
+                      {"id": "f", "endpoints": ["a", "b"],
+                       "samples": [[0, 0, 0], [0.5, 0.5, 0], [1, 0, 0]]}],
+        }))
+        code, out, err = run_capture(capsys, ["tc", str(bad)])
+        assert code == 2
+        assert out == ""
+        assert err == f"validation error: {named}\n"
+
+
 class TestDeterminism:
     def test_reports_byte_identical(self, capsys, circle_file):
         _, out1, _ = run_capture(capsys, ["tc", circle_file, "--seed", "3"])

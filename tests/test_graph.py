@@ -1,21 +1,32 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soapcert import (
     EdgeCurve,
+    EmbeddedGraph,
     Model,
     SpaceForm,
     ValidationError,
     euler_double_circuit,
     load_graph,
+    Vertex,
     resample_arclength,
     vertex_star,
 )
+from soapcert import graph as graph_mod
 from soapcert import shapes
-from soapcert.graph import connected_components
+from soapcert.graph import (
+    _check_spherical_diameter,
+    arclength_params,
+    connected_components,
+)
+from soapcert.spaceform import ANTIPODAL_SLACK
 
 from builders import random_graph
 
@@ -115,6 +126,18 @@ class TestLoad:
         with pytest.raises(ValidationError, match="diameter"):
             load_graph(doc)
 
+    def test_projection_matches_pointwise_reference(self):
+        rng = np.random.default_rng(4)
+        for name, curv in (("flat", 0.0), ("hyperbolic", 0.8), ("spherical", 0.8)):
+            space = SpaceForm(Model(name), 3, curv)
+            doc = shapes.graph_document(shapes.circle_graph(space, 0.5, 256))
+            raw = np.asarray(doc["edges"][0]["samples"])
+            raw[1:-1] += 1e-9 * rng.standard_normal(raw[1:-1].shape)
+            doc["edges"][0]["samples"] = raw.tolist()
+            g = load_graph(doc)
+            reference = np.array([space.project_point(x) for x in raw])
+            assert np.array_equal(g.edges[0].samples[1:-1], reference[1:-1])
+
     def test_short_edges_are_subdivided(self):
         doc = {
             "space": {"model": "flat", "dim": 2, "curv": 0.0},
@@ -164,6 +187,221 @@ class TestLoad:
             assert back.space == g.space
             for e0, e1 in zip(g.edges, back.edges):
                 assert np.max(space.dist(e0.samples, e1.samples)) < 1e-12
+
+
+def _long_hyperbolic_document(n=4096):
+    space = SpaceForm(Model.HYPERBOLIC, 3, 1.0)
+    return shapes.graph_document(shapes.circle_graph(space, 0.8, n))
+
+
+def _single_fault(doc, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        load_graph(doc)
+
+
+class TestIngestErrors:
+    """One fault in an otherwise valid document names the same point and
+    reads the same as when samples were checked one at a time."""
+
+    def test_off_manifold_sample_mid_edge(self):
+        doc = _long_hyperbolic_document()
+        doc["edges"][0]["samples"][2000] = [
+            1.01 * c for c in doc["edges"][0]["samples"][2000]]
+        _single_fault(doc, "edge 'c0' sample: point is off the manifold "
+                           "beyond tolerance 1e-06")
+
+    def test_wrong_coordinate_count_sample(self):
+        doc = _long_hyperbolic_document()
+        doc["edges"][0]["samples"][2000] = doc["edges"][0]["samples"][2000][:3]
+        _single_fault(doc, "edge 'c0' sample: expected 4 coordinates")
+
+    def test_wrong_coordinate_count_vertex(self):
+        doc = _long_hyperbolic_document()
+        doc["vertices"][0]["coords"].append(0.0)
+        _single_fault(doc, "vertex 'v0': expected 4 coordinates")
+
+    def test_non_positive_time_coordinate_sample(self):
+        doc = _long_hyperbolic_document()
+        sample = doc["edges"][0]["samples"][2000]
+        sample[0] = -sample[0]
+        _single_fault(doc, "hyperbolic points need a positive time coordinate")
+
+    @pytest.mark.parametrize("bad", [["x", 0, 0], [None, 0, 0],
+                                     [float("nan"), 0, 0], [[0, 0], 0, 0]])
+    def test_non_numeric_coordinates_name_the_point(self, bad):
+        doc = circle_document()
+        doc["edges"][0]["samples"][5] = bad
+        _single_fault(doc, "edge 'e0' sample: coordinates must be finite numbers")
+        doc = circle_document()
+        doc["vertices"][0]["coords"] = bad
+        _single_fault(doc, "vertex 'v0': coordinates must be finite numbers")
+
+    def test_empty_sample_list(self):
+        doc = circle_document()
+        doc["edges"][0]["samples"] = []
+        _single_fault(doc, "edge 'e0' needs at least two samples")
+
+    def test_projection_is_one_call_per_vertex_and_edge(self, monkeypatch):
+        doc = _long_hyperbolic_document(n=32768)
+        calls = []
+        project = SpaceForm.project_point
+
+        def counted(self, x):
+            calls.append(np.shape(x))
+            return project(self, x)
+
+        monkeypatch.setattr(SpaceForm, "project_point", counted)
+        g = load_graph(doc)
+        assert len(g.edges[0].samples) == 32769
+        assert len(calls) <= len(doc["vertices"]) + len(doc["edges"])
+
+
+def _document_round_trips(g):
+    back = load_graph(shapes.graph_document(g))
+    assert back.space == g.space
+    assert [v.id for v in back.vertices] == [v.id for v in g.vertices]
+    assert [(e.id, e.endpoints) for e in back.edges] == \
+        [(e.id, e.endpoints) for e in g.edges]
+    for e0, e1 in zip(g.edges, back.edges):
+        assert e1.samples.shape == e0.samples.shape
+        assert np.max(g.space.dist(e0.samples, e1.samples)) < 1e-12
+        assert np.max(np.abs(e1.s - e0.s)) < 1e-12 * (1.0 + e0.length)
+
+
+MODELS = st.sampled_from(["flat", "hyperbolic", "spherical"])
+CURVS = st.sampled_from([0.5, 1.0, 1.7])
+
+
+def _space(model, curv):
+    return SpaceForm(Model(model), 3, 0.0 if model == "flat" else curv)
+
+
+class TestDocumentRoundTrip:
+    # radii are in units of 1/curv, so spherical graphs stay well inside pi/b
+    @settings(max_examples=25, deadline=None)
+    @given(MODELS, CURVS, st.floats(0.05, 1.2), st.integers(8, 400))
+    def test_circle(self, model, curv, radius, n):
+        space = _space(model, curv)
+        scale = 1.0 if model == "flat" else 1.0 / curv
+        _document_round_trips(shapes.circle_graph(space, radius * scale, n))
+
+    @settings(max_examples=25, deadline=None)
+    @given(MODELS, CURVS, st.floats(0.3, 1.0), st.floats(0.0, 0.25),
+           st.integers(2, 5), st.integers(16, 400))
+    def test_wavy_loop(self, model, curv, base, wobble, lobes, n):
+        space = _space(model, curv)
+        scale = 1.0 if model == "flat" else 1.0 / curv
+        _document_round_trips(shapes.wavy_closed_curve_graph(
+            space, base * scale, wobble * scale, lobes, n))
+
+    @settings(max_examples=15, deadline=None)
+    @given(MODELS, st.integers(0, 2 ** 32 - 1), st.integers(8, 200))
+    def test_theta_graph(self, model, seed, n):
+        space = _space(model, 1.0)
+        g = random_graph(space, np.random.default_rng(seed), n_vertices=2,
+                         n_extra=1, samples_per_edge=n)
+        assert sorted(g.valence(v.id) for v in g.vertices) == [3, 3]
+        _document_round_trips(g)
+
+
+def _reference_diameter_violated(space, points):
+    """The quadratic scan: every pair's chord against the limit chord."""
+    limit_chord = 2.0 / space.curv * math.sin(0.5 * (math.pi - ANTIPODAL_SLACK))
+    d = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
+    return bool(np.any(d >= limit_chord))
+
+
+def _diameter_violated(space, points):
+    try:
+        _check_spherical_diameter(space, points)
+    except ValidationError as exc:
+        assert "diameter" in str(exc)
+        return True
+    return False
+
+
+def _at_angle(x, rng, angle):
+    """A point at the given angle from x on the sphere through x."""
+    u = rng.standard_normal(len(x))
+    u -= (u @ x) / (x @ x) * x
+    u *= np.linalg.norm(x) / np.linalg.norm(u)
+    return math.cos(angle) * x + math.sin(angle) * u
+
+
+def _equator_bulged_triangle(n_per_edge, bulge=0.3):
+    """Corners on the equator of the unit 2-sphere 120 degrees apart, each
+    edge rising to latitude ``bulge`` halfway.  Its diameter is pi - bulge,
+    but the corners lie exactly pi/2 from the extrinsic mean (the pole), so
+    the O(N) cap test cannot pass it."""
+    space = SpaceForm(Model.SPHERICAL, 2, 1.0)
+    t = np.linspace(0.0, 1.0, n_per_edge + 1)
+
+    def point(lon, lat):
+        return np.stack([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon),
+                         np.sin(lat)], axis=-1)
+
+    third = 2.0 * math.pi / 3.0
+    vertices = [{"id": f"v{k}", "coords": point(k * third, 0.0).tolist()}
+                for k in range(3)]
+    edges = [{"id": f"e{k}", "endpoints": [f"v{k}", f"v{(k + 1) % 3}"],
+              "samples": point(third * (k + t), bulge * np.sin(math.pi * t)).tolist()}
+             for k in range(3)]
+    return space, {"space": {"model": "spherical", "dim": 2, "curv": 1.0},
+                   "vertices": vertices, "edges": edges}
+
+
+class TestSphericalDiameter:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 300),
+           st.sampled_from([2, 3]), CURVS, st.floats(0.0, math.pi),
+           st.integers(0, 3),
+           st.sampled_from([-1e-12, 0.0, 1e-12, -1e-9, -1e-6]))
+    def test_agrees_with_quadratic_scan(self, seed, n, dim, curv, cap, planted,
+                                        offset):
+        """Random samples in a cap of angular radius ``cap``, plus up to
+        three near-antipodal pairs planted at random indices."""
+        rng = np.random.default_rng(seed)
+        space = SpaceForm(Model.SPHERICAL, dim, curv)
+        center = space.project_point(rng.standard_normal(dim + 1))
+        pts = np.array([_at_angle(center, rng, a)
+                        for a in cap * np.sqrt(rng.uniform(size=n))])
+        for _ in range(planted):
+            i, j = rng.choice(n, size=2, replace=False)
+            pts[j] = _at_angle(pts[i], rng, math.pi - ANTIPODAL_SLACK + offset)
+        pts = space.project_point(pts)
+        assert _diameter_violated(space, pts) == \
+            _reference_diameter_violated(space, pts)
+
+    def test_zero_mean_without_antipodes_passes(self):
+        # three equator points 120 degrees apart: the mean is the origin up
+        # to rounding, the diameter is 2 pi / 3
+        space = SpaceForm(Model.SPHERICAL, 2, 1.0)
+        a = 2.0 * math.pi / 3.0 * np.arange(3)
+        pts = np.stack([np.cos(a), np.sin(a), np.zeros(3)], axis=1)
+        assert not _diameter_violated(space, pts)
+        assert _diameter_violated(space, np.vstack([pts, -pts[:1]]))
+
+    def test_graph_outside_every_cap_loads(self, monkeypatch):
+        trees = []
+        tree = graph_mod.cKDTree
+
+        def counted(points):
+            trees.append(len(points))
+            return tree(points)
+
+        monkeypatch.setattr(graph_mod, "cKDTree", counted)
+        _, doc = _equator_bulged_triangle(64)
+        g = load_graph(doc)
+        assert trees, "the cap test should not have passed this graph"
+        assert len(g.all_samples()) == 3 * 65
+
+    def test_planted_antipode_in_large_graph_rejected(self):
+        _, doc = _equator_bulged_triangle(11000)
+        samples = doc["edges"][0]["samples"]
+        assert 3 * len(samples) >= 32768
+        samples[5000] = [-c for c in doc["edges"][1]["samples"][3000]]
+        with pytest.raises(ValidationError, match="diameter"):
+            load_graph(doc)
 
 
 class TestResample:
@@ -251,6 +489,22 @@ class TestVertexStar:
         g = shapes.circle_graph(FLAT, 1.0, 256)
         star = vertex_star(g, "v0")
         assert len(star) == 2
+
+    def test_degenerate_head_end_rejected(self):
+        # a flat two-arc loop from a to b; the hand-built arc "bad" repeats
+        # its last sample, so its end at the head vertex b has no direction
+        t = np.linspace(0.0, math.pi, 17)
+        upper = np.stack([-np.cos(t), np.sin(t), np.zeros_like(t)], axis=1)
+        lower = upper * np.array([1.0, -1.0, 1.0])
+        bad = np.concatenate([lower, lower[-1:]], axis=0)
+        a, b = upper[0], upper[-1]
+        edges = [EdgeCurve(id=eid, endpoints=("a", "b"), samples=pts,
+                           s=arclength_params(FLAT, pts))
+                 for eid, pts in (("good", upper), ("bad", bad))]
+        g = EmbeddedGraph(space=FLAT, vertices=[Vertex("a", a), Vertex("b", b)],
+                          edges=edges)
+        with pytest.raises(ValidationError, match="'bad' is degenerate at 'b'"):
+            vertex_star(g, "b")
 
 
 def _check_double_circuit(graph):

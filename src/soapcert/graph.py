@@ -135,25 +135,12 @@ def make_edge(space: SpaceForm, edge_id, endpoints, samples) -> EdgeCurve:
 
 def _check_spherical_diameter(space: SpaceForm, points: np.ndarray):
     """Reject any sample pair whose chord reaches that of the angle
-    pi - ANTIPODAL_SLACK, in O(N) when the samples fit in a cap of half
-    that angle about their extrinsic mean and O(N log N) otherwise."""
+    pi - ANTIPODAL_SLACK, in O(N log N)."""
     if space.model is not Model.SPHERICAL:
         return
     radius = 1.0 / space.curv
     limit_chord = 2.0 * radius * math.sin(0.5 * (math.pi - ANTIPODAL_SLACK))
-    # Sufficient test: every sample within half the limit angle of one point
-    # c on the sphere puts every pair below the limit (triangle inequality).
-    # Near the limit the chord grows only like sin(ANTIPODAL_SLACK / 2) per
-    # radian of angle, so the angular margin must be large against rounding.
-    mean = points.mean(axis=0)
-    mean_norm = float(np.linalg.norm(mean))
-    if mean_norm > 1e-12 * radius:
-        c = mean * (radius / mean_norm)
-        cap_chord = 2.0 * radius * math.sin(
-            0.5 * (0.5 * (math.pi - ANTIPODAL_SLACK) - 1e-6))
-        if np.all(np.linalg.norm(points - c, axis=-1) < cap_chord):
-            return
-    # Fallback: |x_i - x_j| >= limit_chord exactly when -x_i lies within
+    # |x_i - x_j| >= limit_chord exactly when -x_i lies within
     # sqrt(4 r^2 - limit_chord^2) = 2 r sin(ANTIPODAL_SLACK / 2) of x_j, up to
     # rounding of |x| = r; the enlarged radius keeps every such pair as a
     # candidate, and each candidate is judged by the exact chord test.
@@ -217,11 +204,9 @@ def _take_points(space: SpaceForm, coords, ndim: int, what: str,
     point may move by at most tol."""
     d = space.embedding_dim
     try:
-        x = np.asarray(coords, float)
+        x = np.array(coords, float)
     except (TypeError, ValueError):
         raise _coordinate_fault(coords, ndim, d, what) from None
-    if ndim == 2 and x.shape == (0,):
-        return x.reshape(0, d)
     if x.ndim != ndim or x.shape[-1] != d or not np.all(np.isfinite(x)):
         raise _coordinate_fault(coords, ndim, d, what)
     proj = space.project_point(x)
@@ -274,7 +259,7 @@ def load_graph(document: dict) -> EmbeddedGraph:
         # snap edge ends onto their vertices when within tolerance
         for end, idx in ((0, 0), (1, -1)):
             vid = endpoints[end]
-            if vid in vpoints and len(samples):
+            if vid in vpoints:
                 gap = float(space.dist(samples[idx], vpoints[vid]))
                 if gap <= ENDPOINT_TOL:
                     samples[idx] = vpoints[vid]

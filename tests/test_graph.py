@@ -19,7 +19,6 @@ from soapcert import (
     resample_arclength,
     vertex_star,
 )
-from soapcert import graph as graph_mod
 from soapcert import shapes
 from soapcert.graph import (
     _check_spherical_diameter,
@@ -239,7 +238,20 @@ class TestIngestErrors:
     def test_empty_sample_list(self):
         doc = circle_document()
         doc["edges"][0]["samples"] = []
-        _single_fault(doc, "edge 'e0' needs at least two samples")
+        _single_fault(doc, "edge 'e0' sample: expected 3 coordinates")
+
+    def test_array_input_left_unchanged(self):
+        # the flat projection returns its input, and the first sample is
+        # snapped onto its vertex: neither may write into the document
+        doc = circle_document()
+        samples = np.array(doc["edges"][0]["samples"], float)
+        samples[0] += 1e-10
+        doc["edges"][0]["samples"] = samples
+        before = samples.copy()
+        g = load_graph(doc)
+        assert np.array_equal(samples, before)
+        assert not np.shares_memory(g.edges[0].samples, samples)
+        assert np.array_equal(g.edges[0].samples[0], g.vertices[0].point)
 
     def test_projection_is_one_call_per_vertex_and_edge(self, monkeypatch):
         doc = _long_hyperbolic_document(n=32768)
@@ -331,8 +343,8 @@ def _at_angle(x, rng, angle):
 def _equator_bulged_triangle(n_per_edge, bulge=0.3):
     """Corners on the equator of the unit 2-sphere 120 degrees apart, each
     edge rising to latitude ``bulge`` halfway.  Its diameter is pi - bulge,
-    but the corners lie exactly pi/2 from the extrinsic mean (the pole), so
-    the O(N) cap test cannot pass it."""
+    though its corners lie exactly pi/2 from its extrinsic mean (the pole),
+    so no cap of half the limit angle about the mean holds it."""
     space = SpaceForm(Model.SPHERICAL, 2, 1.0)
     t = np.linspace(0.0, 1.0, n_per_edge + 1)
 
@@ -381,18 +393,9 @@ class TestSphericalDiameter:
         assert not _diameter_violated(space, pts)
         assert _diameter_violated(space, np.vstack([pts, -pts[:1]]))
 
-    def test_graph_outside_every_cap_loads(self, monkeypatch):
-        trees = []
-        tree = graph_mod.cKDTree
-
-        def counted(points):
-            trees.append(len(points))
-            return tree(points)
-
-        monkeypatch.setattr(graph_mod, "cKDTree", counted)
+    def test_graph_outside_every_cap_loads(self):
         _, doc = _equator_bulged_triangle(64)
         g = load_graph(doc)
-        assert trees, "the cap test should not have passed this graph"
         assert len(g.all_samples()) == 3 * 65
 
     def test_planted_antipode_in_large_graph_rejected(self):

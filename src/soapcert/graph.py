@@ -207,7 +207,8 @@ def _take_points(space: SpaceForm, coords, ndim: int, what: str,
         x = np.array(coords, float)
     except (TypeError, ValueError):
         raise _coordinate_fault(coords, ndim, d, what) from None
-    if x.ndim != ndim or x.shape[-1] != d or not np.all(np.isfinite(x)):
+    if (x.ndim != ndim or x.shape[-1] != d or not x.size
+            or not np.all(np.isfinite(x))):
         raise _coordinate_fault(coords, ndim, d, what)
     proj = space.project_point(x)
     if not np.all(np.linalg.norm(proj - x, axis=-1) <= tol):

@@ -235,9 +235,10 @@ class TestIngestErrors:
         doc["vertices"][0]["coords"] = bad
         _single_fault(doc, "vertex 'v0': coordinates must be finite numbers")
 
-    def test_empty_sample_list(self):
+    @pytest.mark.parametrize("empty", [[], np.empty((0, 3))])
+    def test_empty_sample_list(self, empty):
         doc = circle_document()
-        doc["edges"][0]["samples"] = []
+        doc["edges"][0]["samples"] = empty
         _single_fault(doc, "edge 'e0' sample: expected 3 coordinates")
 
     def test_array_input_left_unchanged(self):

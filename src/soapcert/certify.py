@@ -33,7 +33,7 @@ import numpy as np
 from scipy import optimize, special
 from scipy.stats import qmc
 
-from .cone import ambient_cone_area, check_apex
+from .cone import ambient_cone_area
 from .curvature import TCReport, cone_total_curvature
 from .errors import IterationError, NumericalError, ValidationError
 from .graph import EmbeddedGraph
@@ -193,15 +193,14 @@ def extremal_cone_area(space: SpaceForm, graph: EmbeddedGraph,
     if mode not in ("min", "max"):
         raise ValidationError("mode must be 'min' or 'max'")
     sign = 1.0 if mode == "min" else -1.0
-    samples = graph.all_samples()
     ball_limit = hull.radius * (1.0 + 1e-9) + 1e-12
 
     def objective_at(apex: np.ndarray) -> float:
         try:
             if float(space.dist(apex, hull.center)) > ball_limit:
                 return math.inf
-            check_apex(space, apex, samples, SEARCH_CLEARANCE)
-            return sign * ambient_cone_area(space, apex, graph)
+            return sign * ambient_cone_area(space, apex, graph,
+                                            clearance=SEARCH_CLEARANCE)
         except NumericalError:
             return math.inf
 

@@ -23,7 +23,7 @@ from . import _num
 from .curvature import edge_curvature
 from .errors import ApexOnGraphError, ConjugatePointError, NumericalError
 from .graph import EdgeCurve, EmbeddedGraph, edge_unit_tangents, vertex_star
-from .spaceform import Model, SpaceForm
+from .spaceform import ANTIPODAL_SLACK, Model, SpaceForm
 
 # Distances from apex to the graph below this are treated as a collision.
 APEX_CLEARANCE = 1e-6
@@ -63,19 +63,43 @@ class ConeDevelopment:
     plane_apex: np.ndarray
 
 
+def _half_sq_chord(space: SpaceForm, d: float) -> float:
+    """Half the squared chord of geodesic distance d, as _half_sq_chords
+    measures it: d^2/2 flat, 2 sinh^2(kd/2)/k^2 hyperbolic and
+    2 sin^2(bd/2)/b^2 spherical, forms that keep their digits at small d."""
+    if space.model is Model.FLAT:
+        return 0.5 * d * d
+    k = space.curv
+    h = math.sinh(0.5 * k * d) if space.model is Model.HYPERBOLIC \
+        else math.sin(0.5 * k * d)
+    return 2.0 * (h / k) ** 2
+
+
+def _admit(space: SpaceForm, alpha: np.ndarray, clearance: float):
+    """The apex admissibility rule on the half squared chords `alpha` from
+    the apex to the samples: ApexOnGraphError when a sample lies within
+    `clearance`, ConjugatePointError when a spherical sample sits at or
+    beyond the conjugate radius pi/b less 1e-6 (or within the antipodal
+    slack of SpaceForm.dist, when that is nearer).  Half squared chords
+    grow with distance, so these are the distance tests, without arcsin or
+    arcsinh per sample."""
+    if np.min(alpha) <= _half_sq_chord(space, clearance):
+        raise ApexOnGraphError("apex lies on the graph")
+    if space.model is Model.SPHERICAL:
+        limit = min(space.max_radius - 1e-6,
+                    (math.pi - ANTIPODAL_SLACK) / space.curv)
+        if np.max(alpha) >= _half_sq_chord(space, limit):
+            raise ConjugatePointError(
+                "apex sees a graph point at or beyond the conjugate radius pi/b")
+
+
 def check_apex(space: SpaceForm, apex: np.ndarray, samples: np.ndarray,
                clearance: float = APEX_CLEARANCE) -> np.ndarray:
-    """Distances from the apex to the samples, after checking that the apex
-    can carry a cone over them: ApexOnGraphError when a sample lies within
-    `clearance`, ConjugatePointError when a spherical sample sits at or
-    beyond the conjugate radius."""
-    r = space.dist(apex, samples)
-    if np.any(r <= clearance):
-        raise ApexOnGraphError("apex lies on the graph")
-    if space.model is Model.SPHERICAL and np.any(r >= space.max_radius - 1e-6):
-        raise ConjugatePointError(
-            "apex sees a graph point at or beyond the conjugate radius pi/b")
-    return r
+    """Distances from the apex to the samples, after checking with _admit
+    that the apex can carry a cone over them."""
+    alpha = _half_sq_chords(space, samples, apex)
+    _admit(space, alpha, clearance)
+    return space.chord_dist(2.0 * alpha)
 
 
 def radial_profile(space: SpaceForm, apex: np.ndarray,
@@ -216,36 +240,72 @@ def _triangle_areas(space: SpaceForm, alpha: np.ndarray, beta: np.ndarray,
                                      4.0 - k * (alpha + beta + gamma))
 
 
-def _edge_cone_area(space: SpaceForm, apex: np.ndarray,
-                    samples: np.ndarray) -> float:
-    """Cone area over one edge, from the triangles on its chords and on
-    coarse chords that each span j = 2 of them (j = 3 for the last one when
-    the chord count is odd).  A triangle misses the cone over its arc by
-    c H^3 to leading order for a chord of length H, so adding (fine -
-    coarse) / (j^2 - 1) per coarse chord, a Richardson step, cancels that
-    term.  Straight edges stay exact."""
-    alpha = _half_sq_chords(space, samples, apex)
-    fine = _triangle_areas(space, alpha[:-1], alpha[1:],
-                           _half_sq_chords(space, samples[:-1], samples[1:]))
-    nodes = np.arange(0, len(fine) + 1, 2)
-    nodes[-1] = len(fine)
+@dataclass(eq=False)
+class _EdgeChords:
+    """The apex-free part of _edge_cone_area for one edge.  Its triangles
+    are the n fine chords followed by the coarse chords; chord i joins
+    samples tail[i] and head[i], with half squared chord gamma[i].  Coarse
+    chord j starts at fine chord lo[j] and spans j_c of them, and
+    denom[j] = j_c^2 - 1."""
+
+    tail: np.ndarray
+    head: np.ndarray
+    gamma: np.ndarray
+    lo: np.ndarray
+    denom: np.ndarray
+
+
+def _edge_chords(space: SpaceForm, edge: EdgeCurve) -> _EdgeChords:
+    """The edge's _EdgeChords, cached on the edge like its unit tangents;
+    edges are immutable after construction."""
+    cached = getattr(edge, "_cone_chords", None)
+    if cached is not None:
+        return cached
+    n = len(edge.samples) - 1
+    nodes = np.arange(0, n + 1, 2)
+    nodes[-1] = n
     lo, hi = nodes[:-1], nodes[1:]
-    coarse = _triangle_areas(space, alpha[lo], alpha[hi],
-                             _half_sq_chords(space, samples[lo], samples[hi]))
-    correction = (np.add.reduceat(fine, lo) - coarse) / ((hi - lo) ** 2 - 1)
+    tail = np.concatenate([np.arange(n), lo])
+    head = np.concatenate([np.arange(1, n + 1), hi])
+    chords = _EdgeChords(
+        tail=tail, head=head,
+        gamma=_half_sq_chords(space, edge.samples[tail], edge.samples[head]),
+        lo=lo, denom=(hi - lo) ** 2 - 1)
+    edge._cone_chords = chords
+    return chords
+
+
+def _edge_cone_area(space: SpaceForm, alpha: np.ndarray,
+                    chords: _EdgeChords) -> float:
+    """Cone area over one edge, given the half squared chords alpha from
+    the apex to its samples, from the triangles on its chords and on coarse
+    chords that each span j = 2 of them (j = 3 for the last one when the
+    chord count is odd).  A triangle misses the cone over its arc by c H^3
+    to leading order for a chord of length H, so adding (fine - coarse) /
+    (j^2 - 1) per coarse chord, a Richardson step, cancels that term.
+    Straight edges stay exact."""
+    areas = _triangle_areas(space, alpha[chords.tail], alpha[chords.head],
+                            chords.gamma)
+    n = len(alpha) - 1
+    fine, coarse = areas[:n], areas[n:]
+    correction = (np.add.reduceat(fine, chords.lo) - coarse) / chords.denom
     return float(np.sum(fine) + np.sum(correction))
 
 
 def ambient_cone_area(space: SpaceForm, apex: np.ndarray,
-                      graph: EmbeddedGraph) -> float:
+                      graph: EmbeddedGraph,
+                      clearance: float = APEX_CLEARANCE) -> float:
     """Area (with multiplicity) of the ruled cone surface.  Over each
     geodesic chord of an edge the cone is a geodesic triangle with a closed
-    form; _edge_cone_area sums them with one Richardson step."""
+    form; _edge_cone_area sums them with one Richardson step.  The apex
+    must pass _admit at `clearance`, on the same half squared chords that
+    feed the triangles."""
     apex = np.asarray(apex, float)
     total = 0.0
     for edge in graph.edges:
-        check_apex(space, apex, edge.samples)
-        total += _edge_cone_area(space, apex, edge.samples)
+        alpha = _half_sq_chords(space, edge.samples, apex)
+        _admit(space, alpha, clearance)
+        total += _edge_cone_area(space, alpha, _edge_chords(space, edge))
     return total
 
 

@@ -217,6 +217,25 @@ def _take_points(space: SpaceForm, coords, ndim: int, what: str,
     return proj
 
 
+def _entry(block, key: str, what: str):
+    """block[key] of a document block, or a ValidationError naming the
+    block when the block is no mapping or lacks the key."""
+    if not isinstance(block, dict):
+        raise ValidationError(f"{what} must be a mapping")
+    if key not in block:
+        raise ValidationError(f"{what} has no {key!r} entry")
+    return block[key]
+
+
+def _block_id(block, what: str):
+    """The id of a vertex or edge block.  JSON lists and mappings cannot
+    serve as ids: they are not hashable."""
+    bid = _entry(block, "id", what)
+    if isinstance(bid, (list, dict)):
+        raise ValidationError(f"{what}: id must be a string or a number")
+    return bid
+
+
 def load_graph(document: dict) -> EmbeddedGraph:
     """Build a validated graph from a parsed document (see the file format
     in the CLI module).  Points are projected onto the model manifold; the
@@ -232,31 +251,39 @@ def load_graph(document: dict) -> EmbeddedGraph:
         edge_blocks = list(document["edges"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed graph document: {exc}") from exc
-    tol = float(document.get("tolerance", 1e-6))
+    try:
+        tol = float(document.get("tolerance", 1e-6))
+    except (TypeError, ValueError):
+        raise ValidationError("malformed graph document: tolerance must be "
+                              "a number") from None
 
     vertices = []
     seen = set()
-    for vb in vertex_blocks:
-        vid = vb["id"]
+    for i, vb in enumerate(vertex_blocks):
+        vid = _block_id(vb, f"vertex block {i}")
         if vid in seen:
             raise ValidationError(f"duplicate vertex id {vid!r}")
         seen.add(vid)
+        what = f"vertex {vid!r}"
         vertices.append(Vertex(id=vid, point=_take_points(
-            space, vb["coords"], 1, f"vertex {vid!r}", tol)))
+            space, _entry(vb, "coords", what), 1, what, tol)))
 
     vpoints = {v.id: v.point for v in vertices}
     edges = []
     seen = set()
-    for eb in edge_blocks:
-        eid = eb["id"]
+    for i, eb in enumerate(edge_blocks):
+        eid = _block_id(eb, f"edge block {i}")
         if eid in seen:
             raise ValidationError(f"duplicate edge id {eid!r}")
         seen.add(eid)
-        endpoints = tuple(eb["endpoints"])
-        if len(endpoints) != 2:
-            raise ValidationError(f"edge {eid!r} needs exactly two endpoints")
-        samples = _take_points(space, eb["samples"], 2,
-                               f"edge {eid!r} sample", tol)
+        what = f"edge {eid!r}"
+        endpoints = _entry(eb, "endpoints", what)
+        if not isinstance(endpoints, (list, tuple)) or len(endpoints) != 2 \
+                or any(isinstance(v, (list, dict)) for v in endpoints):
+            raise ValidationError(f"{what} needs a list of two endpoint ids")
+        endpoints = tuple(endpoints)
+        samples = _take_points(space, _entry(eb, "samples", what), 2,
+                               f"{what} sample", tol)
         # snap edge ends onto their vertices when within tolerance
         for end, idx in ((0, 0), (1, -1)):
             vid = endpoints[end]

@@ -182,15 +182,19 @@ class SpaceForm:
     def dist(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Geodesic distance.  Uses chord-based formulas, which are exact
         for coincident points and stable for nearby ones."""
-        p = np.asarray(p, float)
-        q = np.asarray(q, float)
+        w = np.asarray(q, float) - np.asarray(p, float)
+        return self.chord_dist(self.mdot(w, w))
+
+    def chord_dist(self, chord_sq: np.ndarray) -> np.ndarray:
+        """Geodesic distance between points whose ambient chord (Minkowski
+        for the hyperbolic model) has squared length `chord_sq`."""
+        chord = np.sqrt(np.maximum(chord_sq, 0.0))
         if self.model is Model.FLAT:
-            return np.linalg.norm(q - p, axis=-1)
+            return chord
         k = self.curv
         if self.model is Model.HYPERBOLIC:
-            chord_sq = np.maximum(self.mdot(q - p, q - p), 0.0)
-            return 2.0 / k * np.arcsinh(0.5 * k * np.sqrt(chord_sq))
-        half = 0.5 * k * np.linalg.norm(q - p, axis=-1)
+            return 2.0 / k * np.arcsinh(0.5 * k * chord)
+        half = 0.5 * k * chord
         if np.any(half > 1.0 + DOMAIN_SLACK):
             raise NumericalError("spherical chord exceeds the embedded diameter")
         d = 2.0 / k * np.arcsin(np.minimum(half, 1.0))

@@ -129,6 +129,25 @@ class TestExtremalConeArea:
         assert fine.value <= coarse.value + 1e-6
 
 
+    def test_search_never_measures_every_sample(self, monkeypatch):
+        """Each candidate's admissibility comes from the half squared chords
+        that feed its area, so no distance call during the search spans the
+        graph's samples."""
+        g = shapes.wavy_closed_curve_graph(HYP1, n=512)
+        hull = hull_approx(HYP1, g, grid_n=32)
+        rows = []
+        dist = SpaceForm.dist
+
+        def counted(self, p, q):
+            rows.append(max(np.size(p) // np.shape(p)[-1],
+                            np.size(q) // np.shape(q)[-1]))
+            return dist(self, p, q)
+
+        monkeypatch.setattr(SpaceForm, "dist", counted)
+        extremal_cone_area(HYP1, g, hull, "min")
+        assert rows and max(rows) < len(g.all_samples())
+
+
 class TestCertify:
     def test_flat_circle_all_verdicts(self):
         g = shapes.circle_graph(FLAT, 1.0, 1024)

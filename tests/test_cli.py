@@ -77,6 +77,20 @@ class TestCone:
         assert code == 3
         assert "numerical error" in err
 
+    def test_spherical_antipode_apex_is_numerical_failure(self, capsys,
+                                                          tmp_path):
+        sphere = SpaceForm(Model.SPHERICAL, 3, 1.0)
+        g = shapes.circle_graph(sphere, 0.4, 256)
+        path = tmp_path / "sphere.graph.json"
+        path.write_text(json.dumps(shapes.graph_document(g)))
+        antipode = ",".join(repr(float(x)) for x in -g.edges[0].samples[3])
+        code, out, err = run_capture(
+            capsys, ["cone", f"--apex={antipode}", str(path)])
+        assert code == 3
+        assert out == ""
+        assert err == ("numerical error: apex sees a graph point at or beyond "
+                       "the conjugate radius pi/b\n")
+
     def test_bad_apex_is_validation_failure(self, capsys, circle_file):
         code, _, err = run_capture(capsys,
                                    ["cone", "--apex", "0,0", circle_file])
@@ -223,6 +237,41 @@ class TestExitCodes:
                       {"id": "f", "endpoints": ["a", "b"],
                        "samples": [[0, 0, 0], [0.5, 0.5, 0], [1, 0, 0]]}],
         }))
+        code, out, err = run_capture(capsys, ["tc", str(bad)])
+        assert code == 2
+        assert out == ""
+        assert err == f"validation error: {named}\n"
+
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda d: d["edges"][0].pop("samples"),
+         "edge 'e' has no 'samples' entry"),
+        (lambda d: d["vertices"][1].pop("id"),
+         "vertex block 1 has no 'id' entry"),
+        (lambda d: d["vertices"].__setitem__(0, ["a", [0, 0, 0]]),
+         "vertex block 0 must be a mapping"),
+        (lambda d: d["edges"][0].__setitem__("endpoints", 5),
+         "edge 'e' needs a list of two endpoint ids"),
+        (lambda d: d["vertices"][0].__setitem__("id", ["a"]),
+         "vertex block 0: id must be a string or a number"),
+        (lambda d: d.__setitem__("tolerance", "tight"),
+         "malformed graph document: tolerance must be a number"),
+    ], ids=["edge-without-samples", "vertex-without-id", "vertex-as-list",
+            "numeric-endpoints", "list-valued-id", "word-tolerance"])
+    def test_malformed_blocks_are_validation_failures(
+            self, capsys, tmp_path, edit, named):
+        document = {
+            "space": {"model": "flat", "dim": 3, "curv": 0.0},
+            "vertices": [{"id": "a", "coords": [0, 0, 0]},
+                         {"id": "b", "coords": [1, 0, 0]}],
+            "edges": [{"id": "e", "endpoints": ["a", "b"],
+                       "samples": [[0, 0, 0], [0.5, -0.5, 0], [1, 0, 0]]},
+                      {"id": "f", "endpoints": ["a", "b"],
+                       "samples": [[0, 0, 0], [0.5, 0.5, 0], [1, 0, 0]]}],
+        }
+        edit(document)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document))
         code, out, err = run_capture(capsys, ["tc", str(bad)])
         assert code == 2
         assert out == ""

@@ -21,7 +21,12 @@ from soapcert import (
     vertex_star,
 )
 from soapcert import shapes
-from soapcert.cone import _clamped_radial_speed
+from soapcert.cone import (
+    APEX_CLEARANCE,
+    _clamped_radial_speed,
+    _half_sq_chords,
+    _triangle_areas,
+)
 from soapcert.graph import make_edge
 
 from builders import SPACES, random_instance, spherical_cone_circle
@@ -226,6 +231,125 @@ class TestAmbientConeArea:
         away = SPH1.tangent_basis(x0)[2]
         apex = SPH1.exp(x0, (SPH1.max_radius - 5e-7) * away)
         with pytest.raises(ConjugatePointError):
+            ambient_cone_area(SPH1, apex, g)
+
+
+def uncached_cone_area(space, apex, graph):
+    """ambient_cone_area recomputed from scratch: the triangles over each
+    edge's chords and over its coarse chords, then the Richardson step."""
+    total = 0.0
+    for edge in graph.edges:
+        x = edge.samples
+        alpha = _half_sq_chords(space, x, apex)
+        fine = _triangle_areas(space, alpha[:-1], alpha[1:],
+                               _half_sq_chords(space, x[:-1], x[1:]))
+        nodes = np.arange(0, len(fine) + 1, 2)
+        nodes[-1] = len(fine)
+        lo, hi = nodes[:-1], nodes[1:]
+        coarse = _triangle_areas(space, alpha[lo], alpha[hi],
+                                 _half_sq_chords(space, x[lo], x[hi]))
+        correction = (np.add.reduceat(fine, lo) - coarse) / ((hi - lo) ** 2 - 1)
+        total += float(np.sum(fine) + np.sum(correction))
+    return total
+
+
+def _off_base_apex(space):
+    base = space.base_point()
+    return space.exp(base, np.array([0.15, -0.1, 0.35])
+                     @ space.tangent_basis(base))
+
+
+class TestConeAreaCache:
+    CASES = {
+        "cube": lambda n: shapes.cube_skeleton_graph(samples_per_edge=n),
+        "theta": lambda n: shapes.theta_graph(samples_per_edge=2 * n),
+        "hyperbolic-pentagon": lambda n: shapes.regular_polygon_graph(
+            HYP1, 5, 0.8, samples_per_edge=n),
+        "spherical-loop": lambda n: shapes.wavy_closed_curve_graph(
+            SPH1, n=8 * n),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("n", [31, 32], ids=["odd", "even"])
+    def test_bitwise_equal_to_uncached(self, name, n):
+        g = self.CASES[name](n)
+        apex = _off_base_apex(g.space)
+        first = ambient_cone_area(g.space, apex, g)
+        assert first == uncached_cone_area(g.space, apex, g)
+        assert ambient_cone_area(g.space, apex, g) == first
+
+    def test_resampled_graph_builds_its_own_chords(self):
+        g = shapes.regular_polygon_graph(HYP1, 5, 0.8, samples_per_edge=32)
+        apex = _off_base_apex(HYP1)
+        ambient_cone_area(HYP1, apex, g)
+        for h in (0.05, 0.043):
+            fine = resample_arclength(g, h)
+            assert ambient_cone_area(HYP1, apex, fine) \
+                == uncached_cone_area(HYP1, apex, fine)
+
+
+def _admissibility_cases():
+    for model, scales in ((Model.FLAT, (0.0,)), (Model.HYPERBOLIC, (1.0, 2.0)),
+                          (Model.SPHERICAL, (1.0, 2.0))):
+        for curv in scales:
+            space = SpaceForm(model, 3, curv)
+            for c in (1e-6, 1e-4, 1e-3):
+                yield pytest.param(space, c, c, id=f"{model.value}-{curv:g}-{c:g}")
+            if model is Model.SPHERICAL:
+                limit = space.max_radius - 1e-6
+                yield pytest.param(space, limit, APEX_CLEARANCE,
+                                   id=f"{model.value}-{curv:g}-conjugate")
+
+
+class TestAdmissibilityRule:
+    """check_apex and ambient_cone_area decide on half squared chords; they
+    must accept or reject exactly where the distance tests do."""
+
+    @pytest.mark.parametrize("space, d, clearance", _admissibility_cases())
+    def test_agrees_with_distance_tests(self, space, d, clearance):
+        g = shapes.circle_graph(space, 0.4, 128)
+        x0 = g.edges[0].samples[0]
+        basis = space.tangent_basis(x0)
+        rng = np.random.default_rng(31)
+        samples = g.all_samples()
+        outcomes = []
+        for factor in (1.0 - 1e-9, 1.0 + 1e-9):
+            for _ in range(50):
+                z = rng.standard_normal(3)
+                apex = space.exp(x0, factor * d * (z / np.linalg.norm(z)) @ basis)
+                r = space.dist(apex, samples)
+                reject = bool(np.any(r <= clearance)) or (
+                    space.model is Model.SPHERICAL
+                    and bool(np.any(r >= space.max_radius - 1e-6)))
+                outcomes.append(reject)
+                for fn in (lambda: check_apex(space, apex, samples, clearance),
+                           lambda: ambient_cone_area(space, apex, g,
+                                                     clearance=clearance)):
+                    try:
+                        fn()
+                        raised = False
+                    except (ApexOnGraphError, ConjugatePointError):
+                        raised = True
+                    assert raised == reject
+        # the apices straddle the boundary: rejected on the near side of the
+        # clearance and accepted beyond it, the other way round at pi/b
+        near_rejected = d == clearance
+        assert outcomes == [near_rejected] * 50 + [not near_rejected] * 50
+
+    def test_check_apex_distances_match_dist(self):
+        rng = np.random.default_rng(4)
+        for space in (FLAT, HYP1, SPH1):
+            g, apex = random_instance(space, rng, samples_per_edge=64)
+            x = g.all_samples()
+            assert np.array_equal(check_apex(space, apex, x),
+                                  space.dist(apex, x))
+
+    def test_spherical_antipode_fails_the_conjugate_rule(self):
+        g = shapes.circle_graph(SPH1, 0.4, 128)
+        apex = -g.edges[0].samples[0]
+        with pytest.raises(ConjugatePointError, match="conjugate radius"):
+            check_apex(SPH1, apex, g.all_samples())
+        with pytest.raises(ConjugatePointError, match="conjugate radius"):
             ambient_cone_area(SPH1, apex, g)
 
 

@@ -245,8 +245,8 @@ class _EdgeChords:
     """The apex-free part of _edge_cone_area for one edge.  Its triangles
     are the n fine chords followed by the coarse chords; chord i joins
     samples tail[i] and head[i], with half squared chord gamma[i].  Coarse
-    chord j starts at fine chord lo[j] and spans j_c of them, and
-    denom[j] = j_c^2 - 1."""
+    chord m starts at fine chord lo[m] and spans j of them, and
+    denom[m] = j^2 - 1."""
 
     tail: np.ndarray
     head: np.ndarray

@@ -260,13 +260,14 @@ def _off_base_apex(space):
 
 
 class TestConeAreaCache:
+    # each builder makes edges of n chords (n + 96 on the loop)
     CASES = {
         "cube": lambda n: shapes.cube_skeleton_graph(samples_per_edge=n),
-        "theta": lambda n: shapes.theta_graph(samples_per_edge=2 * n),
+        "theta": lambda n: shapes.theta_graph(samples_per_edge=n),
         "hyperbolic-pentagon": lambda n: shapes.regular_polygon_graph(
             HYP1, 5, 0.8, samples_per_edge=n),
         "spherical-loop": lambda n: shapes.wavy_closed_curve_graph(
-            SPH1, n=8 * n),
+            SPH1, n=n + 96),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -293,11 +294,13 @@ def _admissibility_cases():
                           (Model.SPHERICAL, (1.0, 2.0))):
         for curv in scales:
             space = SpaceForm(model, 3, curv)
+            # (distance d, clearance, whether apices just inside d fail)
             for c in (1e-6, 1e-4, 1e-3):
-                yield pytest.param(space, c, c, id=f"{model.value}-{curv:g}-{c:g}")
+                yield pytest.param(space, c, c, True,
+                                   id=f"{model.value}-{curv:g}-{c:g}")
             if model is Model.SPHERICAL:
-                limit = space.max_radius - 1e-6
-                yield pytest.param(space, limit, APEX_CLEARANCE,
+                yield pytest.param(space, space.max_radius - 1e-6,
+                                   APEX_CLEARANCE, False,
                                    id=f"{model.value}-{curv:g}-conjugate")
 
 
@@ -305,8 +308,10 @@ class TestAdmissibilityRule:
     """check_apex and ambient_cone_area decide on half squared chords; they
     must accept or reject exactly where the distance tests do."""
 
-    @pytest.mark.parametrize("space, d, clearance", _admissibility_cases())
-    def test_agrees_with_distance_tests(self, space, d, clearance):
+    @pytest.mark.parametrize("space, d, clearance, inside_rejected",
+                             _admissibility_cases())
+    def test_agrees_with_distance_tests(self, space, d, clearance,
+                                        inside_rejected):
         g = shapes.circle_graph(space, 0.4, 128)
         x0 = g.edges[0].samples[0]
         basis = space.tangent_basis(x0)
@@ -331,10 +336,8 @@ class TestAdmissibilityRule:
                     except (ApexOnGraphError, ConjugatePointError):
                         raised = True
                     assert raised == reject
-        # the apices straddle the boundary: rejected on the near side of the
-        # clearance and accepted beyond it, the other way round at pi/b
-        near_rejected = d == clearance
-        assert outcomes == [near_rejected] * 50 + [not near_rejected] * 50
+        # the apices straddle the boundary on every draw
+        assert outcomes == [inside_rejected] * 50 + [not inside_rejected] * 50
 
     def test_check_apex_distances_match_dist(self):
         rng = np.random.default_rng(4)

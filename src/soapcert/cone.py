@@ -1,12 +1,13 @@
 """Geodesic cones over a graph and their constant-curvature developments.
 
 The cone over a graph from an apex p is the union of the geodesic segments
-from p to every graph point.  Unrolling it while preserving the distance
-from the apex and the boundary arclength produces a 2-D cone in the model
-plane of the same curvature; in polar coordinates the unrolled metric is
-dr^2 + f(r)^2 dtheta^2, so the swept angle obeys
-
-    dtheta/ds = sqrt(max(0, 1 - (dr/ds)^2)) / f(r).
+from p to every graph point.  Every edge is stored as a geodesic polyline,
+so over one chord the cone is a totally geodesic triangle with corners p
+and the chord's ends.  Unrolling the cone into the model plane of the same
+curvature keeps each such triangle congruent: the development places the
+samples at their apex distances r, and the swept angle theta grows over
+each chord by that triangle's apex angle.  Both the apex angles and the
+triangle areas come from one Gram kernel on half squared chords.
 
 Apex densities, areas, boundary conormal curvatures and the closed-cone
 angle-balance residual are all computed from this data.
@@ -21,15 +22,12 @@ import numpy as np
 
 from . import _num
 from .curvature import edge_curvature
-from .errors import ApexOnGraphError, ConjugatePointError, NumericalError
+from .errors import ApexOnGraphError, ConjugatePointError
 from .graph import EdgeCurve, EmbeddedGraph, edge_unit_tangents, vertex_star
 from .spaceform import ANTIPODAL_SLACK, Model, SpaceForm
 
 # Distances from apex to the graph below this are treated as a collision.
 APEX_CLEARANCE = 1e-6
-
-# |dr/ds| may exceed 1 by at most this much before sampling is deemed bad.
-RADIAL_SPEED_SLACK = 1e-6
 
 
 @dataclass(eq=False)
@@ -48,7 +46,6 @@ class EdgeDevelopment:
     edge_id: object
     s: np.ndarray
     r: np.ndarray
-    rprime: np.ndarray
     theta: np.ndarray
     khat_nu: np.ndarray
 
@@ -116,14 +113,6 @@ def radial_profile(space: SpaceForm, apex: np.ndarray,
     return RadialProfile(s=edge.s.copy(), r=r, rprime=rprime, u=u)
 
 
-def _clamped_radial_speed(rprime: np.ndarray) -> np.ndarray:
-    over = np.abs(rprime) - 1.0
-    if np.any(over > RADIAL_SPEED_SLACK):
-        raise NumericalError(
-            "arclength inconsistency: |dr/ds| exceeds 1 beyond tolerance")
-    return np.clip(rprime, -1.0, 1.0)
-
-
 def development_plane(space: SpaceForm) -> tuple[SpaceForm, np.ndarray]:
     """The 2-D model space of the same curvature, with its base point as the
     unrolled apex."""
@@ -167,31 +156,34 @@ def cone_conormal_curvature(space: SpaceForm, apex: np.ndarray,
 
 def develop_cone(space: SpaceForm, apex: np.ndarray,
                  graph: EmbeddedGraph) -> ConeDevelopment:
-    """Unroll the cone edge by edge.  The swept angle starts at zero on each
-    edge and accumulates the polar development rate; the developed curve is
-    re-embedded in the 2-D model plane and its conormal curvature is
-    measured with the same stencils as on the ambient side."""
+    """Unroll the cone edge by edge.  Over each chord the swept angle grows
+    by the apex angle of the chord's geodesic triangle, starting at zero on
+    each edge, and the developed area is _edge_cone_area on the same half
+    squared chords, so hat_area equals ambient_cone_area.  The developed
+    curve is re-embedded in the 2-D model plane and its conormal curvature
+    is measured with the same stencils as on the ambient side."""
     apex = np.asarray(apex, float)
     plane, plane_apex = development_plane(space)
     per_edge = []
     total_angle = 0.0
     hat_area = 0.0
     for edge in graph.edges:
-        prof = radial_profile(space, apex, edge)
-        rp = _clamped_radial_speed(prof.rprime)
-        f, _, big_f = space.comparison(prof.r)
-        theta_prime = np.sqrt(np.maximum(1.0 - rp ** 2, 0.0)) / f
-        theta = _num.cumulative_quadratic(edge.s, theta_prime, nonnegative=True)
-        dev_samples = developed_points(plane, prof.r, theta)
+        alpha = _half_sq_chords(space, edge.samples, apex)
+        _admit(space, alpha, APEX_CLEARANCE)
+        r = space.chord_dist(2.0 * alpha)
+        chords = _edge_chords(space, edge)
+        angles = _apex_angles(space, alpha[:-1], alpha[1:],
+                              chords.gamma[:len(alpha) - 1])
+        theta = np.concatenate(([0.0], np.cumsum(angles)))
+        dev_samples = developed_points(plane, r, theta)
         dev_edge = EdgeCurve(id=edge.id, endpoints=edge.endpoints,
                              samples=dev_samples, s=edge.s.copy())
         khat = _num.extend_interior(
             cone_conormal_curvature(plane, plane_apex, dev_edge))
         per_edge.append(EdgeDevelopment(
-            edge_id=edge.id, s=edge.s.copy(), r=prof.r, rprime=rp,
-            theta=theta, khat_nu=khat))
+            edge_id=edge.id, s=edge.s.copy(), r=r, theta=theta, khat_nu=khat))
         total_angle += float(theta[-1])
-        hat_area += _num.trapezoid(big_f * theta_prime, edge.s)
+        hat_area += _edge_cone_area(space, alpha, chords)
     return ConeDevelopment(apex=apex, per_edge=per_edge,
                            hat_density=total_angle / (2.0 * math.pi),
                            hat_area=hat_area, plane=plane,
@@ -203,12 +195,14 @@ def ambient_cone_density(space: SpaceForm, apex: np.ndarray,
     """Apex density of the ambient cone: total length of the spherical image
     s -> (unit initial direction of the geodesic apex -> curve point) on the
     unit tangent sphere at the apex, divided by 2 pi.  Computed as the sum of
-    angles between consecutive image directions."""
+    angles between consecutive image directions, each direction the chord
+    to the sample projected onto the tangent space at the apex."""
     apex = np.asarray(apex, float)
     total = 0.0
     for edge in graph.edges:
-        check_apex(space, apex, edge.samples)
-        w = space.log(np.broadcast_to(apex, edge.samples.shape), edge.samples)
+        _admit(space, _half_sq_chords(space, edge.samples, apex),
+               APEX_CLEARANCE)
+        w = space.tangent_project(apex, edge.samples - apex)
         w = w / space.norm(w)[:, None]
         c = np.clip(space.mdot(w[:-1], w[1:]), -1.0, 1.0)
         total += float(np.sum(np.arccos(c)))
@@ -223,21 +217,39 @@ def _half_sq_chords(space: SpaceForm, a: np.ndarray,
     return 0.5 * space.mdot(w, w)
 
 
+def _gram_root(space: SpaceForm, alpha: np.ndarray, beta: np.ndarray,
+               gamma: np.ndarray) -> np.ndarray:
+    """sqrt(g) for geodesic triangles given by half squared chords: alpha
+    and beta from the apex to the other two corners, gamma between those.
+    g is the corners' Gram determinant, 1 + 2xyz - x^2 - y^2 - z^2 over
+    their unit-scaled products, divided by k^2 and arranged so that thin
+    triangles keep their digits.  It also equals |w1|^2 |w2|^2 - (w1.w2)^2
+    for the chords w1, w2 from the apex projected onto its tangent space."""
+    g = 4.0 * alpha * gamma - (beta - alpha - gamma) ** 2 \
+        - 2.0 * space.sectional_curvature * alpha * beta * gamma
+    return np.sqrt(np.maximum(g, 0.0))
+
+
 def _triangle_areas(space: SpaceForm, alpha: np.ndarray, beta: np.ndarray,
                     gamma: np.ndarray) -> np.ndarray:
-    """Areas of geodesic triangles from half squared chords: alpha and beta
-    from the apex to the other two corners, gamma between those.  g is the
-    corners' Gram determinant, 1 + 2xyz - x^2 - y^2 - z^2 over their
-    unit-scaled products, divided by k^2 and arranged so that thin
-    triangles keep their digits."""
+    """Areas of the geodesic triangles of _gram_root."""
     k = space.sectional_curvature
-    g = 4.0 * alpha * gamma - (beta - alpha - gamma) ** 2 \
-        - 2.0 * k * alpha * beta * gamma
-    root = np.sqrt(np.maximum(g, 0.0))
+    root = _gram_root(space, alpha, beta, gamma)
     if k == 0.0:
         return 0.5 * root
     return 2.0 / abs(k) * np.arctan2(abs(k) * root,
                                      4.0 - k * (alpha + beta + gamma))
+
+
+def _apex_angles(space: SpaceForm, alpha: np.ndarray, beta: np.ndarray,
+                 gamma: np.ndarray) -> np.ndarray:
+    """Apex angles of the geodesic triangles of _gram_root, by the model's
+    law of cosines: alpha + beta - gamma - K alpha beta is w1.w2, the dot
+    product at the apex of the projected chords, and _gram_root is
+    |w1 x w2|, so atan2 keeps its digits for thin triangles."""
+    return np.arctan2(_gram_root(space, alpha, beta, gamma),
+                      alpha + beta - gamma
+                      - space.sectional_curvature * alpha * beta)
 
 
 @dataclass(eq=False)

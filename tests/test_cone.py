@@ -23,7 +23,7 @@ from soapcert import (
 from soapcert import shapes
 from soapcert.cone import (
     APEX_CLEARANCE,
-    _clamped_radial_speed,
+    _apex_angles,
     _half_sq_chords,
     _triangle_areas,
 )
@@ -36,6 +36,12 @@ HYP1 = SpaceForm(Model.HYPERBOLIC, 3, 1.0)
 SPH1 = SpaceForm(Model.SPHERICAL, 3, 1.0)
 UNIT_MODELS = pytest.mark.parametrize("space", [FLAT, HYP1, SPH1],
                                       ids=lambda s: s.model.value)
+
+
+def _pentagon_apex(space):
+    return space.exp(space.base_point(),
+                     np.array([0.2, -0.1, 0.4]) @ space.tangent_basis(
+                         space.base_point()))
 
 
 def radial_segment_edge(space, t0=0.5, t1=1.5, n=64):
@@ -122,10 +128,57 @@ class TestDevelopCone:
             assert np.all(np.diff(ed.theta) >= -1e-15)
             assert ed.theta[0] == 0.0
 
-    def test_radial_speed_clamp_and_error(self):
-        assert np.all(_clamped_radial_speed(np.array([1.0 + 5e-7])) == 1.0)
-        with pytest.raises(NumericalError, match="arclength"):
-            _clamped_radial_speed(np.array([1.1]))
+    def test_cube_corner_close_apex(self):
+        # 0.021 from a corner is under two sample spacings of 1/84
+        g = shapes.cube_skeleton_graph(1.0, 84)
+        corner = np.full(3, 0.5)
+        apex = corner - 0.021 * corner / np.linalg.norm(corner)
+        assert gauss_bonnet_residual(FLAT, apex, g) < 1e-9
+
+    @UNIT_MODELS
+    def test_straight_edges_exact(self, space):
+        g = shapes.regular_polygon_graph(space, 5, 0.8, samples_per_edge=8)
+        apex = _pentagon_apex(space)
+        coarse = develop_cone(space, apex, g)
+        assert gauss_bonnet_residual(space, apex, g, dev=coarse) < 1e-10
+        for h in (0.05, 0.04, 0.013):  # odd and even chord counts per edge
+            fine_graph = resample_arclength(g, h)
+            fine = develop_cone(space, apex, fine_graph)
+            assert fine.hat_density == pytest.approx(coarse.hat_density,
+                                                     abs=1e-12)
+            assert fine.hat_area == pytest.approx(coarse.hat_area, abs=1e-12)
+            assert gauss_bonnet_residual(space, apex, fine_graph,
+                                         dev=fine) < 1e-10
+
+    @pytest.mark.parametrize("name", ["cube", "hyperbolic-pentagon",
+                                      "spherical-loop"])
+    def test_area_is_the_ambient_area(self, name):
+        g = TestConeAreaCache.CASES[name](31)
+        apex = _off_base_apex(g.space)
+        assert develop_cone(g.space, apex, g).hat_area \
+            == ambient_cone_area(g.space, apex, g)
+
+    @UNIT_MODELS
+    def test_apex_angles_match_tangent_angles(self, space):
+        # corners 0.9 from the apex, chords down to 1e-7 (thin triangles);
+        # the reference is the angle between the unit projected chords
+        rng = np.random.default_rng(44)
+        apex = _off_base_apex(space)
+        basis = space.tangent_basis(apex)
+        for chord in (0.5, 1e-3, 1e-7):
+            z = rng.standard_normal((200, 3))
+            x1 = space.exp(np.broadcast_to(apex, (200, len(apex))),
+                           0.9 * z / np.linalg.norm(z, axis=1)[:, None] @ basis)
+            step = space.tangent_project(
+                x1, rng.standard_normal((200, len(apex))))
+            x2 = space.exp(x1, chord * step / space.norm(step)[:, None])
+            got = _apex_angles(space, _half_sq_chords(space, x1, apex),
+                               _half_sq_chords(space, x2, apex),
+                               _half_sq_chords(space, x1, x2))
+            u1, u2 = (w / space.norm(w)[:, None] for w in (
+                space.tangent_project(apex, x - apex) for x in (x1, x2)))
+            want = 2.0 * np.arctan2(space.norm(u1 - u2), space.norm(u1 + u2))
+            assert np.max(np.abs(got - want)) < 1e-13
 
 
 class TestAmbientConeDensity:
@@ -179,9 +232,7 @@ class TestAmbientConeArea:
     @UNIT_MODELS
     def test_straight_edges_exact(self, space):
         g = shapes.regular_polygon_graph(space, 5, 0.8, samples_per_edge=8)
-        apex = space.exp(space.base_point(),
-                         np.array([0.2, -0.1, 0.4]) @ space.tangent_basis(
-                             space.base_point()))
+        apex = _pentagon_apex(space)
         coarse = ambient_cone_area(space, apex, g)
         for h in (0.05, 0.04, 0.013):  # odd and even chord counts per edge
             fine = ambient_cone_area(space, apex, resample_arclength(g, h))

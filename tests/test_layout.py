@@ -2,7 +2,10 @@
 
 A name with a leading underscore belongs to the module that defines it.
 The one exception is ``_num``: it holds the numerical helpers that every
-module shares, so its names may be used anywhere in the package.
+module shares, so its names may be used anywhere in the package.  Being
+shared is also its only reason to exist, so every function in ``_num``
+must be used by another module, directly or through another ``_num``
+function that is.
 """
 
 import ast
@@ -79,3 +82,70 @@ def test_detector_flags_imports_and_attribute_uses():
         "line 3: imports graph._subdivide",
         "line 5: uses cone._check",
     ]
+
+
+def _shared_names_used(source: str) -> set[str]:
+    """Names of `source` (another package module) that it reads from _num,
+    as `_num.name` or through `from ._num import name`."""
+    tree = ast.parse(source)
+    aliases = set()
+    used = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        origin = _source_module(node)
+        for alias in node.names:
+            if origin == "" and alias.name == SHARED:
+                aliases.add(alias.asname or alias.name)
+            elif origin == SHARED:
+                used.add(alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in aliases:
+            used.add(node.attr)
+    return used
+
+
+def dead_shared_functions(sources: dict[str, str]) -> list[str]:
+    """The top-level functions of _num (`sources` maps each package module
+    to its text) that no other module reaches, directly or through the
+    _num functions it uses."""
+    tree = ast.parse(sources[SHARED])
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    live = set()
+    for module, source in sources.items():
+        if module != SHARED:
+            live |= _shared_names_used(source) & functions.keys()
+    pending = list(live)
+    while pending:
+        for node in ast.walk(functions[pending.pop()]):
+            if isinstance(node, ast.Name) and node.id in functions \
+                    and node.id not in live:
+                live.add(node.id)
+                pending.append(node.id)
+    return sorted(functions.keys() - live)
+
+
+def test_every_shared_function_is_used():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in PACKAGE.glob("*.py")}
+    assert dead_shared_functions(sources) == []
+
+
+def test_dead_helper_detector_follows_shared_calls():
+    sources = {
+        SHARED: (
+            "def used(x):\n    return _inner(x)\n"
+            "def _inner(x):\n    return x\n"
+            "def imported(x):\n    return x\n"
+            "def dead(x):\n    return _dead_inner(x)\n"
+            "def _dead_inner(x):\n    return x\n"
+            "def _column(x):\n    return x\n"
+        ),
+        "cone": "from . import _num\n_num.used(1)\n",
+        "graph": "from ._num import imported\nimported(1)\n",
+        "cli": "from . import cone\ncone._column(1)\n",
+    }
+    assert dead_shared_functions(sources) == ["_column", "_dead_inner",
+                                              "dead"]

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from soapcert._num import (
-    cumulative_quadratic,
     curve_first_derivative,
     curve_second_derivative_interior,
     extend_interior,
@@ -38,20 +37,6 @@ def test_second_derivative_on_quadratics():
     s = _jittered_grid(20, rng)
     got = curve_second_derivative_interior(s, 3.0 * s ** 2 + s - 1.0)
     assert np.max(np.abs(got - 6.0)) < 1e-10
-
-
-def test_cumulative_quadratic_matches_antiderivative():
-    s = np.linspace(0.0, 2.0, 41)
-    got = cumulative_quadratic(s, s ** 4)
-    assert np.max(np.abs(got - s ** 5 / 5.0)) < 5e-6
-
-
-def test_cumulative_quadratic_nonnegative_clamps():
-    s = np.linspace(0.0, 1.0, 9)
-    g = np.zeros(9)
-    g[-1] = 1.0  # a one-sided spike can make a fitted panel dip negative
-    out = cumulative_quadratic(s, g, nonnegative=True)
-    assert np.all(np.diff(out) >= 0.0)
 
 
 def test_end_fill_equals_trapezoid_with_copied_ends():

@@ -246,7 +246,8 @@ def _apex_angles(space: SpaceForm, alpha: np.ndarray, beta: np.ndarray,
     """Apex angles of the geodesic triangles of _gram_root, by the model's
     law of cosines: alpha + beta - gamma - K alpha beta is w1.w2, the dot
     product at the apex of the projected chords, and _gram_root is
-    |w1 x w2|, so atan2 keeps its digits for thin triangles."""
+    |w1| |w2| times the sine of their angle, so atan2 keeps its digits for
+    thin triangles."""
     return np.arctan2(_gram_root(space, alpha, beta, gamma),
                       alpha + beta - gamma
                       - space.sectional_curvature * alpha * beta)

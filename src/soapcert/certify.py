@@ -271,13 +271,12 @@ def evaluate_certificates(space: SpaceForm, graph: EmbeddedGraph,
                           simple_curve: bool = False,
                           tc: TCReport | None = None,
                           grid_n: int = 1000,
-                          seed: int = 0,
                           refine_maxiter: int = 400) -> list[Certificate]:
     """Evaluate every applicable threshold and return one certificate row
     per threshold, strongest claim first, whether or not it qualifies
     (margin >= 0 means it does)."""
     if tc is None:
-        tc = cone_total_curvature(space, graph, seed=seed)
+        tc = cone_total_curvature(space, graph)
     spherical = space.model is Model.SPHERICAL
 
     extremal_apex = None
@@ -334,14 +333,14 @@ def evaluate_certificates(space: SpaceForm, graph: EmbeddedGraph,
 
 def certify(space: SpaceForm, graph: EmbeddedGraph,
             mode: Mode = Mode.STRICT, simple_curve: bool = False,
-            grid_n: int = 1000, seed: int = 0,
+            grid_n: int = 1000,
             tc: TCReport | None = None) -> list[Certificate]:
     """All qualifying certificates, strongest first; when none qualifies, a
     single NoCertificate carrying the margin of the strongest attempted
     claim and, in its notes, the margin of every claim."""
     rows = evaluate_certificates(space, graph, mode=mode,
                                  simple_curve=simple_curve, tc=tc,
-                                 grid_n=grid_n, seed=seed)
+                                 grid_n=grid_n)
     winners = [c for c in rows if c.verdict is not Verdict.NO_CERTIFICATE]
     if winners:
         return winners

@@ -68,21 +68,6 @@ def _effective_seed(args) -> int:
     return args.seed
 
 
-def _load(args) -> tuple[EmbeddedGraph, str]:
-    graph = load_graph_file(args.graph)
-    h_text = "native"
-    if args.h is not None:
-        graph = resample_arclength(graph, args.h)
-        h_text = f"{args.h:g}"
-    return graph, h_text
-
-
-def _echo(args, graph: EmbeddedGraph, h_text: str, seed: int) -> list[str]:
-    s = graph.space
-    return [f"inputs: file={args.graph} space={s.model.value} dim={s.dim} "
-            f"curv={s.curv:g} h={h_text} seed={seed}"]
-
-
 def _parse_apex(space: SpaceForm, text: str, tolerance: float = 1e-6) -> np.ndarray:
     try:
         coords = np.array([float(t) for t in text.split(",")])
@@ -98,14 +83,12 @@ def _parse_apex(space: SpaceForm, text: str, tolerance: float = 1e-6) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the parsed arguments, the loaded graph and the
+# effective seed, and returns the report lines that follow the inputs line
 
-def _cmd_tc(args) -> list[str]:
-    graph, h_text = _load(args)
-    seed = _effective_seed(args)
-    report = cone_total_curvature(graph.space, graph, seed=seed)
-    lines = _echo(args, graph, h_text, seed)
-    lines.append("edges:")
+def _cmd_tc(args, graph: EmbeddedGraph, seed: int) -> list[str]:
+    report = cone_total_curvature(graph.space, graph)
+    lines = ["edges:"]
     for e in report.per_edge:
         lines.append(f"  {e.edge_id}: curvature integral {_rad(e.integral)}")
     lines.append("vertices:")
@@ -115,23 +98,19 @@ def _cmd_tc(args) -> list[str]:
     return lines
 
 
-def _cmd_cone(args) -> list[str]:
-    graph, h_text = _load(args)
-    seed = _effective_seed(args)
+def _cmd_cone(args, graph: EmbeddedGraph, seed: int) -> list[str]:
     apex = _parse_apex(graph.space, args.apex)
     dev = cone_mod.develop_cone(graph.space, apex, graph)
     density = cone_mod.ambient_cone_density(graph.space, apex, graph)
     area = cone_mod.ambient_cone_area(graph.space, apex, graph)
     residual = cone_mod.gauss_bonnet_residual(graph.space, apex, graph, dev=dev)
-    lines = _echo(args, graph, h_text, seed)
-    lines += [
+    return [
         f"ambient cone density  Theta(C,p)    = {_num(density)}",
         f"developed cone density Theta(C^,p)  = {_num(dev.hat_density)}",
         f"ambient cone area     Area(C)       = {_num(area)}",
         f"developed cone area   Area(C^)      = {_num(dev.hat_area)}",
         f"angle-balance residual              = {residual:.3e}",
     ]
-    return lines
 
 
 def _develop_rows(dev) -> list[tuple]:
@@ -197,9 +176,7 @@ def _develop_svg(dev) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _cmd_develop(args) -> list[str]:
-    graph, h_text = _load(args)
-    seed = _effective_seed(args)
+def _cmd_develop(args, graph: EmbeddedGraph, seed: int) -> list[str]:
     apex = _parse_apex(graph.space, args.apex)
     dev = cone_mod.develop_cone(graph.space, apex, graph)
     csv_text = _develop_csv(dev)
@@ -212,18 +189,14 @@ def _cmd_develop(args) -> list[str]:
                 fh.write(svg_text)
     except OSError as exc:
         raise NumericalError(f"cannot write output: {exc}") from exc
-    lines = _echo(args, graph, h_text, seed)
-    lines.append(f"development written: {args.out}"
-                 + (f", {args.svg}" if svg_text is not None else ""))
-    lines.append(f"developed density = {_num(dev.hat_density)}, "
-                 f"developed area = {_num(dev.hat_area)}")
-    return lines
+    return [f"development written: {args.out}"
+            + (f", {args.svg}" if svg_text is not None else ""),
+            f"developed density = {_num(dev.hat_density)}, "
+            f"developed area = {_num(dev.hat_area)}"]
 
 
-def _cmd_density_map(args) -> list[str]:
-    graph, h_text = _load(args)
-    seed = _effective_seed(args)
-    report = cone_total_curvature(graph.space, graph, seed=seed)
+def _cmd_density_map(args, graph: EmbeddedGraph, seed: int) -> list[str]:
+    report = cone_total_curvature(graph.space, graph)
     hull = hull_approx(graph.space, graph, grid_n=args.grid)
     samples = graph.all_samples()
     rows = []
@@ -244,20 +217,13 @@ def _cmd_density_map(args) -> list[str]:
             fh.write("\n".join(out_lines) + "\n")
     except OSError as exc:
         raise NumericalError(f"cannot write output: {exc}") from exc
-    lines = _echo(args, graph, h_text, seed)
-    lines.append(f"density map written: {args.out} ({len(rows)} apices)")
-    return lines
+    return [f"density map written: {args.out} ({len(rows)} apices)"]
 
 
-def _cmd_certify(args) -> list[str]:
-    graph, h_text = _load(args)
-    seed = _effective_seed(args)
-    mode = Mode(args.mode)
-    certs = certify(graph.space, graph, mode=mode,
-                                simple_curve=args.simple_curve,
-                                grid_n=args.grid, seed=seed)
-    lines = _echo(args, graph, h_text, seed)
-    lines.append(f"total cone curvature: {_rad(certs[0].tc_total)}")
+def _cmd_certify(args, graph: EmbeddedGraph, seed: int) -> list[str]:
+    certs = certify(graph.space, graph, mode=Mode(args.mode),
+                    simple_curve=args.simple_curve, grid_n=args.grid)
+    lines = [f"total cone curvature: {_rad(certs[0].tc_total)}"]
     for c in certs:
         lines.append(f"verdict: {c.verdict.value}")
         lines.append(f"  threshold {_rad(c.threshold)}; "
@@ -271,15 +237,13 @@ def _cmd_certify(args) -> list[str]:
     return lines
 
 
-def _cmd_gb_check(args) -> list[str]:
-    graph, h_text = _load(args)
-    seed = _effective_seed(args)
+def _cmd_gb_check(args, graph: EmbeddedGraph, seed: int) -> list[str]:
     rng = np.random.default_rng(seed)
     space = graph.space
     hull = hull_approx(space, graph, grid_n=1)
     basis = space.tangent_basis(hull.center)
     samples = graph.all_samples()
-    lines = _echo(args, graph, h_text, seed)
+    lines = []
     worst = 0.0
     done = 0
     attempts = 0
@@ -316,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--h", type=float, default=None,
                        help="arclength resampling step (default: keep input)")
         p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized starts "
+                       help="seed of gb-check's random apices; the other "
+                            "commands are deterministic and only echo it "
                             "(SOAPCERT_SEED overrides)")
 
     common(sub.add_parser("tc", help="cone total curvature report"))
@@ -368,7 +333,15 @@ def run(argv=None) -> int:
         return exc.code if exc.code is not None else 0
     started = time.perf_counter()
     try:
-        lines = _COMMANDS[args.command](args)
+        graph = load_graph_file(args.graph)
+        if args.h is not None:
+            graph = resample_arclength(graph, args.h)
+        seed = _effective_seed(args)
+        s = graph.space
+        h_text = "native" if args.h is None else f"{args.h:g}"
+        lines = [f"inputs: file={args.graph} space={s.model.value} "
+                 f"dim={s.dim} curv={s.curv:g} h={h_text} seed={seed}"]
+        lines += _COMMANDS[args.command](args, graph, seed)
     except ValidationError as exc:
         sys.stderr.write(f"validation error: {exc}\n")
         return VALIDATION_EXIT

@@ -106,8 +106,8 @@ def radial_profile(space: SpaceForm, apex: np.ndarray,
     radial direction with the unit curve tangent, which equals dr/ds."""
     apex = np.asarray(apex, float)
     r = check_apex(space, apex, edge.samples)
-    to_apex = space.log(edge.samples, np.broadcast_to(apex, edge.samples.shape))
-    u = -to_apex / space.norm(to_apex)[:, None]
+    u = space.tangent_project(edge.samples, edge.samples - apex)
+    u = u / space.norm(u)[:, None]
     t = edge_unit_tangents(space, edge)
     rprime = space.mdot(u, t)
     return RadialProfile(s=edge.s.copy(), r=r, rprime=rprime, u=u)

@@ -21,8 +21,10 @@ from . import _num
 from .graph import EdgeCurve, EmbeddedGraph, edge_unit_tangents, vertex_star
 from .spaceform import SpaceForm, TangentVector
 
-# Seeded random starts of the vertex ascent, on top of the structured ones.
-VERTEX_RANDOM_STARTS = 32
+# Fixed grid starts of the vertex ascent, on top of the structured ones.
+VERTEX_GRID_STARTS = 32
+# Iteration cap of the lockstep vertex ascent.
+VERTEX_ASCENT_MAX_ITER = 400
 
 
 @dataclass(eq=False)
@@ -100,14 +102,15 @@ def _star_objective(tangent_coords: np.ndarray):
     return value, gradient
 
 
-def _ascent_on_sphere(starts: np.ndarray, value, gradient,
-                      max_iter: int = 400) -> tuple[np.ndarray, np.ndarray]:
+def _ascent_on_sphere(starts: np.ndarray, value,
+                      gradient) -> tuple[np.ndarray, np.ndarray]:
     """Projected-gradient ascent with backtracking, run on all starts in
-    lockstep.  Returns (directions, values) after convergence."""
+    lockstep for at most VERTEX_ASCENT_MAX_ITER steps.  Returns (directions,
+    values)."""
     E = starts / np.linalg.norm(starts, axis=1, keepdims=True)
     g = value(E)
     step = np.full(len(E), 0.25)
-    for _ in range(max_iter):
+    for _ in range(VERTEX_ASCENT_MAX_ITER):
         grad = gradient(E)
         grad = grad - np.sum(grad * E, axis=1, keepdims=True) * E
         cand = E + step[:, None] * grad
@@ -123,9 +126,11 @@ def _ascent_on_sphere(starts: np.ndarray, value, gradient,
     return E, g
 
 
-def _unit_grid(n: int, count: int, seed: int = 0) -> np.ndarray:
-    """Deterministic, roughly uniform directions on the unit sphere of R^n.
-    Structured grids up to R^4; seeded random directions beyond."""
+def _unit_grid(n: int, count: int) -> np.ndarray:
+    """Fixed, roughly uniform directions on the unit sphere of R^n: a
+    circle for n = 2, a Fibonacci sphere for n = 3, a cylinder grid over it
+    for n = 4 (30 directions for count 32), and Gaussian directions from
+    default_rng(0) beyond.  They depend on n and count alone."""
     if n == 2:
         t = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
         return np.stack([np.cos(t), np.sin(t)], axis=1)
@@ -138,15 +143,14 @@ def _unit_grid(n: int, count: int, seed: int = 0) -> np.ndarray:
     if n == 4:
         # spherical cylinder construction over the Fibonacci 2-sphere
         m = max(int(round(count ** (1.0 / 3.0))), 2)
-        inner = _unit_grid(3, max(count // m, 2), seed)
+        inner = _unit_grid(3, max(count // m, 2))
         ang = (np.arange(m) + 0.5) * math.pi / m
         pts = np.concatenate([
             np.concatenate([np.cos(a) * np.ones((len(inner), 1)),
                             np.sin(a) * inner], axis=1)
             for a in ang])
         return pts
-    rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((count, n))
+    pts = np.random.default_rng(0).standard_normal((count, n))
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
@@ -159,12 +163,12 @@ def _star_coordinates(space: SpaceForm, graph: EmbeddedGraph, vertex_id):
     return star, q, basis, coords / norms
 
 
-def vertex_tc(space: SpaceForm, graph: EmbeddedGraph, vertex_id,
-              seed: int = 0) -> VertexTC:
+def vertex_tc(space: SpaceForm, graph: EmbeddedGraph, vertex_id) -> VertexTC:
     """Vertex contribution by multistart projected-gradient ascent on the
     unit tangent sphere.  Starts: every +-T_k, all normalized pairwise sums,
-    and seeded random directions; the nonsmooth candidates e = +-T_k are
-    therefore always evaluated exactly."""
+    and the VERTEX_GRID_STARTS directions of _unit_grid; the nonsmooth
+    candidates e = +-T_k are therefore always evaluated exactly.  Every
+    start is fixed, so the result depends on the graph alone."""
     star, q, basis, T = _star_coordinates(space, graph, vertex_id)
     k, n = T.shape
     starts = [T, -T]
@@ -174,9 +178,7 @@ def vertex_tc(space: SpaceForm, graph: EmbeddedGraph, vertex_id,
             norm = np.linalg.norm(v)
             if norm > 1e-12:
                 starts.append((v / norm)[None, :])
-    rng = np.random.default_rng(seed)
-    rand = rng.standard_normal((VERTEX_RANDOM_STARTS, n))
-    starts.append(rand / np.linalg.norm(rand, axis=1, keepdims=True))
+    starts.append(_unit_grid(n, VERTEX_GRID_STARTS))
     E0 = np.concatenate(starts, axis=0)
 
     value, gradient = _star_objective(T)
@@ -188,11 +190,11 @@ def vertex_tc(space: SpaceForm, graph: EmbeddedGraph, vertex_id,
 
 
 def vertex_tc_grid(space: SpaceForm, graph: EmbeddedGraph, vertex_id,
-                   n_dirs: int = 1_000_000, seed: int = 0) -> float:
+                   n_dirs: int = 1_000_000) -> float:
     """Brute-force sup of the star objective over a dense direction grid.
     Independent of the ascent path; used to certify vertex_tc."""
     _, _, _, T = _star_coordinates(space, graph, vertex_id)
-    dirs = _unit_grid(T.shape[1], n_dirs, seed)
+    dirs = _unit_grid(T.shape[1], n_dirs)
     value, _ = _star_objective(T)
     best = -math.inf
     block = 262144
@@ -201,13 +203,11 @@ def vertex_tc_grid(space: SpaceForm, graph: EmbeddedGraph, vertex_id,
     return best
 
 
-def cone_total_curvature(space: SpaceForm, graph: EmbeddedGraph,
-                         seed: int = 0) -> TCReport:
+def cone_total_curvature(space: SpaceForm, graph: EmbeddedGraph) -> TCReport:
     """Assemble the cone total curvature: per-edge curvature integrals over
     the regular part plus the vertex contributions."""
     per_edge = [EdgeTC(edge_id=e.id, integral=edge_total_curvature(space, e))
                 for e in graph.edges]
-    per_vertex = [vertex_tc(space, graph, v.id, seed=seed)
-                  for v in graph.vertices]
+    per_vertex = [vertex_tc(space, graph, v.id) for v in graph.vertices]
     total = sum(e.integral for e in per_edge) + sum(v.tc for v in per_vertex)
     return TCReport(per_edge=per_edge, per_vertex=per_vertex, total=total)

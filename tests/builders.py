@@ -221,3 +221,38 @@ def wedge_graph(space, t1, t2, leg=0.7, samples_per_edge=64):
              make_edge(space, "far", ("a", "b"), geod(a, b))]
     return validate_graph(EmbeddedGraph(space=space, vertices=vertices,
                                         edges=edges))
+
+
+# Inward tangents of four_leg_star_graph's valence-4 vertex: two near-pairs
+# on which the vertex ascent does not meet its stopping rule.
+FOUR_LEG_TANGENTS = (
+    (-0.8888, -0.396, 0.2306),
+    (-0.3594, -0.2149, -0.9081),
+    (-0.8083, -0.3716, 0.4567),
+    (-0.3936, -0.3423, -0.8532),
+)
+
+
+def four_leg_star_graph(chords=16):
+    """Flat graph with one valence-4 vertex q at the origin: straight legs
+    to 0.5 T_k for the normalized FOUR_LEG_TANGENTS, their far ends joined
+    in a straight cycle, every edge `chords` chords long."""
+    space = SpaceForm(Model.FLAT, 3)
+    tangents = np.array(FOUR_LEG_TANGENTS)
+    tangents /= np.linalg.norm(tangents, axis=1, keepdims=True)
+    q = np.zeros(3)
+    ends = 0.5 * tangents
+    lam = np.linspace(0.0, 1.0, chords + 1)[:, None]
+
+    def segment(p, r):
+        return p + lam * (r - p)
+
+    vertices = [Vertex(id="q", point=q)] + \
+        [Vertex(id=f"a{k}", point=ends[k]) for k in range(4)]
+    edges = [make_edge(space, f"leg{k}", ("q", f"a{k}"), segment(q, ends[k]))
+             for k in range(4)]
+    edges += [make_edge(space, f"rim{k}", (f"a{k}", f"a{(k + 1) % 4}"),
+                        segment(ends[k], ends[(k + 1) % 4]))
+              for k in range(4)]
+    return validate_graph(EmbeddedGraph(space=space, vertices=vertices,
+                                        edges=edges))

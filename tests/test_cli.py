@@ -8,6 +8,8 @@ from soapcert import Model, SpaceForm
 from soapcert import shapes
 from soapcert.cli import run
 
+from builders import four_leg_star_graph
+
 FLAT = SpaceForm(Model.FLAT, 3)
 
 
@@ -304,3 +306,23 @@ class TestDeterminism:
         _, out2, _ = run_capture(capsys, ["certify", "--mode", "heuristic",
                                           "--grid", "30", str(path)])
         assert out1 == out2
+
+    @pytest.mark.parametrize("command", [
+        ["tc"], ["certify"], ["certify", "--mode", "heuristic", "--grid", "32"],
+    ], ids=["tc", "strict", "heuristic"])
+    def test_seed_leaves_reports_unchanged(self, capsys, tmp_path, command):
+        # The star's vertex ascent stops at its iteration cap, so its value
+        # depends on every start: a start drawn from the seed would move
+        # the vertex term and the report with it.
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps(shapes.graph_document(
+            four_leg_star_graph())))
+        reports = set()
+        for seed in range(8):
+            code, out, _ = run_capture(capsys, command + [str(path), "--seed",
+                                                          str(seed)])
+            assert code == 0
+            inputs, *report = out.splitlines()
+            assert inputs.endswith(f"seed={seed}")
+            reports.add("\n".join(report))
+        assert len(reports) == 1

@@ -6,6 +6,10 @@ module shares, so its names may be used anywhere in the package.  Being
 shared is also its only reason to exist, so every function in ``_num``
 must be used by another module, directly or through another ``_num``
 function that is.
+
+The library below the CLI is a function of its inputs alone: no function
+outside ``cli`` takes a ``seed``, and every random generator it builds is
+seeded with a literal.
 """
 
 import ast
@@ -149,3 +153,60 @@ def test_dead_helper_detector_follows_shared_calls():
     }
     assert dead_shared_functions(sources) == ["_column", "_dead_inner",
                                               "dead"]
+
+
+SEEDED = "cli"
+
+
+def seed_dependence(source: str) -> list[str]:
+    """Each parameter named `seed` in `source`, and each default_rng call
+    whose seed is not a single literal (an unseeded call included)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + \
+                [p for p in (a.vararg, a.kwarg) if p is not None]
+            if any(p.arg == "seed" for p in params):
+                found.append((node.lineno, "takes a seed"))
+        elif isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else \
+                getattr(f, "id", None)
+            if name != "default_rng":
+                continue
+            given = node.args + [k.value for k in node.keywords]
+            if len(given) != 1 or not isinstance(given[0], ast.Constant):
+                found.append((node.lineno,
+                              "default_rng of a non-literal seed"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
+                                        if p.stem != SEEDED),
+                         ids=lambda p: p.stem)
+def test_library_takes_no_seed(path):
+    assert seed_dependence(path.read_text(encoding="utf-8")) == []
+
+
+def test_seed_detector_flags_parameters_and_rng_calls():
+    source = (
+        "import numpy as np\n"
+        "from numpy.random import default_rng\n"
+        "def a(x, seed=0):\n    return x\n"
+        "def b(x, *, seed):\n    return x\n"
+        "f = lambda seed: seed\n"
+        "def c(n):\n    return np.random.default_rng(n)\n"
+        "g = default_rng()\n"
+        "h = np.random.default_rng(seed=7)\n"
+        "k = np.random.default_rng(0)\n"
+        "def d(rng_seed):\n    return rng_seed\n"
+    )
+    assert seed_dependence(source) == [
+        "line 3: takes a seed",
+        "line 5: takes a seed",
+        "line 7: takes a seed",
+        "line 9: default_rng of a non-literal seed",
+        "line 10: default_rng of a non-literal seed",
+    ]

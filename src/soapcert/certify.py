@@ -33,7 +33,7 @@ import numpy as np
 from scipy import optimize, special
 from scipy.stats import qmc
 
-from .cone import ambient_cone_area
+from .cone import ambient_cone_area, check_apex
 from .curvature import TCReport, cone_total_curvature
 from .errors import IterationError, NumericalError, ValidationError
 from .graph import EmbeddedGraph
@@ -99,14 +99,16 @@ class ExtremalArea:
 
 def density_bound(space: SpaceForm, apex: np.ndarray, graph: EmbeddedGraph,
                   tc: TCReport) -> float:
-    """Upper bound for the density at `apex` of any strongly stationary film
-    spanning the graph: (TC -/+ curv^2 * cone area) / 2 pi, with the minus
-    sign in negative curvature and no area term in the flat model."""
+    """Upper bound (TC + K * cone area) / 2 pi, K the sectional curvature,
+    for the density at `apex` of any strongly stationary film spanning the
+    graph; the flat model computes no area.  The apex is admitted at
+    SEARCH_CLEARANCE: ApexOnGraphError when a sample is that close,
+    ConjugatePointError when a spherical sample is at the conjugate radius."""
     if space.model is Model.FLAT:
+        check_apex(space, apex, graph.all_samples(), SEARCH_CLEARANCE)
         return tc.total / (2.0 * math.pi)
-    area = ambient_cone_area(space, apex, graph)
-    sign = -1.0 if space.model is Model.HYPERBOLIC else 1.0
-    return (tc.total + sign * space.curv ** 2 * area) / (2.0 * math.pi)
+    area = ambient_cone_area(space, apex, graph, clearance=SEARCH_CLEARANCE)
+    return (tc.total + space.sectional_curvature * area) / (2.0 * math.pi)
 
 
 def karcher_center(space: SpaceForm, points: np.ndarray) -> np.ndarray:
@@ -192,15 +194,15 @@ def extremal_cone_area(space: SpaceForm, graph: EmbeddedGraph,
     random-walk along rounding error and return an arbitrary point."""
     if mode not in ("min", "max"):
         raise ValidationError("mode must be 'min' or 'max'")
-    sign = 1.0 if mode == "min" else -1.0
+    sense = 1.0 if mode == "min" else -1.0
     ball_limit = hull.radius * (1.0 + 1e-9) + 1e-12
 
     def objective_at(apex: np.ndarray) -> float:
         try:
             if float(space.dist(apex, hull.center)) > ball_limit:
                 return math.inf
-            return sign * ambient_cone_area(space, apex, graph,
-                                            clearance=SEARCH_CLEARANCE)
+            return sense * ambient_cone_area(space, apex, graph,
+                                             clearance=SEARCH_CLEARANCE)
         except NumericalError:
             return math.inf
 
@@ -235,7 +237,7 @@ def extremal_cone_area(space: SpaceForm, graph: EmbeddedGraph,
     if np.isfinite(res.fun) and res.fun < best_val - noise_floor:
         best_val = float(res.fun)
         best_apex = space.exp(best_apex, res.x @ basis)
-    return ExtremalArea(value=sign * best_val, apex=np.asarray(best_apex))
+    return ExtremalArea(value=sense * best_val, apex=np.asarray(best_apex))
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +297,7 @@ def evaluate_certificates(space: SpaceForm, graph: EmbeddedGraph,
                 fallback_note = ("strict spherical area bound unavailable: "
                                  "ball diameter reaches the conjugate radius")
             else:
-                area_term = -space.curv ** 2 * bound
+                area_term = -space.sectional_curvature * bound
         mode_note = _STRICT_NOTE
     else:
         hull = hull_approx(space, graph, grid_n=grid_n)
@@ -303,8 +305,7 @@ def evaluate_certificates(space: SpaceForm, graph: EmbeddedGraph,
                                       "max" if spherical else "min",
                                       refine_maxiter=refine_maxiter)
         extremal_apex = extremum.apex
-        sign = -1.0 if spherical else 1.0
-        area_term = sign * space.curv ** 2 * extremum.value
+        area_term = -space.sectional_curvature * extremum.value
         mode_note = _HEURISTIC_NOTE
 
     rows = []

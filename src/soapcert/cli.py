@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from . import cone as cone_mod
-from .certify import SEARCH_CLEARANCE, Mode, certify, density_bound, hull_approx
+from .certify import Mode, certify, density_bound, hull_approx
 from .curvature import cone_total_curvature
 from .errors import (
     ApexOnGraphError,
@@ -181,14 +181,11 @@ def _cmd_develop(args, graph: EmbeddedGraph, seed: int) -> list[str]:
     dev = cone_mod.develop_cone(graph.space, apex, graph)
     csv_text = _develop_csv(dev)
     svg_text = _develop_svg(dev) if args.svg else None
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-        if svg_text is not None:
-            with open(args.svg, "w", encoding="utf-8") as fh:
-                fh.write(svg_text)
-    except OSError as exc:
-        raise NumericalError(f"cannot write output: {exc}") from exc
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(csv_text)
+    if svg_text is not None:
+        with open(args.svg, "w", encoding="utf-8") as fh:
+            fh.write(svg_text)
     return [f"development written: {args.out}"
             + (f", {args.svg}" if svg_text is not None else ""),
             f"developed density = {_num(dev.hat_density)}, "
@@ -198,25 +195,20 @@ def _cmd_develop(args, graph: EmbeddedGraph, seed: int) -> list[str]:
 def _cmd_density_map(args, graph: EmbeddedGraph, seed: int) -> list[str]:
     report = cone_total_curvature(graph.space, graph)
     hull = hull_approx(graph.space, graph, grid_n=args.grid)
-    samples = graph.all_samples()
     rows = []
     for apex in hull.grid:
         try:
-            cone_mod.check_apex(graph.space, apex, samples, SEARCH_CLEARANCE)
+            bound = density_bound(graph.space, apex, graph, report)
         except (ApexOnGraphError, ConjugatePointError):
             continue
-        bound = density_bound(graph.space, apex, graph, report)
         rows.append((apex, bound))
     header = ",".join(f"x{i}" for i in range(graph.space.embedding_dim))
     out_lines = [header + ",bound"]
     for apex, bound in rows:
         coords = ",".join(f"{c:.12e}" for c in apex)
         out_lines.append(f"{coords},{bound:.12e}")
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(out_lines) + "\n")
-    except OSError as exc:
-        raise NumericalError(f"cannot write output: {exc}") from exc
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(out_lines) + "\n")
     return [f"density map written: {args.out} ({len(rows)} apices)"]
 
 

@@ -1,5 +1,6 @@
 """Shared generators for randomized test instances: smooth random graphs,
-generic apices, and random ambient isometries."""
+generic apices, random ambient isometries, and plain triangle sums of cone
+areas that serve as independent references."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from soapcert import Model, SpaceForm, karcher_center, radial_profile
+from soapcert.cone import _half_sq_chords, _triangle_areas, developed_points
 from soapcert.graph import EmbeddedGraph, Vertex, make_edge, validate_graph
 
 SPACES = {
@@ -221,6 +223,77 @@ def wedge_graph(space, t1, t2, leg=0.7, samples_per_edge=64):
              make_edge(space, "far", ("a", "b"), geod(a, b))]
     return validate_graph(EmbeddedGraph(space=space, vertices=vertices,
                                         edges=edges))
+
+
+def figure_eight_graph(space, samples_per_edge=32):
+    """Two geodesic triangles through one valence-4 vertex q at the base
+    point: wedge_graph's triangle with legs 60 degrees apart, and its point
+    reflection through q (x -> -x flat, the spatial coordinates negated on
+    the hyperboloid and the sphere).  The symmetry puts the intrinsic mean
+    of the samples, which is the hull center and the first apex of the hull
+    grid, on the vertex q up to rounding."""
+    t1 = np.zeros(space.dim)
+    t1[0] = 1.0
+    t2 = np.zeros(space.dim)
+    t2[0] = 0.5
+    t2[1] = 0.5 * math.sqrt(3.0)
+    half = wedge_graph(space, t1, t2,
+                       leg=0.5 if space.model is Model.SPHERICAL else 0.7,
+                       samples_per_edge=samples_per_edge)
+    flip = -np.ones(space.embedding_dim)
+    if space.model is not Model.FLAT:
+        flip[0] = 1.0
+
+    def mirror(vid):
+        return vid if vid == "q" else vid + "'"
+
+    vertices = half.vertices + [Vertex(id=mirror(v.id), point=v.point * flip)
+                                for v in half.vertices if v.id != "q"]
+    edges = half.edges + [
+        make_edge(space, e.id + "'", tuple(mirror(v) for v in e.endpoints),
+                  e.samples * flip)
+        for e in half.edges]
+    return validate_graph(EmbeddedGraph(space=space, vertices=vertices,
+                                        edges=edges))
+
+
+def plain_cone_area(space, apex, graph):
+    """Cone area as the plain sum of the geodesic triangles (apex, x_i,
+    x_{i+1}) over consecutive samples, without a Richardson step: the exact
+    area of the cone over the stored polylines."""
+    total = 0.0
+    for e in graph.edges:
+        alpha = _half_sq_chords(space, e.samples, apex)
+        gamma = _half_sq_chords(space, e.samples[:-1], e.samples[1:])
+        total += float(np.sum(_triangle_areas(space, alpha[:-1], alpha[1:],
+                                              gamma)))
+    return total
+
+
+def developed_plain_area(dev):
+    """The plain triangle sum of plain_cone_area over a development, from
+    the coordinates of its points in the model plane and the plane's base
+    point o.  With c the cross product of the spatial coordinates of two
+    consecutive points, a triangle has area |c| / 2 when flat; in curvature
+    K != 0 it has area A with tan(|K| A / 2) = |K| |c| / (1 + C), C the sum
+    of the cosines (sphere) or hyperbolic cosines of the three sides, which
+    is K times the sum of the corners' pairwise bilinear forms."""
+    plane = dev.plane
+    total = 0.0
+    for ed in dev.per_edge:
+        pts = developed_points(plane, ed.r, ed.theta)
+        a, b = pts[:-1], pts[1:]
+        cross = np.abs(a[:, -2] * b[:, -1] - a[:, -1] * b[:, -2])
+        if plane.model is Model.FLAT:
+            total += 0.5 * float(np.sum(cross))
+            continue
+        k = plane.sectional_curvature
+        o = np.broadcast_to(dev.plane_apex, a.shape)
+        side_cosines = k * (plane.mdot(o, a) + plane.mdot(a, b)
+                            + plane.mdot(b, o))
+        total += 2.0 / abs(k) * float(np.sum(np.arctan2(abs(k) * cross,
+                                                        1.0 + side_cosines)))
+    return total
 
 
 # Inward tangents of four_leg_star_graph's valence-4 vertex: two near-pairs

@@ -35,7 +35,14 @@ from soapcert import (
 from soapcert import shapes
 from soapcert.cli import run as cli_run
 
-from builders import SPACES, random_graph, random_instance, wedge_graph
+from builders import (
+    SPACES,
+    developed_plain_area,
+    plain_cone_area,
+    random_graph,
+    random_instance,
+    wedge_graph,
+)
 
 FLAT = SPACES["flat"]
 HYP1 = SpaceForm(Model.HYPERBOLIC, 3, 1.0)
@@ -134,8 +141,8 @@ def test_criterion_3_angle_balance_residuals():
 
 
 def test_criterion_4_comparison_suite():
-    worst = {"density": -np.inf, "area": -np.inf, "conormal": -np.inf,
-             "vertex": -np.inf, "chain": -np.inf}
+    worst = {"density": -np.inf, "area": -np.inf, "plain": -np.inf,
+             "conormal": -np.inf, "vertex": -np.inf, "chain": -np.inf}
     rng = np.random.default_rng(2024)
     for space in SPACES.values():
         for _ in range(100):
@@ -146,9 +153,15 @@ def test_criterion_4_comparison_suite():
             worst["density"] = max(
                 worst["density"],
                 ambient_cone_density(space, apex, graph) - dev.hat_density)
+            # the developed reference is the plain triangle sum over the
+            # developed points; hat_area is the ambient kernel itself
+            developed = developed_plain_area(dev)
+            plain = plain_cone_area(space, apex, graph)
+            worst["plain"] = max(worst["plain"],
+                                 abs(developed - plain) / plain)
             worst["area"] = max(
                 worst["area"],
-                ambient_cone_area(space, apex, graph) - dev.hat_area - area_tol
+                ambient_cone_area(space, apex, graph) - developed - area_tol
                 + 1e-15)
             for e, ed in zip(graph.edges, dev.per_edge):
                 knu = cone_conormal_curvature(space, apex, e)
@@ -166,12 +179,14 @@ def test_criterion_4_comparison_suite():
                 - space.sectional_curvature * dev.hat_area
             worst["chain"] = max(worst["chain"], chain - rep.total)
     ok = (worst["density"] <= 1e-6 and worst["area"] <= 0.0
-          and worst["conormal"] <= 1e-3 and worst["vertex"] <= 1e-6
-          and worst["chain"] <= 1e-3)
+          and worst["plain"] <= 1e-12 and worst["conormal"] <= 1e-3
+          and worst["vertex"] <= 1e-6 and worst["chain"] <= 1e-3)
     _report(4, ok,
             "300 instances; worst margins: "
             f"density {worst['density']:.2e} (tol 1e-6), "
             f"area-over-tol(h) {worst['area']:.2e} (tol(h)=100h^2), "
+            f"developed-vs-ambient plain sum {worst['plain']:.2e} "
+            "(rel tol 1e-12), "
             f"conormal {worst['conormal']:.2e} (tol 1e-3), "
             f"vertex {worst['vertex']:.2e} (tol 1e-6), "
             f"chain {worst['chain']:.2e} (tol 1e-3)")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from soapcert import (
+    ApexOnGraphError,
     CROSSING_DENSITY,
     Mode,
     Model,
@@ -21,9 +22,11 @@ from soapcert import (
     hull_approx,
 )
 from soapcert import shapes
+from soapcert.certify import SEARCH_CLEARANCE
 
 from builders import (
     SPACES,
+    figure_eight_graph,
     random_graph,
     random_isometry,
     transform_graph,
@@ -128,6 +131,22 @@ class TestExtremalConeArea:
         assert coarse.value > 0.0
         assert fine.value <= coarse.value + 1e-6
 
+
+    @pytest.mark.parametrize("name", list(SPACES))
+    def test_skips_an_apex_on_the_graph(self, name):
+        # the first grid apex, the hull center, falls on the figure eight's
+        # vertex: the search must pass over it, not fail or return it
+        space = SPACES[name]
+        g = figure_eight_graph(space)
+        hull = hull_approx(space, g, grid_n=24)
+        tc = cone_total_curvature(space, g)
+        with pytest.raises(ApexOnGraphError):
+            density_bound(space, hull.grid[0], g, tc)
+        res = extremal_cone_area(space, g, hull,
+                                 "max" if name == "spherical" else "min",
+                                 refine_maxiter=60)
+        assert math.isfinite(res.value) and res.value > 0.0
+        assert float(space.dist(res.apex, hull.grid[0])) > SEARCH_CLEARANCE
 
     def test_search_never_measures_every_sample(self, monkeypatch):
         """Each candidate's admissibility comes from the half squared chords

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from soapcert import Model, SpaceForm
+from soapcert import Model, SpaceForm, hull_approx, load_graph_file
 from soapcert import shapes
+from soapcert.certify import SEARCH_CLEARANCE
 from soapcert.cli import run
 
-from builders import four_leg_star_graph
+from builders import SPACES, figure_eight_graph, four_leg_star_graph
 
 FLAT = SpaceForm(Model.FLAT, 3)
 
@@ -93,11 +94,27 @@ class TestCone:
         assert err == ("numerical error: apex sees a graph point at or beyond "
                        "the conjugate radius pi/b\n")
 
-    def test_bad_apex_is_validation_failure(self, capsys, circle_file):
+    def test_bad_apex_is_validation_failure(self, capsys, tmp_path,
+                                            circle_file):
         code, _, err = run_capture(capsys,
                                    ["cone", "--apex", "0,0", circle_file])
         assert code == 2
         assert "validation error" in err
+        for model, apex, named in (
+                (Model.FLAT, "0,zero,0",
+                 "cannot parse apex coordinates '0,zero,0'"),
+                (Model.HYPERBOLIC, "2,0,0,0",
+                 "apex is off the manifold beyond tolerance"),
+                (Model.SPHERICAL, "0.5,0,0,0",
+                 "apex is off the manifold beyond tolerance")):
+            path = tmp_path / f"{model.value}.json"
+            path.write_text(json.dumps(shapes.graph_document(
+                shapes.circle_graph(SpaceForm(model, 3, 1.0), 0.5, 64))))
+            code, out, err = run_capture(
+                capsys, ["cone", f"--apex={apex}", str(path)])
+            assert code == 2
+            assert out == ""
+            assert err == f"validation error: {named}\n"
 
 
 class TestDevelop:
@@ -124,11 +141,18 @@ class TestDevelop:
         assert svg.count("<polyline") == 1
         assert "<circle" in svg
 
-    def test_unwritable_path_is_numerical_failure(self, capsys, circle_file):
-        code, _, err = run_capture(capsys, [
-            "develop", "--apex", "0,0,0.5",
-            "--out", "/nonexistent-dir/dev.csv", circle_file])
-        assert code == 3
+    def test_unwritable_path_is_numerical_failure(self, capsys, tmp_path,
+                                                  circle_file):
+        # cli.run reports every write failure as an i/o error
+        missing = tmp_path / "missing-dir" / "out.csv"
+        for command in (["develop", "--apex", "0,0,0.5"],
+                        ["density-map", "--grid", "8"]):
+            code, out, err = run_capture(
+                capsys, command + ["--out", str(missing), circle_file])
+            assert code == 3
+            assert out == ""
+            assert err.startswith("i/o error: ")
+            assert str(missing) in err
 
     def test_validation_failure_writes_nothing(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -149,6 +173,22 @@ class TestCertify:
         for name in ("SimpleCurveEmbedded", "EmbeddedOrY",
                      "YSingularitiesOnly"):
             assert name in out
+
+    def test_heuristic_reports_extremal_apex(self, capsys, tmp_path):
+        space = SpaceForm(Model.HYPERBOLIC, 3, 1.0)
+        path = tmp_path / "circle.json"
+        path.write_text(json.dumps(shapes.graph_document(
+            shapes.circle_graph(space, 1.0, 256))))
+        code, out, _ = run_capture(capsys, ["certify", "--mode", "heuristic",
+                                            "--grid", "16", str(path)])
+        assert code == 0
+        apex_lines = [ln for ln in out.splitlines()
+                      if ln.startswith("  extremal apex: ")]
+        assert apex_lines
+        coords = np.array([float(x) for x in
+                           apex_lines[0].split(": ")[1].split(",")])
+        assert coords.shape == (4,)
+        assert abs(float(space.manifold_residual(coords))) < 1e-5
 
     def test_cube_no_certificate(self, capsys, cube_file):
         code, out, _ = run_capture(capsys, ["certify", cube_file])
@@ -185,6 +225,31 @@ class TestDensityMapAndGBCheck:
         # with positive curvature the bound grows with the cone area term
         assert np.all(bounds >= 1.0 - 1e-3)
 
+    @pytest.mark.parametrize("name", list(SPACES))
+    def test_density_map_skips_inadmissible_apices(self, capsys, tmp_path,
+                                                   name):
+        # the figure eight's hull center, the first grid apex, falls on its
+        # valence-4 vertex
+        path = tmp_path / "eight.json"
+        path.write_text(json.dumps(shapes.graph_document(
+            figure_eight_graph(SPACES[name]))))
+        out_csv = tmp_path / "map.csv"
+        code, out, _ = run_capture(capsys, ["density-map", "--grid", "32",
+                                            "--out", str(out_csv), str(path)])
+        assert code == 0
+        g = load_graph_file(str(path))
+        center = hull_approx(g.space, g, grid_n=1).center
+        assert float(g.space.dist(center, g.vertex_point("q"))) < 1e-15
+        lines = out_csv.read_text().splitlines()[1:]
+        apices = np.array([[float(x) for x in ln.split(",")[:-1]]
+                           for ln in lines])
+        assert 0 < len(apices) < 32
+        assert f"({len(apices)} apices)" in out
+        assert np.min(g.space.dist(apices, center)) > SEARCH_CLEARANCE
+        for apex in apices:
+            assert np.min(g.space.dist(apex, g.all_samples())) \
+                > SEARCH_CLEARANCE
+
     def test_gb_check(self, capsys, circle_file):
         code, out, _ = run_capture(capsys, [
             "gb-check", "--trials", "3", "--seed", "5", circle_file])
@@ -203,6 +268,15 @@ class TestExitCodes:
     def test_unknown_command_is_usage_error(self, capsys):
         code, _, _ = run_capture(capsys, ["frobnicate"])
         assert code == 64
+
+    def test_non_integer_env_seed_is_validation_failure(
+            self, capsys, circle_file, monkeypatch):
+        monkeypatch.setenv("SOAPCERT_SEED", "7.5")
+        code, out, err = run_capture(capsys, ["tc", circle_file])
+        assert code == 2
+        assert out == ""
+        assert err == "validation error: SOAPCERT_SEED is not an integer: " \
+            "'7.5'\n"
 
     def test_missing_file_is_io_failure(self, capsys):
         code, _, _ = run_capture(capsys, ["tc", "/nonexistent/x.json"])

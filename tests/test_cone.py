@@ -14,6 +14,7 @@ from soapcert import (
     check_apex,
     cone_conormal_curvature,
     cone_total_curvature,
+    density_bound,
     develop_cone,
     gauss_bonnet_residual,
     radial_profile,
@@ -21,6 +22,7 @@ from soapcert import (
     vertex_star,
 )
 from soapcert import shapes
+from soapcert.certify import SEARCH_CLEARANCE
 from soapcert.cone import (
     APEX_CLEARANCE,
     _apex_angles,
@@ -29,7 +31,13 @@ from soapcert.cone import (
 )
 from soapcert.graph import make_edge
 
-from builders import SPACES, random_instance, spherical_cone_circle
+from builders import (
+    SPACES,
+    developed_plain_area,
+    plain_cone_area,
+    random_instance,
+    spherical_cone_circle,
+)
 
 FLAT = SPACES["flat"]
 HYP1 = SpaceForm(Model.HYPERBOLIC, 3, 1.0)
@@ -222,12 +230,17 @@ class TestAmbientConeArea:
             expected, abs=1e-3)
 
     def test_never_exceeds_developed_area(self):
+        # The reference is the plain triangle sum over the developed points,
+        # not hat_area, which is the same kernel on the same chords.
         rng = np.random.default_rng(12)
         for space in SPACES.values():
             g, apex = random_instance(space, rng, samples_per_edge=256)
             dev = develop_cone(space, apex, g)
+            developed = developed_plain_area(dev)
+            assert developed == pytest.approx(
+                plain_cone_area(space, apex, g), rel=1e-12)
             amb = ambient_cone_area(space, apex, g)
-            assert amb <= dev.hat_area + 1e-5
+            assert amb <= developed + 1e-5
 
     @UNIT_MODELS
     def test_straight_edges_exact(self, space):
@@ -345,29 +358,32 @@ def _admissibility_cases():
                           (Model.SPHERICAL, (1.0, 2.0))):
         for curv in scales:
             space = SpaceForm(model, 3, curv)
-            # (distance d, clearance, whether apices just inside d fail)
+            # (distance d, clearance, whether apices just inside d fail,
+            # whether density_bound's fixed clearance applies the same rule)
             for c in (1e-6, 1e-4, 1e-3):
-                yield pytest.param(space, c, c, True,
+                yield pytest.param(space, c, c, True, c == SEARCH_CLEARANCE,
                                    id=f"{model.value}-{curv:g}-{c:g}")
             if model is Model.SPHERICAL:
                 yield pytest.param(space, space.max_radius - 1e-6,
-                                   APEX_CLEARANCE, False,
+                                   APEX_CLEARANCE, False, True,
                                    id=f"{model.value}-{curv:g}-conjugate")
 
 
 class TestAdmissibilityRule:
-    """check_apex and ambient_cone_area decide on half squared chords; they
-    must accept or reject exactly where the distance tests do."""
+    """check_apex, ambient_cone_area and density_bound decide on half
+    squared chords; they must accept or reject exactly where the distance
+    tests do."""
 
-    @pytest.mark.parametrize("space, d, clearance, inside_rejected",
+    @pytest.mark.parametrize("space, d, clearance, inside_rejected, bound",
                              _admissibility_cases())
     def test_agrees_with_distance_tests(self, space, d, clearance,
-                                        inside_rejected):
+                                        inside_rejected, bound):
         g = shapes.circle_graph(space, 0.4, 128)
         x0 = g.edges[0].samples[0]
         basis = space.tangent_basis(x0)
         rng = np.random.default_rng(31)
         samples = g.all_samples()
+        tc = cone_total_curvature(space, g)
         outcomes = []
         for factor in (1.0 - 1e-9, 1.0 + 1e-9):
             for _ in range(50):
@@ -378,9 +394,12 @@ class TestAdmissibilityRule:
                     space.model is Model.SPHERICAL
                     and bool(np.any(r >= space.max_radius - 1e-6)))
                 outcomes.append(reject)
-                for fn in (lambda: check_apex(space, apex, samples, clearance),
-                           lambda: ambient_cone_area(space, apex, g,
-                                                     clearance=clearance)):
+                fns = [lambda: check_apex(space, apex, samples, clearance),
+                       lambda: ambient_cone_area(space, apex, g,
+                                                 clearance=clearance)]
+                if bound:
+                    fns.append(lambda: density_bound(space, apex, g, tc))
+                for fn in fns:
                     try:
                         fn()
                         raised = False

@@ -139,10 +139,13 @@ class TestVertexTC:
                 oracle = vertex_tc_grid(space, g, v.id, n_dirs=10_000)
                 assert oracle <= res.tc + 1e-6
 
-    def test_valence_two_exterior_angle_identity(self):
+    @staticmethod
+    def _check_valence_two(dim, draws):
+        """A wedge corner of angle ang has vertex term pi - ang."""
         rng = np.random.default_rng(17)
-        for _ in range(100):
-            space = list(SPACES.values())[int(rng.integers(3))]
+        for _ in range(draws):
+            like = list(SPACES.values())[int(rng.integers(3))]
+            space = SpaceForm(like.model, dim, like.curv)
             ang = rng.uniform(0.15, math.pi - 0.15)
             t1 = np.zeros(space.dim)
             t1[0] = 1.0
@@ -153,6 +156,15 @@ class TestVertexTC:
                             leg=0.5 if space.model is Model.SPHERICAL else 0.7)
             res = vertex_tc(space, g, "q")
             assert res.tc == pytest.approx(math.pi - ang, abs=1e-6)
+
+    def test_valence_two_exterior_angle_identity(self):
+        self._check_valence_two(3, 100)
+
+    @pytest.mark.parametrize("dim", [2, 4, 5])
+    def test_valence_two_identity_in_other_dimensions(self, dim):
+        # dimensions 2, 4 and 5 run _unit_grid's circle, cylinder and
+        # Gaussian start directions; dimension 3 runs the Fibonacci sphere
+        self._check_valence_two(dim, 20)
 
 
 class TestConeTotalCurvature:

@@ -176,18 +176,30 @@ def _develop_svg(dev) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _write_files(outputs) -> None:
+    """Write each (path, text) in turn.  When a write fails, every file
+    already opened here is removed before the error goes on, so a failed
+    command leaves no output behind."""
+    opened = []
+    try:
+        for path, text in outputs:
+            with open(path, "w", encoding="utf-8") as fh:
+                opened.append(path)
+                fh.write(text)
+    except OSError:
+        for path in opened:
+            os.remove(path)
+        raise
+
+
 def _cmd_develop(args, graph: EmbeddedGraph, seed: int) -> list[str]:
     apex = _parse_apex(graph.space, args.apex)
     dev = cone_mod.develop_cone(graph.space, apex, graph)
-    csv_text = _develop_csv(dev)
-    svg_text = _develop_svg(dev) if args.svg else None
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(csv_text)
-    if svg_text is not None:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(svg_text)
-    return [f"development written: {args.out}"
-            + (f", {args.svg}" if svg_text is not None else ""),
+    outputs = [(args.out, _develop_csv(dev))]
+    if args.svg:
+        outputs.append((args.svg, _develop_svg(dev)))
+    _write_files(outputs)
+    return [f"development written: {', '.join(p for p, _ in outputs)}",
             f"developed density = {_num(dev.hat_density)}, "
             f"developed area = {_num(dev.hat_area)}"]
 
@@ -207,8 +219,7 @@ def _cmd_density_map(args, graph: EmbeddedGraph, seed: int) -> list[str]:
     for apex, bound in rows:
         coords = ",".join(f"{c:.12e}" for c in apex)
         out_lines.append(f"{coords},{bound:.12e}")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(out_lines) + "\n")
+    _write_files([(args.out, "\n".join(out_lines) + "\n")])
     return [f"density map written: {args.out} ({len(rows)} apices)"]
 
 

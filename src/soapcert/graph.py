@@ -61,13 +61,23 @@ class EdgeCurve:
 
 @dataclass(eq=False)
 class EmbeddedGraph:
+    """Vertices joined by edges.  The incidence map from vertex id to its
+    (edge, end) pairs is built once here, in graph order with end 0 before
+    end 1.  An edge naming an unknown vertex is filed under that id, so
+    construction succeeds and validate_graph can report it."""
+
     space: SpaceForm
     vertices: list[Vertex]
     edges: list[EdgeCurve]
     _by_id: dict = field(init=False, repr=False)
+    _ends: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self._by_id = {v.id: v for v in self.vertices}
+        self._ends = {v.id: [] for v in self.vertices}
+        for e in self.edges:
+            for end in (0, 1):
+                self._ends.setdefault(e.endpoints[end], []).append((e, end))
 
     def vertex_point(self, vertex_id) -> np.ndarray:
         try:
@@ -78,15 +88,10 @@ class EmbeddedGraph:
     def edge_ends_at(self, vertex_id) -> list[tuple[EdgeCurve, int]]:
         """All (edge, end) pairs incident to the vertex; a loop edge
         contributes both of its ends."""
-        out = []
-        for e in self.edges:
-            for end in (0, 1):
-                if e.endpoints[end] == vertex_id:
-                    out.append((e, end))
-        return out
+        return list(self._ends.get(vertex_id, ()))
 
     def valence(self, vertex_id) -> int:
-        return len(self.edge_ends_at(vertex_id))
+        return len(self._ends.get(vertex_id, ()))
 
     @property
     def total_length(self) -> float:
@@ -157,23 +162,22 @@ def validate_graph(graph: EmbeddedGraph) -> EmbeddedGraph:
     """Check valence, endpoint coincidence and the spherical diameter bound."""
     if not graph.edges:
         raise ValidationError("a graph needs at least one closed arc")
-    counts = {v.id: 0 for v in graph.vertices}
     for e in graph.edges:
         for end in (0, 1):
             vid = e.endpoints[end]
-            if vid not in counts:
+            if vid not in graph._by_id:
                 raise ValidationError(
                     f"edge {e.id!r} references unknown vertex {vid!r}")
-            counts[vid] += 1
             endpoint = e.samples[0] if end == 0 else e.samples[-1]
             gap = float(graph.space.dist(endpoint, graph.vertex_point(vid)))
             if gap > ENDPOINT_TOL:
                 raise ValidationError(
                     f"edge {e.id!r} end {end} misses vertex {vid!r} by {gap:.3g}")
-    for vid, c in counts.items():
+    for v in graph.vertices:
+        c = graph.valence(v.id)
         if c < 2:
             raise ValidationError(
-                f"vertex {vid!r} has valence {c} < 2; closed arcs must meet "
+                f"vertex {v.id!r} has valence {c} < 2; closed arcs must meet "
                 "in at least two edge-ends everywhere")
     _check_spherical_diameter(graph.space, graph.all_samples())
     return graph
@@ -380,11 +384,6 @@ def vertex_star(graph: EmbeddedGraph, vertex_id) -> list[TangentVector]:
 # connectivity and the doubled Euler circuit
 
 def connected_components(graph: EmbeddedGraph) -> list[list]:
-    adj = {v.id: set() for v in graph.vertices}
-    for e in graph.edges:
-        u, w = e.endpoints
-        adj[u].add(w)
-        adj[w].add(u)
     seen = set()
     components = []
     for v in graph.vertices:
@@ -396,7 +395,8 @@ def connected_components(graph: EmbeddedGraph) -> list[list]:
         while stack:
             cur = stack.pop()
             comp.append(cur)
-            for nxt in sorted(adj[cur], key=repr):
+            for e, end in graph.edge_ends_at(cur):
+                nxt = e.endpoints[1 - end]
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
@@ -412,10 +412,12 @@ class EdgeTraversal:
 
 
 def euler_double_circuit(graph: EmbeddedGraph) -> list[EdgeTraversal]:
-    """A closed walk through the graph with every edge doubled, so that each
-    original edge is traversed exactly twice.  Doubling makes every valence
-    even, hence such a circuit always exists on a connected graph
-    (Hierholzer's construction)."""
+    """A closed walk through the graph that traverses every edge exactly
+    twice, once each way (for a loop edge, twice around).  It is an
+    out-and-back depth-first walk: an edge whose far end was already
+    reached is crossed there and back at once, and any other edge is
+    crossed back after its far end's subtree.  Iterative, so a long cycle
+    is no deep recursion."""
     comps = connected_components(graph)
     if len(comps) != 1:
         raise ValidationError(
@@ -423,45 +425,29 @@ def euler_double_circuit(graph: EmbeddedGraph) -> list[EdgeTraversal]:
     if not graph.edges:
         raise ValidationError("graph has no edges")
 
-    copies = []
-    adj = {v.id: [] for v in graph.vertices}
-    for e in graph.edges:
-        u, w = e.endpoints
-        for _ in range(2):
-            k = len(copies)
-            copies.append(e)
-            adj[u].append((k, w))
-            adj[w].append((k, u))
-    used = [False] * len(copies)
-    ptr = {vid: 0 for vid in adj}
-
     start = graph.edges[0].endpoints[0]
-    stack = [(start, None)]
-    rev_vertices = []
-    rev_edges = []
+    reached = {start}
+    crossed = set()
+    walk = []
+    # each frame: a vertex, its unexplored edge-ends, the traversal home
+    stack = [(start, iter(graph.edge_ends_at(start)), None)]
     while stack:
-        v, k_in = stack[-1]
-        lst = adj[v]
-        while ptr[v] < len(lst) and used[lst[ptr[v]][0]]:
-            ptr[v] += 1
-        if ptr[v] < len(lst):
-            k, w = lst[ptr[v]]
-            used[k] = True
-            stack.append((w, k))
+        v, ends, home = stack[-1]
+        for e, end in ends:
+            if e in crossed:
+                continue
+            crossed.add(e)
+            w = e.endpoints[1 - end]
+            walk.append(EdgeTraversal(edge_id=e.id, tail=v, head=w))
+            back = EdgeTraversal(edge_id=e.id, tail=w, head=v)
+            if w in reached:
+                walk.append(back)
+            else:
+                reached.add(w)
+                stack.append((w, iter(graph.edge_ends_at(w)), back))
+                break
         else:
             stack.pop()
-            rev_vertices.append(v)
-            rev_edges.append(k_in)
-    rev_vertices.reverse()
-    rev_edges.reverse()
-    # rev_edges[i] is the copy entering rev_vertices[i]; index 0 carries None.
-    walk = []
-    for i in range(1, len(rev_vertices)):
-        k = rev_edges[i]
-        walk.append(EdgeTraversal(edge_id=copies[k].id,
-                                  tail=rev_vertices[i - 1],
-                                  head=rev_vertices[i]))
-    if len(walk) != 2 * len(graph.edges):
-        raise ValidationError("no closed doubled circuit found "
-                              "(is the graph connected?)")
+            if home is not None:
+                walk.append(home)
     return walk

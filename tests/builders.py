@@ -297,7 +297,7 @@ def developed_plain_area(dev):
 
 
 # Inward tangents of four_leg_star_graph's valence-4 vertex: two near-pairs
-# on which the vertex ascent does not meet its stopping rule.
+# on which the vertex ascent needs about 3,100 iterations to stop.
 FOUR_LEG_TANGENTS = (
     (-0.8888, -0.396, 0.2306),
     (-0.3594, -0.2149, -0.9081),

@@ -154,6 +154,40 @@ class TestDevelop:
             assert err.startswith("i/o error: ")
             assert str(missing) in err
 
+    def test_failed_svg_write_leaves_no_csv(self, capsys, tmp_path,
+                                            circle_file):
+        out_csv = tmp_path / "dev.csv"
+        missing = tmp_path / "missing-dir" / "dev.svg"
+        code, out, err = run_capture(capsys, [
+            "develop", "--apex", "0,0,0.5", "--out", str(out_csv),
+            "--svg", str(missing), circle_file])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("i/o error: ")
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("model", ["hyperbolic", "spherical"])
+    def test_curved_svg_fits_the_view_box(self, capsys, tmp_path, model):
+        space = SPACES[model]
+        path = tmp_path / "circle.json"
+        path.write_text(json.dumps(shapes.graph_document(
+            shapes.circle_graph(space, 0.8, 256))))
+        apex = ",".join(repr(float(c)) for c in space.base_point())
+        out_svg = tmp_path / "dev.svg"
+        code, _, _ = run_capture(capsys, [
+            "develop", "--apex", apex, "--out", str(tmp_path / "dev.csv"),
+            "--svg", str(out_svg), str(path)])
+        assert code == 0
+        svg = out_svg.read_text()
+        assert svg.count("<polyline") == 1
+        assert svg.count("<circle") == 1
+        points = svg.split('points="')[1].split('"')[0]
+        xy = np.array([[float(c) for c in p.split(",")]
+                       for p in points.split()])
+        assert np.all((xy >= 0.0) & (xy <= 500.0))
+        # the developed circle is drawn, not collapsed to a point
+        assert np.ptp(xy[:, 0]) > 100.0 and np.ptp(xy[:, 1]) > 100.0
+
     def test_validation_failure_writes_nothing(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"space": {"model": "flat", "dim": 3},

@@ -17,7 +17,8 @@ from soapcert import (
 from soapcert import shapes
 from soapcert.graph import make_edge
 
-from builders import SPACES, random_graph, random_isometry, transform_graph, wedge_graph
+from builders import (SPACES, four_leg_star_graph, random_graph, random_isometry,
+                      transform_graph, wedge_graph)
 
 FLAT = SPACES["flat"]
 CUBE_CORNER_TC = 3.0 * (math.pi / 2.0 - math.acos(1.0 / math.sqrt(3.0)))
@@ -117,6 +118,13 @@ class TestVertexTC:
         oracle = vertex_tc_grid(FLAT, g, "p0", n_dirs=1_000_000)
         assert res.tc == pytest.approx(oracle, abs=1e-3)
         assert res.tc == pytest.approx(math.pi / 6.0, abs=1e-3)
+
+    def test_four_leg_star_reaches_supremum(self):
+        # the supremum 3.390009464316815 comes from a Nelder-Mead polish
+        # with exact atan2 angles; the ascent needs about 3,100 iterations
+        g = four_leg_star_graph()
+        res = vertex_tc(g.space, g, "q")
+        assert 3.390009464316 <= res.tc <= 3.39000947
 
     def test_cube_corner_against_grid_oracle(self):
         g = shapes.cube_skeleton_graph()

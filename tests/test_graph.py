@@ -27,7 +27,7 @@ from soapcert.graph import (
 )
 from soapcert.spaceform import ANTIPODAL_SLACK
 
-from builders import random_graph
+from builders import figure_eight_graph, random_graph
 
 FLAT = SpaceForm(Model.FLAT, 3)
 
@@ -459,7 +459,42 @@ class TestResample:
             resample_arclength(g, 1.5)
 
 
+INCIDENCE_CASES = {
+    "random": lambda: [random_graph(FLAT, np.random.default_rng(seed),
+                                    n_vertices=4, n_extra=3,
+                                    samples_per_edge=8) for seed in range(20)],
+    "theta": lambda: [shapes.theta_graph(samples_per_edge=16)],
+    "circle": lambda: [shapes.circle_graph(FLAT, 1.0, 64)],
+    "figure_eight": lambda: [figure_eight_graph(FLAT)],
+}
+
+
 class TestVertexStar:
+    @pytest.mark.parametrize("case", sorted(INCIDENCE_CASES))
+    def test_edge_ends_match_a_scan(self, case):
+        for g in INCIDENCE_CASES[case]():
+            for v in g.vertices:
+                scan = [(e, end) for e in g.edges for end in (0, 1)
+                        if e.endpoints[end] == v.id]
+                # EdgeCurve compares by identity, so this checks order,
+                # ends and the edge objects themselves
+                assert g.edge_ends_at(v.id) == scan
+                assert g.valence(v.id) == len(scan)
+
+    def test_stars_do_not_rescan_edges(self):
+        class CountedEdges(list):
+            iterations = 0
+
+            def __iter__(self):
+                self.iterations += 1
+                return super().__iter__()
+
+        g = shapes.regular_polygon_graph(FLAT, 2000, 1.0, samples_per_edge=8)
+        g.edges = CountedEdges(g.edges)
+        stars = [vertex_star(g, v.id) for v in g.vertices]
+        assert all(len(star) == 2 for star in stars)
+        assert g.edges.iterations == 0
+
     def test_straight_through_vertex_antiparallel(self):
         corners = np.array([[-0.5, -0.5], [0.0, -0.5], [0.5, -0.5],
                             [0.5, 0.5], [-0.5, 0.5]])
@@ -556,6 +591,29 @@ class TestEulerDoubleCircuit:
             g = random_graph(FLAT, rng, n_vertices=n_v, n_extra=n_e,
                              samples_per_edge=8)
             _check_double_circuit(g)
+
+    def test_non_loop_edges_cross_both_ways(self):
+        rng = np.random.default_rng(22)
+        graphs = [shapes.theta_graph(samples_per_edge=16),
+                  shapes.cube_skeleton_graph(samples_per_edge=8),
+                  figure_eight_graph(FLAT)]
+        graphs += [random_graph(FLAT, rng, n_vertices=int(rng.integers(2, 6)),
+                                n_extra=int(rng.integers(0, 4)),
+                                samples_per_edge=8) for _ in range(50)]
+        for g in graphs:
+            crossings = {e.id: [] for e in g.edges}
+            for t in euler_double_circuit(g):
+                crossings[t.edge_id].append((t.tail, t.head))
+            for e in g.edges:
+                u, w = e.endpoints
+                if u != w:
+                    assert sorted(crossings[e.id]) == sorted([(u, w), (w, u)])
+
+    def test_long_cycle_needs_no_recursion(self):
+        # a 2,000-deep depth-first search; _check_double_circuit asserts the
+        # closed 4,000-step walk
+        _check_double_circuit(
+            shapes.regular_polygon_graph(FLAT, 2000, 1.0, samples_per_edge=8))
 
     def test_disconnected_rejected(self):
         left = circle_document()

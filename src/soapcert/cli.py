@@ -19,6 +19,7 @@ Exit codes: 0 success, 2 validation failure, 3 numerical failure, 64 usage.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -113,21 +114,13 @@ def _cmd_cone(args, graph: EmbeddedGraph, seed: int) -> list[str]:
     ]
 
 
-def _develop_rows(dev) -> list[tuple]:
-    rows = []
-    offset = 0.0
-    for ed in dev.per_edge:
-        for i in range(len(ed.s)):
-            rows.append((ed.edge_id, ed.s[i], ed.r[i], offset + ed.theta[i],
-                         ed.khat_nu[i]))
-        offset += float(ed.theta[-1])
-    return rows
-
-
 def _develop_csv(dev) -> str:
     lines = ["edge_id,s,r,theta,khat_nu"]
-    for eid, s, r, theta, khat in _develop_rows(dev):
-        lines.append(f"{eid},{s:.12e},{r:.12e},{theta:.12e},{khat:.12e}")
+    offset = 0.0
+    for ed in dev.per_edge:
+        for s, r, th, k in zip(ed.s, ed.r, offset + ed.theta, ed.khat_nu):
+            lines.append(f"{ed.edge_id},{s:.12e},{r:.12e},{th:.12e},{k:.12e}")
+        offset += float(ed.theta[-1])
     return "\n".join(lines) + "\n"
 
 
@@ -177,18 +170,21 @@ def _develop_svg(dev) -> str:
 
 
 def _write_files(outputs) -> None:
-    """Write each (path, text) in turn.  When a write fails, every file
-    already opened here is removed before the error goes on, so a failed
-    command leaves no output behind."""
-    opened = []
+    """Write each (path, text) in turn.  When a write fails, the files this
+    call created are removed before the error goes on; a path that existed
+    before (a user's file, or a device such as /dev/null) is never removed."""
+    created = []
     try:
         for path, text in outputs:
-            with open(path, "w", encoding="utf-8") as fh:
-                opened.append(path)
+            mode = "w" if os.path.exists(path) else "x"
+            with open(path, mode, encoding="utf-8") as fh:
+                if mode == "x":
+                    created.append(path)
                 fh.write(text)
     except OSError:
-        for path in opened:
-            os.remove(path)
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
         raise
 
 

@@ -18,13 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _num
+from .errors import IterationError
 from .graph import EdgeCurve, EmbeddedGraph, edge_unit_tangents, vertex_star
 from .spaceform import SpaceForm, TangentVector
 
 # Fixed grid starts of the vertex ascent, on top of the structured ones.
 VERTEX_GRID_STARTS = 32
-# Iteration cap of the lockstep vertex ascent.  The stopping rule (every
-# step below 1e-13) ends it first: the largest need seen is 18,402.
+# Iteration cap of the lockstep vertex ascent; reaching it raises.  The
+# stopping rule (every step below 1e-13) ends it first: largest need 18,402.
 VERTEX_ASCENT_MAX_ITER = 50_000
 
 
@@ -106,8 +107,8 @@ def _star_objective(tangent_coords: np.ndarray):
 def _ascent_on_sphere(starts: np.ndarray, value,
                       gradient) -> tuple[np.ndarray, np.ndarray]:
     """Projected-gradient ascent with backtracking, run on all starts in
-    lockstep for at most VERTEX_ASCENT_MAX_ITER steps.  Returns (directions,
-    values)."""
+    lockstep until every step is below 1e-13.  Returns (directions, values);
+    raises IterationError if that takes VERTEX_ASCENT_MAX_ITER steps."""
     E = starts / np.linalg.norm(starts, axis=1, keepdims=True)
     g = value(E)
     step = np.full(len(E), 0.25)
@@ -123,8 +124,8 @@ def _ascent_on_sphere(starts: np.ndarray, value,
         step[better] *= 1.4
         step[~better] *= 0.5
         if np.all(step < 1e-13):
-            break
-    return E, g
+            return E, g
+    raise IterationError("vertex ascent reached VERTEX_ASCENT_MAX_ITER")
 
 
 def _unit_grid(n: int, count: int) -> np.ndarray:

@@ -166,6 +166,22 @@ class TestDevelop:
         assert err.startswith("i/o error: ")
         assert not out_csv.exists()
 
+    def test_failed_svg_write_keeps_an_existing_out_file(self, capsys, tmp_path,
+                                                        circle_file):
+        # only files the command created are removed; a path that already
+        # existed (a user's file, or a device such as /dev/null) stays
+        out_csv = tmp_path / "existing.csv"
+        out_csv.write_text("kept\n")
+        missing = tmp_path / "missing-dir" / "dev.svg"
+        code, out, err = run_capture(capsys, [
+            "develop", "--apex", "0,0,0.5", "--out", str(out_csv),
+            "--svg", str(missing), circle_file])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("i/o error: ")
+        assert str(missing) in err
+        assert out_csv.exists()
+
     @pytest.mark.parametrize("model", ["hyperbolic", "spherical"])
     def test_curved_svg_fits_the_view_box(self, capsys, tmp_path, model):
         space = SPACES[model]

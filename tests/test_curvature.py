@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from soapcert import (
+    IterationError,
     Model,
     SpaceForm,
     cone_total_curvature,
@@ -14,7 +15,7 @@ from soapcert import (
     vertex_tc,
     vertex_tc_grid,
 )
-from soapcert import shapes
+from soapcert import curvature, shapes
 from soapcert.graph import make_edge
 
 from builders import (SPACES, four_leg_star_graph, random_graph, random_isometry,
@@ -125,6 +126,14 @@ class TestVertexTC:
         g = four_leg_star_graph()
         res = vertex_tc(g.space, g, "q")
         assert 3.390009464316 <= res.tc <= 3.39000947
+
+    def test_capped_ascent_raises(self, monkeypatch):
+        # the four-leg vertex needs about 3,100 iterations; a cap below
+        # that must fail loudly, not return a value under the supremum
+        monkeypatch.setattr(curvature, "VERTEX_ASCENT_MAX_ITER", 400)
+        g = four_leg_star_graph()
+        with pytest.raises(IterationError):
+            vertex_tc(g.space, g, "q")
 
     def test_cube_corner_against_grid_oracle(self):
         g = shapes.cube_skeleton_graph()

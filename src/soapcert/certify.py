@@ -276,7 +276,10 @@ def evaluate_certificates(space: SpaceForm, graph: EmbeddedGraph,
                           refine_maxiter: int = 400) -> list[Certificate]:
     """Evaluate every applicable threshold and return one certificate row
     per threshold, strongest claim first, whether or not it qualifies
-    (margin >= 0 means it does)."""
+    (margin >= 0 means it does).  grid_n must be >= 1 in every model and
+    mode, though only heuristic curved runs sample a grid."""
+    if grid_n < 1:
+        raise ValidationError("grid size must be >= 1")
     if tc is None:
         tc = cone_total_curvature(space, graph)
     spherical = space.model is Model.SPHERICAL

@@ -237,6 +237,8 @@ def _cmd_certify(args, graph: EmbeddedGraph, seed: int) -> list[str]:
 
 
 def _cmd_gb_check(args, graph: EmbeddedGraph, seed: int) -> list[str]:
+    if args.trials < 1:
+        raise ValidationError("trial count must be >= 1")
     rng = np.random.default_rng(seed)
     space = graph.space
     hull = hull_approx(space, graph, grid_n=1)

@@ -7,7 +7,8 @@ The vertex contribution at q is
     sup over unit e in T_q of  sum_k (pi/2 - angle(T_k, e)),
 
 with T_k the unit tangents pointing into the incident edge-ends.  For a
-valence-2 vertex this is the exterior angle of the curve.
+valence-2 vertex this is the exterior angle of the curve, taken in closed
+form; higher valences run an ascent.
 """
 
 from __future__ import annotations
@@ -166,13 +167,27 @@ def _star_coordinates(space: SpaceForm, graph: EmbeddedGraph, vertex_id):
 
 
 def vertex_tc(space: SpaceForm, graph: EmbeddedGraph, vertex_id) -> VertexTC:
-    """Vertex contribution by multistart projected-gradient ascent on the
-    unit tangent sphere.  Starts: every +-T_k, all normalized pairwise sums,
-    and the VERTEX_GRID_STARTS directions of _unit_grid; the nonsmooth
-    candidates e = +-T_k are therefore always evaluated exactly.  Every
-    start is fixed, so the result depends on the graph alone."""
+    """Vertex contribution, by a method chosen from the star's valence.
+
+    Valence 2: the closed form pi - angle(T_1, T_2), the exterior angle.  By
+    the triangle inequality angle(T_1, e) + angle(T_2, e) >= angle(T_1, T_2),
+    with equality on the whole arc from T_1 to T_2, so the maximizer is not
+    unique; T_1 is returned.  The angle is taken as the half-angle form
+    2 atan2(|T_1 - T_2|, |T_1 + T_2|), which loses no digits at T_1 = +-T_2
+    where arccos of the dot product would.
+
+    Valence >= 3: multistart projected-gradient ascent on the unit tangent
+    sphere.  Starts: every +-T_k, all normalized pairwise sums, and the
+    VERTEX_GRID_STARTS directions of _unit_grid; the nonsmooth candidates
+    e = +-T_k are therefore always evaluated exactly.  Every start is fixed,
+    so the result depends on the graph alone."""
     star, q, basis, T = _star_coordinates(space, graph, vertex_id)
     k, n = T.shape
+    if k == 2:
+        angle = 2.0 * math.atan2(float(np.linalg.norm(T[0] - T[1])),
+                                 float(np.linalg.norm(T[0] + T[1])))
+        return VertexTC(vertex_id=vertex_id, tc=math.pi - angle,
+                        argmax_dir=TangentVector(base=q, vec=T[0] @ basis))
     starts = [T, -T]
     for i in range(k):
         for j in range(i + 1, k):

@@ -328,6 +328,35 @@ class TestExitCodes:
         assert err == "validation error: SOAPCERT_SEED is not an integer: " \
             "'7.5'\n"
 
+    @pytest.mark.parametrize("argv,message", [
+        (["gb-check", "--trials", "0"], "trial count must be >= 1"),
+        (["gb-check", "--trials", "-3"], "trial count must be >= 1"),
+        (["density-map", "--grid", "0"], "grid size must be >= 1"),
+    ])
+    def test_counts_below_one_are_validation_failures(
+            self, capsys, tmp_path, circle_file, argv, message):
+        out_csv = tmp_path / "map.csv"
+        if argv[0] == "density-map":
+            argv = argv + ["--out", str(out_csv)]
+        code, out, err = run_capture(capsys, argv + [circle_file])
+        assert code == 2
+        assert out == ""
+        assert err == f"validation error: {message}\n"
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("mode", ["strict", "heuristic"])
+    @pytest.mark.parametrize("model", sorted(SPACES))
+    def test_certify_grid_below_one_is_validation_failure(
+            self, capsys, tmp_path, model, mode):
+        path = tmp_path / "circle.json"
+        path.write_text(json.dumps(shapes.graph_document(
+            shapes.circle_graph(SPACES[model], 0.5, 64))))
+        code, out, err = run_capture(capsys, ["certify", "--mode", mode,
+                                              "--grid", "0", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err == "validation error: grid size must be >= 1\n"
+
     def test_missing_file_is_io_failure(self, capsys):
         code, _, _ = run_capture(capsys, ["tc", "/nonexistent/x.json"])
         assert code == 3

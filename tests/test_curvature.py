@@ -183,6 +183,32 @@ class TestVertexTC:
         # Gaussian start directions; dimension 3 runs the Fibonacci sphere
         self._check_valence_two(dim, 20)
 
+    def test_valence_two_near_smooth_seam(self):
+        # T1 is almost -T2 here: the exterior angle is 5.5e-12, where the
+        # arccos of the tangents' dot product reads about 1.5e-8
+        g = shapes.wavy_closed_curve_graph(FLAT, base_radius=0.6, wobble=0.12,
+                                           lobes=3, n=4096)
+        t1, t2 = (t.vec / FLAT.norm(t.vec) for t in vertex_star(g, "v0"))
+        exterior = math.pi - 2.0 * math.atan2(float(FLAT.norm(t1 - t2)),
+                                              float(FLAT.norm(t1 + t2)))
+        assert vertex_tc(FLAT, g, "v0").tc == pytest.approx(
+            exterior, rel=0.0, abs=1e-15)
+
+    def test_only_valence_three_and_up_runs_the_ascent(self, monkeypatch):
+        def no_ascent(*args):
+            raise RuntimeError("ascent called")
+
+        monkeypatch.setattr(curvature, "_ascent_on_sphere", no_ascent)
+        square = shapes.square_graph(FLAT, 1.0, samples_per_edge=32)
+        assert vertex_tc(FLAT, square, "v0").tc == pytest.approx(
+            math.pi / 2.0, abs=1e-12)
+        t2 = np.array([math.cos(1.0), math.sin(1.0), 0.0])
+        wedge = wedge_graph(FLAT, np.array([1.0, 0.0, 0.0]), t2)
+        assert vertex_tc(FLAT, wedge, "q").tc == pytest.approx(
+            math.pi - 1.0, abs=1e-12)
+        with pytest.raises(RuntimeError, match="ascent called"):
+            vertex_tc(FLAT, shapes.cube_skeleton_graph(), "v0")
+
 
 class TestConeTotalCurvature:
     def test_unit_circle(self):

@@ -19,7 +19,6 @@ from .certify import (
 from .cone import (
     ConeDevelopment,
     EdgeDevelopment,
-    RadialProfile,
     ambient_cone_area,
     ambient_cone_density,
     check_apex,
@@ -28,7 +27,6 @@ from .cone import (
     developed_points,
     development_plane,
     gauss_bonnet_residual,
-    radial_profile,
 )
 from .curvature import (
     TCReport,

@@ -113,14 +113,11 @@ def density_bound(space: SpaceForm, apex: np.ndarray, graph: EmbeddedGraph,
 
 def karcher_center(space: SpaceForm, points: np.ndarray) -> np.ndarray:
     """Intrinsic mean by fixed-point iteration on tangent-space averages."""
-    if space.model is Model.FLAT:
-        center = np.mean(points, axis=0)
-    else:
-        try:
-            center = space.project_point(np.mean(points, axis=0))
-        except ValidationError as exc:
-            # fully symmetric spreads have no usable extrinsic mean
-            raise IterationError(f"intrinsic mean is ill-posed: {exc}") from exc
+    try:
+        center = space.project_point(np.mean(points, axis=0))
+    except ValidationError as exc:
+        # fully symmetric spreads have no usable extrinsic mean
+        raise IterationError(f"intrinsic mean is ill-posed: {exc}") from exc
     for _ in range(KARCHER_MAX_ITER):
         away = space.dist(center, points) > 1e-12
         if not np.any(away):

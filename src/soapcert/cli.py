@@ -77,6 +77,8 @@ def _parse_apex(space: SpaceForm, text: str, tolerance: float = 1e-6) -> np.ndar
     if coords.shape != (space.embedding_dim,):
         raise ValidationError(
             f"apex needs {space.embedding_dim} comma-separated coordinates")
+    if not np.all(np.isfinite(coords)):
+        raise ValidationError("apex coordinates must be finite numbers")
     proj = space.project_point(coords)
     if float(np.linalg.norm(proj - coords)) > tolerance:
         raise ValidationError("apex is off the manifold beyond tolerance")
@@ -252,8 +254,8 @@ def _cmd_gb_check(args, graph: EmbeddedGraph, seed: int) -> list[str]:
         attempts += 1
         z = rng.standard_normal(space.dim)
         z *= rng.uniform(0.1, 1.1) * hull.radius / np.linalg.norm(z)
-        apex = space.exp(hull.center, z @ basis)
         try:
+            apex = space.exp(hull.center, z @ basis)
             cone_mod.check_apex(space, apex, samples, 1e-3)
         except (ApexOnGraphError, ConjugatePointError):
             continue

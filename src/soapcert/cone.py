@@ -31,17 +31,6 @@ APEX_CLEARANCE = 1e-6
 
 
 @dataclass(eq=False)
-class RadialProfile:
-    """Per-sample apex distances r, radial speeds dr/ds, and unit radial
-    directions u (pointing away from the apex) along one edge."""
-
-    s: np.ndarray
-    r: np.ndarray
-    rprime: np.ndarray
-    u: np.ndarray
-
-
-@dataclass(eq=False)
 class EdgeDevelopment:
     edge_id: object
     s: np.ndarray
@@ -91,26 +80,9 @@ def _admit(space: SpaceForm, alpha: np.ndarray, clearance: float):
 
 
 def check_apex(space: SpaceForm, apex: np.ndarray, samples: np.ndarray,
-               clearance: float = APEX_CLEARANCE) -> np.ndarray:
-    """Distances from the apex to the samples, after checking with _admit
-    that the apex can carry a cone over them."""
-    alpha = _half_sq_chords(space, samples, apex)
-    _admit(space, alpha, clearance)
-    return space.chord_dist(2.0 * alpha)
-
-
-def radial_profile(space: SpaceForm, apex: np.ndarray,
-                   edge: EdgeCurve) -> RadialProfile:
-    """Distances to the apex, their arclength derivative, and the outward
-    radial directions along an edge.  rprime is the inner product of the
-    radial direction with the unit curve tangent, which equals dr/ds."""
-    apex = np.asarray(apex, float)
-    r = check_apex(space, apex, edge.samples)
-    u = space.tangent_project(edge.samples, edge.samples - apex)
-    u = u / space.norm(u)[:, None]
-    t = edge_unit_tangents(space, edge)
-    rprime = space.mdot(u, t)
-    return RadialProfile(s=edge.s.copy(), r=r, rprime=rprime, u=u)
+               clearance: float = APEX_CLEARANCE) -> None:
+    """Check with _admit that the apex can carry a cone over the samples."""
+    _admit(space, _half_sq_chords(space, samples, apex), clearance)
 
 
 def development_plane(space: SpaceForm) -> tuple[SpaceForm, np.ndarray]:
@@ -142,11 +114,13 @@ def cone_conormal_curvature(space: SpaceForm, apex: np.ndarray,
     (tangent to the cone, orthogonal to the curve, pointing away from the
     apex), at interior samples.  NaN marks samples where the curve runs
     radially and the conormal is undefined."""
-    prof = radial_profile(space, apex, edge)
-    ec = edge_curvature(space, edge)
+    apex = np.asarray(apex, float)
+    check_apex(space, apex, edge.samples)
+    u = space.tangent_project(edge.samples, edge.samples - apex)
+    u = u / space.norm(u)[:, None]
     t = edge_unit_tangents(space, edge)
-    nu = prof.u - prof.rprime[:, None] * t
-    nu = nu[1:-1]
+    ec = edge_curvature(space, edge)
+    nu = (u - space.mdot(u, t)[:, None] * t)[1:-1]
     norms = space.norm(nu)
     out = np.full(len(norms), np.nan)
     ok = norms >= 1e-8
@@ -195,17 +169,16 @@ def ambient_cone_density(space: SpaceForm, apex: np.ndarray,
     """Apex density of the ambient cone: total length of the spherical image
     s -> (unit initial direction of the geodesic apex -> curve point) on the
     unit tangent sphere at the apex, divided by 2 pi.  Computed as the sum of
-    angles between consecutive image directions, each direction the chord
-    to the sample projected onto the tangent space at the apex."""
+    the angles between consecutive image directions, which are the
+    _apex_angles that develop_cone accumulates."""
     apex = np.asarray(apex, float)
     total = 0.0
     for edge in graph.edges:
-        _admit(space, _half_sq_chords(space, edge.samples, apex),
-               APEX_CLEARANCE)
-        w = space.tangent_project(apex, edge.samples - apex)
-        w = w / space.norm(w)[:, None]
-        c = np.clip(space.mdot(w[:-1], w[1:]), -1.0, 1.0)
-        total += float(np.sum(np.arccos(c)))
+        alpha = _half_sq_chords(space, edge.samples, apex)
+        _admit(space, alpha, APEX_CLEARANCE)
+        total += float(np.sum(_apex_angles(
+            space, alpha[:-1], alpha[1:],
+            _edge_chords(space, edge).gamma[:len(alpha) - 1])))
     return total / (2.0 * math.pi)
 
 

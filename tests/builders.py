@@ -9,7 +9,8 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from soapcert import Model, SpaceForm, karcher_center, radial_profile
+from soapcert import (Model, SpaceForm, check_apex, edge_unit_tangents,
+                      karcher_center)
 from soapcert.cone import _half_sq_chords, _triangle_areas, developed_points
 from soapcert.graph import EmbeddedGraph, Vertex, make_edge, validate_graph
 
@@ -79,6 +80,14 @@ def random_graph(space, rng, n_vertices=3, n_extra=1, samples_per_edge=256,
                                         edges=edges))
 
 
+def radial_speed(space, apex, edge):
+    """dr/ds along an edge: the unit direction away from the apex dotted
+    with the unit curve tangent."""
+    u = space.tangent_project(edge.samples, edge.samples - apex)
+    u = u / space.norm(u)[:, None]
+    return space.mdot(u, edge_unit_tangents(space, edge))
+
+
 def generic_apex(space, graph, rng, min_clear=None, max_rprime=0.8,
                  tries=400):
     """Apex clear of the graph with no near-radial tangencies; None when no
@@ -99,8 +108,8 @@ def generic_apex(space, graph, rng, min_clear=None, max_rprime=0.8,
         if space.model is Model.SPHERICAL \
                 and np.max(r) >= space.max_radius - 0.05:
             continue
-        if all(np.max(np.abs(radial_profile(space, apex, e).rprime))
-               <= max_rprime for e in graph.edges):
+        if all(np.max(np.abs(radial_speed(space, apex, e))) <= max_rprime
+               for e in graph.edges):
             return apex
     return None
 
@@ -268,6 +277,22 @@ def plain_cone_area(space, apex, graph):
         total += float(np.sum(_triangle_areas(space, alpha[:-1], alpha[1:],
                                               gamma)))
     return total
+
+
+def projected_cone_density(space, apex, graph):
+    """Apex density of the cone from the chords to the samples projected
+    onto the tangent space at the apex: the arccos of consecutive unit
+    projected chords, summed over the edges and divided by 2 pi.  An
+    oracle independent of the Gram kernel."""
+    apex = np.asarray(apex, float)
+    total = 0.0
+    for edge in graph.edges:
+        check_apex(space, apex, edge.samples)
+        w = space.tangent_project(apex, edge.samples - apex)
+        w = w / space.norm(w)[:, None]
+        c = np.clip(space.mdot(w[:-1], w[1:]), -1.0, 1.0)
+        total += float(np.sum(np.arccos(c)))
+    return total / (2.0 * math.pi)
 
 
 def developed_plain_area(dev):

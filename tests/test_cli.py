@@ -8,10 +8,33 @@ from soapcert import Model, SpaceForm, hull_approx, load_graph_file
 from soapcert import shapes
 from soapcert.certify import SEARCH_CLEARANCE
 from soapcert.cli import run
+from soapcert.graph import EmbeddedGraph, Vertex, make_edge, validate_graph
 
 from builders import SPACES, figure_eight_graph, four_leg_star_graph
 
 FLAT = SpaceForm(Model.FLAT, 3)
+
+
+def far_loop_graph():
+    """Spherical graph (dim 3, b = 1) with one vertex v near the pole
+    e_0: a small circle of polar angle 0.05 through v, and a thin loop from
+    v out to polar angle 0.93 pi and back."""
+    space = SpaceForm(Model.SPHERICAL, 3, 1.0)
+
+    def pt(theta, phi):
+        return np.array([math.cos(theta), math.sin(theta) * math.cos(phi),
+                         math.sin(theta) * math.sin(phi), 0.0])
+
+    v = pt(0.05, 0.0)
+    far = 0.93 * math.pi
+    circle = [pt(0.05, 2.0 * math.pi * i / 2000) for i in range(2000)] + [v]
+    out = [pt(0.05 + (far - 0.05) * i / 8, 0.0) for i in range(9)]
+    back = [pt(far - (far - 0.05) * i / 8, 0.3 * math.sin(math.pi * i / 8))
+            for i in range(1, 8)] + [v]
+    return validate_graph(EmbeddedGraph(
+        space=space, vertices=[Vertex(id="v", point=v)],
+        edges=[make_edge(space, "a", ("v", "v"), np.array(circle)),
+               make_edge(space, "b", ("v", "v"), np.array(out + back))]))
 
 
 @pytest.fixture()
@@ -116,6 +139,21 @@ class TestCone:
             assert out == ""
             assert err == f"validation error: {named}\n"
 
+    @pytest.mark.parametrize("model, apex", [
+        (Model.FLAT, "nan,0,0"), (Model.FLAT, "inf,0,0"),
+        (Model.HYPERBOLIC, "1,nan,0,0"), (Model.SPHERICAL, "nan,0,0,1")])
+    def test_non_finite_apex_is_validation_failure(self, capsys, tmp_path,
+                                                   model, apex):
+        path = tmp_path / f"{model.value}.json"
+        path.write_text(json.dumps(shapes.graph_document(
+            shapes.circle_graph(SpaceForm(model, 3, 1.0), 0.5, 64))))
+        code, out, err = run_capture(capsys,
+                                     ["cone", f"--apex={apex}", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err == ("validation error: apex coordinates must be finite "
+                       "numbers\n")
+
 
 class TestDevelop:
     def test_csv_columns_and_svg(self, capsys, tmp_path, circle_file):
@@ -214,6 +252,18 @@ class TestDevelop:
         assert code in (2, 3)
         assert not out_csv.exists()
 
+    def test_non_finite_apex_writes_nothing(self, capsys, tmp_path,
+                                            circle_file):
+        out_csv = tmp_path / "never.csv"
+        code, out, err = run_capture(capsys, [
+            "develop", "--apex", "nan,0,0", "--out", str(out_csv),
+            circle_file])
+        assert code == 2
+        assert out == ""
+        assert err == ("validation error: apex coordinates must be finite "
+                       "numbers\n")
+        assert not out_csv.exists()
+
 
 class TestCertify:
     def test_circle_all_verdicts(self, capsys, circle_file):
@@ -307,6 +357,19 @@ class TestDensityMapAndGBCheck:
         assert "max residual over 3 trials" in out
         worst = float(out.splitlines()[-1].split(":")[-1])
         assert worst < 1e-3
+
+    @pytest.mark.parametrize("seed", [20, 31, 34])
+    def test_gb_check_skips_trial_steps_past_the_conjugate_radius(
+            self, capsys, tmp_path, seed):
+        # a hull ball of radius 0.926 pi: these seeds draw a trial step
+        # past pi/b before their fourth admitted apex
+        path = tmp_path / "far_loop.graph.json"
+        path.write_text(json.dumps(shapes.graph_document(far_loop_graph())))
+        with pytest.warns(UserWarning, match="diameter bound"):
+            code, out, _ = run_capture(capsys, [
+                "gb-check", "--trials", "4", "--seed", str(seed), str(path)])
+        assert code == 0
+        assert "max residual over 4 trials" in out
 
 
 class TestExitCodes:

@@ -146,15 +146,26 @@ class TestVertexTC:
             * np.sign(-g.vertex_point("v0"))
         assert FLAT.angle_between(res.argmax_dir.vec, diag) < 1e-3
 
-    def test_grid_never_beats_the_maximizer(self):
+    @staticmethod
+    def _check_grid_oracle(spaces):
+        """The 10k-direction grid never beats the ascent on random graphs."""
         rng = np.random.default_rng(9)
-        for name in ("flat", "hyperbolic"):
-            space = SPACES[name]
+        for space in spaces:
             g = random_graph(space, rng, samples_per_edge=64)
             for v in g.vertices:
                 res = vertex_tc(space, g, v.id)
                 oracle = vertex_tc_grid(space, g, v.id, n_dirs=10_000)
                 assert oracle <= res.tc + 1e-6
+
+    def test_grid_never_beats_the_maximizer(self):
+        self._check_grid_oracle([SPACES["flat"], SPACES["hyperbolic"]])
+
+    @pytest.mark.parametrize("dim", [2, 4, 5])
+    def test_grid_never_beats_the_maximizer_in_other_dimensions(self, dim):
+        # random_graph's vertices have valence 3 or more, so the ascent runs
+        # from _unit_grid's circle, cylinder and Gaussian start directions
+        self._check_grid_oracle([SpaceForm(like.model, dim, like.curv)
+                                 for like in SPACES.values()])
 
     @staticmethod
     def _check_valence_two(dim, draws):
@@ -179,8 +190,7 @@ class TestVertexTC:
 
     @pytest.mark.parametrize("dim", [2, 4, 5])
     def test_valence_two_identity_in_other_dimensions(self, dim):
-        # dimensions 2, 4 and 5 run _unit_grid's circle, cylinder and
-        # Gaussian start directions; dimension 3 runs the Fibonacci sphere
+        # valence 2 takes the closed form, which reads no start directions
         self._check_valence_two(dim, 20)
 
     def test_valence_two_near_smooth_seam(self):

@@ -22,6 +22,7 @@ from .cone import (
     ambient_cone_area,
     ambient_cone_density,
     check_apex,
+    cone_area_gradient,
     cone_conormal_curvature,
     develop_cone,
     developed_points,

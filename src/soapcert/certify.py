@@ -18,7 +18,8 @@ singular cones yields certificates:
 
 Strict mode replaces sampled area extrema with analytically safe values so
 that a reported certificate never rests on an unproven optimum; heuristic
-mode uses the sampled extrema and says so.
+mode uses extrema from a grid sweep of the hull ball refined by L-BFGS-B on
+the exact apex gradient of the cone area, and says so.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from scipy import optimize, special
 from scipy.stats import qmc
 
-from .cone import ambient_cone_area, check_apex
+from .cone import ambient_cone_area, check_apex, cone_area_gradient
 from .curvature import TCReport, cone_total_curvature
 from .errors import IterationError, NumericalError, ValidationError
 from .graph import EmbeddedGraph
@@ -49,6 +50,9 @@ KARCHER_MAX_ITER = 200
 # Apex candidates of the area search must keep at least this distance from
 # every graph sample.
 SEARCH_CLEARANCE = 1e-4
+
+# Iteration cap of the area search's L-BFGS-B refinement.
+REFINE_MAX_ITER = 100
 
 
 class Verdict(enum.Enum):
@@ -178,62 +182,95 @@ def hull_approx(space: SpaceForm, graph: EmbeddedGraph,
     return HullApprox(center=center, radius=radius, grid=grid)
 
 
-def extremal_cone_area(space: SpaceForm, graph: EmbeddedGraph,
-                       hull: HullApprox, mode: str,
-                       refine_maxiter: int = 400) -> ExtremalArea:
-    """Minimize or maximize the ambient cone area over the hull ball: grid
-    sweep, then a simplex (Nelder-Mead) refinement in tangent coordinates at
-    the incumbent, with the simplex shrinking to 1e-6.
+def _ball_objective(space: SpaceForm, graph: EmbeddedGraph,
+                    hull: HullApprox, sense: float):
+    """The area search's objective F = sense * area in normal coordinates z
+    at the hull center c, with its gradient in z; the map from z to the
+    apex; and the tangent basis at c that the coordinates refer to.
 
-    The refinement replaces the grid incumbent only when it wins by more
-    than a relative 1e-6; on landscapes with flat valleys (cone area can be
-    exactly constant over whole regions) the simplex would otherwise
-    random-walk along rounding error and return an arbitrary point."""
+    z is read at its projection onto the ball, y = z min(1, R/|z|), so the
+    apex x = exp_c(y) never leaves the ball.  With r = |y|, u = z/|z|, f
+    the model's comparison function and g the tangent gradient of F at x,
+    the pullback through d exp_c is closed:
+
+        dF/dz = <T, g> u + (f(r)/r) (I - u u^T) <B, g>   inside the ball,
+        dF/dz = (R/|z|) (f(r)/r) (I - u u^T) <B, g>      outside it,
+
+    where B holds the basis rows and T = f'(r) u.B - K f(r) c is the unit
+    velocity at x of the geodesic from c: the radial part is F's derivative
+    along T, the orthogonal part is scaled by f(r)/r, and the projection
+    drops the radial part outside the ball.  An apex that is not admitted
+    at SEARCH_CLEARANCE has value inf and gradient 0."""
+    center, radius = hull.center, hull.radius
+    basis = space.tangent_basis(center)
+    k = space.sectional_curvature
+
+    def apex_at(z: np.ndarray) -> np.ndarray:
+        t = float(np.linalg.norm(z))
+        return space.exp(center, (z * (radius / t) if t > radius else z)
+                         @ basis)
+
+    def fun(z: np.ndarray) -> tuple[float, np.ndarray]:
+        try:
+            apex = apex_at(z)
+            area, grad = cone_area_gradient(space, apex, graph,
+                                            clearance=SEARCH_CLEARANCE)
+        except NumericalError:
+            return math.inf, np.zeros_like(z)
+        g = sense * space.tangent_project(apex, grad)
+        dz = space.mdot(basis, g)
+        t = float(np.linalg.norm(z))
+        if t > 0.0:
+            r = min(t, radius)
+            u = z / t
+            f, fprime, _ = space.comparison(r)
+            across = float(f) / r * (dz - u * (u @ dz))
+            if t > radius:
+                dz = radius / t * across
+            else:
+                along = fprime * (u @ basis) - k * f * center
+                dz = across + float(space.mdot(along, g)) * u
+        return sense * area, dz
+
+    return fun, apex_at, basis
+
+
+def extremal_cone_area(space: SpaceForm, graph: EmbeddedGraph,
+                       hull: HullApprox, mode: str) -> ExtremalArea:
+    """Minimize or maximize the ambient cone area over the hull ball: a
+    sweep of the hull grid, then L-BFGS-B with the exact area gradient of
+    cone_area_gradient, in normal coordinates at the hull center, started
+    at the grid incumbent.  The ball is kept by evaluating at the
+    projection of each iterate onto it.  The refined apex replaces the
+    incumbent only when its value is finite and strictly better."""
     if mode not in ("min", "max"):
         raise ValidationError("mode must be 'min' or 'max'")
     sense = 1.0 if mode == "min" else -1.0
-    ball_limit = hull.radius * (1.0 + 1e-9) + 1e-12
-
-    def objective_at(apex: np.ndarray) -> float:
-        try:
-            if float(space.dist(apex, hull.center)) > ball_limit:
-                return math.inf
-            return sense * ambient_cone_area(space, apex, graph,
-                                             clearance=SEARCH_CLEARANCE)
-        except NumericalError:
-            return math.inf
 
     best_val = math.inf
-    best_apex = None
-    for apex in hull.grid:
-        val = objective_at(apex)
-        if val < best_val:
-            best_val = val
-            best_apex = apex
-    if best_apex is None:
-        raise NumericalError("no usable apex candidate in the hull grid")
-
-    basis = space.tangent_basis(best_apex)
-    n = space.dim
-
-    def objective(z: np.ndarray) -> float:
+    best = None
+    for i, apex in enumerate(hull.grid):
         try:
-            apex = space.exp(best_apex, z @ basis)
+            val = sense * ambient_cone_area(space, apex, graph,
+                                            clearance=SEARCH_CLEARANCE)
         except NumericalError:
-            return math.inf
-        return objective_at(apex)
+            continue
+        if val < best_val:
+            best_val, best = val, i
+    if best is None:
+        raise NumericalError("no usable apex candidate in the hull grid")
+    best_apex = hull.grid[best]
 
-    scale = max(0.05 * hull.radius, 10.0 * SEARCH_CLEARANCE)
-    simplex = np.zeros((n + 1, n))
-    simplex[1:] = scale * np.eye(n)
-    res = optimize.minimize(
-        objective, np.zeros(n), method="Nelder-Mead",
-        options={"initial_simplex": simplex, "xatol": 1e-6, "fatol": 1e-10,
-                 "maxiter": refine_maxiter, "maxfev": refine_maxiter})
-    noise_floor = 1e-6 * (1.0 + abs(best_val))
-    if np.isfinite(res.fun) and res.fun < best_val - noise_floor:
+    # grid[0] is the center, where the log map is undefined
+    fun, apex_at, basis = _ball_objective(space, graph, hull, sense)
+    z0 = space.mdot(basis, space.log(hull.center, best_apex)) if best \
+        else np.zeros(space.dim)
+    res = optimize.minimize(fun, z0, jac=True, method="L-BFGS-B",
+                            options={"maxiter": REFINE_MAX_ITER})
+    # false for an inf or nan value too
+    if res.fun < best_val:
         best_val = float(res.fun)
-        best_apex = space.exp(best_apex, res.x @ basis)
+        best_apex = apex_at(res.x)
     return ExtremalArea(value=sense * best_val, apex=np.asarray(best_apex))
 
 
@@ -269,8 +306,7 @@ def evaluate_certificates(space: SpaceForm, graph: EmbeddedGraph,
                           mode: Mode = Mode.STRICT,
                           simple_curve: bool = False,
                           tc: TCReport | None = None,
-                          grid_n: int = 1000,
-                          refine_maxiter: int = 400) -> list[Certificate]:
+                          grid_n: int = 1000) -> list[Certificate]:
     """Evaluate every applicable threshold and return one certificate row
     per threshold, strongest claim first, whether or not it qualifies
     (margin >= 0 means it does).  grid_n must be >= 1 in every model and
@@ -302,8 +338,7 @@ def evaluate_certificates(space: SpaceForm, graph: EmbeddedGraph,
     else:
         hull = hull_approx(space, graph, grid_n=grid_n)
         extremum = extremal_cone_area(space, graph, hull,
-                                      "max" if spherical else "min",
-                                      refine_maxiter=refine_maxiter)
+                                      "max" if spherical else "min")
         extremal_apex = extremum.apex
         area_term = -space.sectional_curvature * extremum.value
         mode_note = _HEURISTIC_NOTE

@@ -9,8 +9,9 @@ samples at their apex distances r, and the swept angle theta grows over
 each chord by that triangle's apex angle.  Both the apex angles and the
 triangle areas come from one Gram kernel on half squared chords.
 
-Apex densities, areas, boundary conormal curvatures and the closed-cone
-angle-balance residual are all computed from this data.
+Apex densities, areas and their apex gradients, boundary conormal
+curvatures and the closed-cone angle-balance residual are all computed from
+this data.
 """
 
 from __future__ import annotations
@@ -206,12 +207,19 @@ def _gram_root(space: SpaceForm, alpha: np.ndarray, beta: np.ndarray,
 def _triangle_areas(space: SpaceForm, alpha: np.ndarray, beta: np.ndarray,
                     gamma: np.ndarray) -> np.ndarray:
     """Areas of the geodesic triangles of _gram_root."""
+    return _root_areas(space, alpha + beta + gamma,
+                       _gram_root(space, alpha, beta, gamma))
+
+
+def _root_areas(space: SpaceForm, total: np.ndarray,
+                root: np.ndarray) -> np.ndarray:
+    """_triangle_areas from the triangles' _gram_root and the sums
+    alpha + beta + gamma of their half squared chords: root/2 flat, else
+    (2/|K|) atan2(|K| root, 4 - K total)."""
     k = space.sectional_curvature
-    root = _gram_root(space, alpha, beta, gamma)
     if k == 0.0:
         return 0.5 * root
-    return 2.0 / abs(k) * np.arctan2(abs(k) * root,
-                                     4.0 - k * (alpha + beta + gamma))
+    return 2.0 / abs(k) * np.arctan2(abs(k) * root, 4.0 - k * total)
 
 
 def _apex_angles(space: SpaceForm, alpha: np.ndarray, beta: np.ndarray,
@@ -232,13 +240,16 @@ class _EdgeChords:
     are the n fine chords followed by the coarse chords; chord i joins
     samples tail[i] and head[i], with half squared chord gamma[i].  Coarse
     chord m starts at fine chord lo[m] and spans j of them, and
-    denom[m] = j^2 - 1."""
+    denom[m] = j^2 - 1.  weight[i] is the factor of triangle i in the
+    Richardson sum: 1 + 1/denom[m] for a fine chord inside coarse chord m,
+    -1/denom[m] for coarse chord m."""
 
     tail: np.ndarray
     head: np.ndarray
     gamma: np.ndarray
     lo: np.ndarray
     denom: np.ndarray
+    weight: np.ndarray
 
 
 def _edge_chords(space: SpaceForm, edge: EdgeCurve) -> _EdgeChords:
@@ -253,10 +264,13 @@ def _edge_chords(space: SpaceForm, edge: EdgeCurve) -> _EdgeChords:
     lo, hi = nodes[:-1], nodes[1:]
     tail = np.concatenate([np.arange(n), lo])
     head = np.concatenate([np.arange(1, n + 1), hi])
+    denom = (hi - lo) ** 2 - 1
+    step = 1.0 / denom
     chords = _EdgeChords(
         tail=tail, head=head,
         gamma=_half_sq_chords(space, edge.samples[tail], edge.samples[head]),
-        lo=lo, denom=(hi - lo) ** 2 - 1)
+        lo=lo, denom=denom,
+        weight=np.concatenate([1.0 + np.repeat(step, hi - lo), -step]))
     edge._cone_chords = chords
     return chords
 
@@ -270,12 +284,52 @@ def _edge_cone_area(space: SpaceForm, alpha: np.ndarray,
     to leading order for a chord of length H, so adding (fine - coarse) /
     (j^2 - 1) per coarse chord, a Richardson step, cancels that term.
     Straight edges stay exact."""
-    areas = _triangle_areas(space, alpha[chords.tail], alpha[chords.head],
-                            chords.gamma)
-    n = len(alpha) - 1
+    return _richardson_sum(
+        _triangle_areas(space, alpha[chords.tail], alpha[chords.head],
+                        chords.gamma), chords)
+
+
+def _richardson_sum(areas: np.ndarray, chords: _EdgeChords) -> float:
+    """The Richardson-weighted sum of the triangle areas on an edge's fine
+    chords followed by its coarse chords; chords.weight holds its factors."""
+    n = len(chords.tail) - len(chords.lo)
     fine, coarse = areas[:n], areas[n:]
     correction = (np.add.reduceat(fine, chords.lo) - coarse) / chords.denom
     return float(np.sum(fine) + np.sum(correction))
+
+
+def _edge_cone_area_partials(space: SpaceForm, alpha: np.ndarray,
+                             chords: _EdgeChords) -> tuple[float, np.ndarray]:
+    """_edge_cone_area, bit for bit, and its partials c = dArea/dalpha.
+
+    A triangle's area is (2/|K|) atan2(|K| s, D) with s = sqrt(g) its
+    _gram_root and D = 4 - K (alpha + beta + gamma), or s/2 flat; both give
+
+        dA/dalpha = (D g_alpha + 2 K g) / (s (K^2 g + D^2)),
+        g_alpha = 2 (beta + gamma - alpha) - 2 K beta gamma,
+
+    and likewise in beta.  Where g <= 0 the apex lies on the chord's
+    geodesic (a fold of the cone) and the partials of s are infinite; that
+    triangle's partials are set to 0 there.  Each sample's c sums the
+    Richardson-weighted partials of the triangles that have it as a
+    corner."""
+    a, b, gamma = alpha[chords.tail], alpha[chords.head], chords.gamma
+    k = space.sectional_curvature
+    total = a + b + gamma
+    root = _gram_root(space, a, b, gamma)
+    area = _richardson_sum(_root_areas(space, total, root), chords)
+    d = 4.0 - k * total
+    g = root * root
+    fold = root == 0.0
+    scale = chords.weight / np.where(fold, 1.0, root * (k * k * g + d * d))
+    scale[fold] = 0.0
+    c_tail = scale * (d * (2.0 * (b + gamma - a) - 2.0 * k * b * gamma)
+                      + 2.0 * k * g)
+    c_head = scale * (d * (2.0 * (a + gamma - b) - 2.0 * k * a * gamma)
+                      + 2.0 * k * g)
+    size = len(alpha)
+    return area, (np.bincount(chords.tail, c_tail, minlength=size)
+                  + np.bincount(chords.head, c_head, minlength=size))
 
 
 def ambient_cone_area(space: SpaceForm, apex: np.ndarray,
@@ -293,6 +347,35 @@ def ambient_cone_area(space: SpaceForm, apex: np.ndarray,
         _admit(space, alpha, clearance)
         total += _edge_cone_area(space, alpha, _edge_chords(space, edge))
     return total
+
+
+def cone_area_gradient(space: SpaceForm, apex: np.ndarray,
+                       graph: EmbeddedGraph,
+                       clearance: float = APEX_CLEARANCE
+                       ) -> tuple[float, np.ndarray]:
+    """ambient_cone_area, bit for bit, and its ambient apex gradient
+
+        G = -sum_i c_i (x_i - apex),   c_i = dArea/dalpha_i,
+
+    since alpha_i = <x_i - p, x_i - p>/2 under the ambient form.  Then
+    dArea = <G, dp> (space.mdot) for every tangent dp at the apex, so the
+    Riemannian gradient is space.tangent_project(apex, G); the part of G
+    normal to the model carries no meaning, and it grows large near a
+    fold.  The c_i sum the triangle partials of _edge_cone_area_partials
+    over the fine and coarse chords with the Richardson weights; a
+    triangle whose apex lies on its chord's geodesic (g <= 0) has partials
+    0.  The apex must pass _admit at `clearance`."""
+    apex = np.asarray(apex, float)
+    total = 0.0
+    grad = np.zeros_like(apex)
+    for edge in graph.edges:
+        alpha = _half_sq_chords(space, edge.samples, apex)
+        _admit(space, alpha, clearance)
+        area, c = _edge_cone_area_partials(space, alpha,
+                                           _edge_chords(space, edge))
+        total += area
+        grad -= c @ (edge.samples - apex)
+    return total, grad
 
 
 def gauss_bonnet_residual(space: SpaceForm, apex: np.ndarray,

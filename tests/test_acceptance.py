@@ -230,8 +230,7 @@ def test_criterion_6_certificates():
         strict = evaluate_certificates(SPACES["spherical"], g,
                                        mode=Mode.STRICT, tc=tc)
         heur = evaluate_certificates(SPACES["spherical"], g,
-                                     mode=Mode.HEURISTIC, tc=tc, grid_n=16,
-                                     refine_maxiter=30)
+                                     mode=Mode.HEURISTIC, tc=tc, grid_n=16)
         for cs, ch in zip(strict, heur):
             worst_gap = max(worst_gap, cs.margin - ch.margin)
     ok_modes = worst_gap <= 1e-9

@@ -10,10 +10,12 @@ from soapcert import (
     CROSSING_DENSITY,
     Mode,
     Model,
+    NumericalError,
     SpaceForm,
     T_CONE_DENSITY,
     Verdict,
     Y_CONE_DENSITY,
+    ambient_cone_area,
     certify,
     cone_total_curvature,
     density_bound,
@@ -143,15 +145,16 @@ class TestExtremalConeArea:
         with pytest.raises(ApexOnGraphError):
             density_bound(space, hull.grid[0], g, tc)
         res = extremal_cone_area(space, g, hull,
-                                 "max" if name == "spherical" else "min",
-                                 refine_maxiter=60)
+                                 "max" if name == "spherical" else "min")
         assert math.isfinite(res.value) and res.value > 0.0
         assert float(space.dist(res.apex, hull.grid[0])) > SEARCH_CLEARANCE
 
     def test_search_never_measures_every_sample(self, monkeypatch):
         """Each candidate's admissibility comes from the half squared chords
         that feed its area, so no distance call during the search spans the
-        graph's samples."""
+        graph's samples.  The minimum starts its refinement at the hull
+        center and measures no distance at all; the maximum starts at a
+        grid point and measures its one distance from the center."""
         g = shapes.wavy_closed_curve_graph(HYP1, n=512)
         hull = hull_approx(HYP1, g, grid_n=32)
         rows = []
@@ -164,7 +167,68 @@ class TestExtremalConeArea:
 
         monkeypatch.setattr(SpaceForm, "dist", counted)
         extremal_cone_area(HYP1, g, hull, "min")
+        extremal_cone_area(HYP1, g, hull, "max")
         assert rows and max(rows) < len(g.all_samples())
+
+    @pytest.mark.parametrize("name", ["hyperbolic", "spherical", "flat"])
+    def test_refinement_never_worse_than_the_grid(self, name):
+        space = SPACES[name]
+        rng = np.random.default_rng(41)
+        graphs = [shapes.wavy_closed_curve_graph(space, n=256)] + [
+            random_graph(space, rng, samples_per_edge=64) for _ in range(3)]
+        for g in graphs:
+            hull = hull_approx(space, g, grid_n=48)
+            grid = []
+            for apex in hull.grid:
+                try:
+                    grid.append(ambient_cone_area(
+                        space, apex, g, clearance=SEARCH_CLEARANCE))
+                except NumericalError:
+                    pass
+            low = extremal_cone_area(space, g, hull, "min")
+            high = extremal_cone_area(space, g, hull, "max")
+            assert low.value <= min(grid)
+            assert high.value >= max(grid)
+            for res in (low, high):
+                assert float(space.dist(res.apex, hull.center)) \
+                    <= hull.radius * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("curv", [1.0, 1.5])
+    def test_spherical_maximum_within_the_strict_bound(self, curv):
+        # the refinement reaches the ball boundary, where the spherical
+        # maximum lies; it must still stay below the rigorous bound
+        space = SpaceForm(Model.SPHERICAL, 3, curv)
+        g = shapes.wavy_closed_curve_graph(space, n=512)
+        tc = cone_total_curvature(space, g)
+        strict = evaluate_certificates(space, g, mode=Mode.STRICT, tc=tc)
+        heur = evaluate_certificates(space, g, mode=Mode.HEURISTIC, tc=tc,
+                                     grid_n=128)
+        k = space.sectional_curvature
+        assert -heur[0].cone_area_term / k <= -strict[0].cone_area_term / k
+        for cs, ch in zip(strict, heur):
+            assert cs.margin <= ch.margin
+
+    @pytest.mark.parametrize("name", ["hyperbolic", "spherical"])
+    def test_refinement_evaluation_count(self, name, monkeypatch):
+        """A counted, not timed, guard on the refinement's cost: one
+        optimize.minimize call per search, where the benchmark's tracer
+        times it, within 50 evaluations of area and gradient."""
+        space = SPACES[name]
+        g = shapes.wavy_closed_curve_graph(space, n=512)
+        hull = hull_approx(space, g, grid_n=128)
+        module = importlib.import_module("soapcert.certify")
+        minimize = module.optimize.minimize
+        nfev = []
+
+        def counted(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            nfev.append(res.nfev)
+            return res
+
+        monkeypatch.setattr(module.optimize, "minimize", counted)
+        extremal_cone_area(space, g, hull,
+                           "max" if name == "spherical" else "min")
+        assert len(nfev) == 1 and 0 < nfev[0] <= 50
 
 
 class TestCertify:
@@ -238,7 +302,7 @@ class TestCertify:
             tc = cone_total_curvature(space, g)
             strict = evaluate_certificates(space, g, mode=Mode.STRICT, tc=tc)
             heur = evaluate_certificates(space, g, mode=Mode.HEURISTIC, tc=tc,
-                                         grid_n=24, refine_maxiter=30)
+                                         grid_n=24)
             for cs, ch in zip(strict, heur):
                 assert cs.threshold == ch.threshold
                 assert cs.margin <= ch.margin + 1e-9
@@ -250,7 +314,7 @@ class TestCertify:
         tc = cone_total_curvature(space, g)
         strict = evaluate_certificates(space, g, mode=Mode.STRICT, tc=tc)
         heur = evaluate_certificates(space, g, mode=Mode.HEURISTIC, tc=tc,
-                                     grid_n=24, refine_maxiter=30)
+                                     grid_n=24)
         for cs, ch in zip(strict, heur):
             if cs.verdict is not Verdict.NO_CERTIFICATE:
                 assert ch.verdict is not Verdict.NO_CERTIFICATE

@@ -12,19 +12,22 @@ from soapcert import (
     ambient_cone_area,
     ambient_cone_density,
     check_apex,
+    cone_area_gradient,
     cone_conormal_curvature,
     cone_total_curvature,
     density_bound,
     develop_cone,
     gauss_bonnet_residual,
+    hull_approx,
     resample_arclength,
     vertex_star,
 )
 from soapcert import shapes
-from soapcert.certify import SEARCH_CLEARANCE
+from soapcert.certify import SEARCH_CLEARANCE, _ball_objective
 from soapcert.cone import (
     APEX_CLEARANCE,
     _apex_angles,
+    _gram_root,
     _half_sq_chords,
     _triangle_areas,
 )
@@ -332,6 +335,88 @@ class TestConeAreaCache:
                 == uncached_cone_area(HYP1, apex, fine)
 
 
+def _tangent_differences(space, apex, graph, h=1e-5):
+    """Central differences of ambient_cone_area along the tangent basis at
+    the apex."""
+    return np.array([
+        (ambient_cone_area(space, space.exp(apex, h * e), graph)
+         - ambient_cone_area(space, space.exp(apex, -h * e), graph)) / (2 * h)
+        for e in space.tangent_basis(apex)])
+
+
+def _gradient_apices(space):
+    base = space.base_point()
+    basis = space.tangent_basis(base)
+    return [space.exp(base, np.array(v) @ basis)
+            for v in ([0.0, 0.0, 0.0], [0.1, 0.05, 0.2], [-0.3, 0.2, -0.1])]
+
+
+class TestConeAreaGradient:
+    @UNIT_MODELS
+    def test_area_is_the_ambient_area_bit_for_bit(self, space):
+        g = shapes.wavy_closed_curve_graph(space, n=512)
+        for apex in _gradient_apices(space):
+            area, _ = cone_area_gradient(space, apex, g)
+            assert float.hex(area) == float.hex(ambient_cone_area(space, apex, g))
+
+    @UNIT_MODELS
+    def test_tangent_gradient_matches_central_differences(self, space):
+        g = shapes.wavy_closed_curve_graph(space, n=512)
+        for apex in _gradient_apices(space):
+            _, grad = cone_area_gradient(space, apex, g)
+            tangent = space.tangent_project(apex, grad)
+            got = space.mdot(space.tangent_basis(apex), tangent)
+            assert np.max(np.abs(got - _tangent_differences(space, apex, g))) \
+                < 1e-8
+
+    @UNIT_MODELS
+    @pytest.mark.parametrize("sense", [1.0, -1.0], ids=["min", "max"])
+    def test_normal_coordinate_gradient_matches_central_differences(
+            self, space, sense):
+        # at the hull center, inside the ball, and outside it, where the
+        # objective is read at the projection onto the ball's boundary
+        g = shapes.wavy_closed_curve_graph(space, n=512)
+        hull = hull_approx(space, g, grid_n=1)
+        fun, apex_at, _ = _ball_objective(space, g, hull, sense)
+        direction = np.array([0.6, -0.48, 0.64])
+        h = 1e-6
+        for z in (np.zeros(3), 0.5 * hull.radius * direction,
+                  1.4 * hull.radius * direction):
+            value, grad = fun(z)
+            assert value == sense * ambient_cone_area(
+                space, apex_at(z), g, clearance=SEARCH_CLEARANCE)
+            fd = np.array([(fun(z + h * e)[0] - fun(z - h * e)[0]) / (2 * h)
+                           for e in np.eye(3)])
+            assert np.max(np.abs(grad - fd)) < 1e-8
+        assert float(space.dist(apex_at(z), hull.center)) == pytest.approx(
+            hull.radius, rel=1e-12)
+
+    def test_fold_gives_a_finite_gradient(self):
+        # apices on the geodesic through two consecutive samples, beyond
+        # them: that chord's triangle is flat, g <= 0 where rounding allows,
+        # and the partials of its sqrt(g) would be infinite
+        g = shapes.wavy_closed_curve_graph(HYP1, n=512)
+        x = g.edges[0].samples
+        folds = 0
+        for i in range(0, 512, 16):
+            apex = HYP1.geodesic_point(x[i], x[i + 1], -40.0)
+            alpha = _half_sq_chords(HYP1, x, apex)
+            if _gram_root(HYP1, alpha[i], alpha[i + 1],
+                          _half_sq_chords(HYP1, x[i], x[i + 1])) > 0.0:
+                continue
+            folds += 1
+            area, grad = cone_area_gradient(HYP1, apex, g)
+            assert area == ambient_cone_area(HYP1, apex, g)
+            assert np.all(np.isfinite(grad))
+            # the flat triangle's area is |height| times half its base, whose
+            # central difference is 0, the partial it is given
+            got = HYP1.mdot(HYP1.tangent_basis(apex),
+                            HYP1.tangent_project(apex, grad))
+            assert np.max(np.abs(got - _tangent_differences(
+                HYP1, apex, g, h=1e-6))) < 1e-4
+        assert folds > 0
+
+
 def _admissibility_cases():
     for model, scales in ((Model.FLAT, (0.0,)), (Model.HYPERBOLIC, (1.0, 2.0)),
                           (Model.SPHERICAL, (1.0, 2.0))):
@@ -349,7 +434,8 @@ def _admissibility_cases():
 
 
 class TestAdmissibilityRule:
-    """check_apex, ambient_cone_area and density_bound decide on half
+    """check_apex, ambient_cone_area, cone_area_gradient and density_bound
+    decide on half
     squared chords; they must accept or reject exactly where the distance
     tests do."""
 
@@ -375,7 +461,9 @@ class TestAdmissibilityRule:
                 outcomes.append(reject)
                 fns = [lambda: check_apex(space, apex, samples, clearance),
                        lambda: ambient_cone_area(space, apex, g,
-                                                 clearance=clearance)]
+                                                 clearance=clearance),
+                       lambda: cone_area_gradient(space, apex, g,
+                                                  clearance=clearance)]
                 if bound:
                     fns.append(lambda: density_bound(space, apex, g, tc))
                 for fn in fns:

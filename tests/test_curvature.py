@@ -121,7 +121,7 @@ class TestVertexTC:
         assert res.tc == pytest.approx(math.pi / 6.0, abs=1e-3)
 
     def test_four_leg_star_reaches_supremum(self):
-        # the supremum 3.390009464316815 comes from a Nelder-Mead polish
+        # the supremum 3.390009464316815 comes from a downhill-simplex polish
         # with exact atan2 angles; the ascent needs about 3,100 iterations
         g = four_leg_star_graph()
         res = vertex_tc(g.space, g, "q")

@@ -22,35 +22,69 @@ def _column(v: np.ndarray, ndim: int) -> np.ndarray:
 
 _WINDOW = 5
 
+# For window node j: the other nodes (_OTHERS[j]), and for the i-th of
+# them, k = _OTHERS[j, i], the nodes left once j and k are dropped
+# (_REST[j, i]), all in increasing order.
+_OTHERS = np.array([[m for m in range(_WINDOW) if m != j]
+                    for j in range(_WINDOW)])
+_REST = np.array([[[m for m in _OTHERS[j] if m != k] for k in _OTHERS[j]]
+                  for j in range(_WINDOW)])
 
-def curve_first_derivative(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """dX/ds at every sample from a sliding 5-node Lagrange window (clamped
-    at the ends), fourth order on smooth grids.  A uniform scheme is used at
-    every sample, interior and ends alike, so the estimate carries no
-    leading-order kinks; such kinks would be amplified by any later second
-    differencing."""
-    n = len(s)
+# Samples per block of the weight build; it keeps the temporaries of a
+# long edge within cache.
+_BLOCK = 2048
+
+
+def first_derivative_stencil(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first-derivative stencil on parameters s: a sliding 5-node
+    Lagrange window (clamped at the ends), fourth order on smooth grids.
+    A uniform scheme is used at every sample, interior and ends alike, so
+    the estimate carries no leading-order kinks; such kinks would be
+    amplified by any later second differencing.
+
+    Returns each sample's window start, shape (n,), and the weights of
+    its window's five samples, shape (n, 5).  They depend on s alone, so
+    one stencil serves every curve sampled at s; apply_stencil evaluates
+    it."""
     s = np.asarray(s, float)
-    x = np.asarray(x, float)
+    n = len(s)
     start = np.clip(np.arange(n) - _WINDOW // 2, 0, n - _WINDOW)
-    # node parameters relative to the evaluation point, shape (n, _WINDOW)
-    t = s[start[:, None] + np.arange(_WINDOW)[None, :]] - s[:, None]
+    # node parameters relative to the evaluation point, one row per node
+    t = s[start + np.arange(_WINDOW)[:, None]] - s
+    weights = np.empty_like(t)
+    for lo in range(0, n, _BLOCK):
+        weights[:, lo:lo + _BLOCK] = _lagrange_slopes(t[:, lo:lo + _BLOCK])
+    return start, weights.T
+
+
+def _lagrange_slopes(t: np.ndarray) -> np.ndarray:
+    """Row j: the slope at 0 of the Lagrange basis polynomial of node j
+    over nodes at t (one column per evaluation point),
+
+        sum_{k != j} prod_{m != j, k} (-t_m)  /  prod_{m != j} (t_j - t_m),
+
+    with every product and sum taken in increasing node order."""
+    neg = -t
+    denom = t - t[_OTHERS[:, 0]]
+    for i in range(1, _WINDOW - 1):
+        denom = denom * (t - t[_OTHERS[:, i]])
+    num = None
+    for i in range(_WINDOW - 1):
+        rest = _REST[:, i]
+        prod = neg[rest[:, 0]] * neg[rest[:, 1]] * neg[rest[:, 2]]
+        num = prod if num is None else num + prod
+    return num / denom
+
+
+def apply_stencil(stencil: tuple[np.ndarray, np.ndarray],
+                  x: np.ndarray) -> np.ndarray:
+    """dX/ds at every sample of values x (one row per sample) from the
+    first_derivative_stencil of their parameters."""
+    start, weights = stencil
+    x = np.asarray(x, float)
     d = np.zeros_like(x)
     for j in range(_WINDOW):
-        denom = np.ones(n)
-        for m in range(_WINDOW):
-            if m != j:
-                denom *= t[:, j] - t[:, m]
-        num = np.zeros(n)
-        for k in range(_WINDOW):
-            if k == j:
-                continue
-            prod = np.ones(n)
-            for m in range(_WINDOW):
-                if m != j and m != k:
-                    prod *= -t[:, m]
-            num += prod
-        d += _column(num / denom, x.ndim) * x[start + j]
+        d += _column(weights[:, j], x.ndim) * x[start + j]
     return d
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _num
 from .curvature import edge_curvature
-from .errors import ApexOnGraphError, ConjugatePointError
+from .errors import ApexOnGraphError, ConjugatePointError, ValidationError
 from .graph import EdgeCurve, EmbeddedGraph, edge_unit_tangents, vertex_star
 from .spaceform import ANTIPODAL_SLACK, Model, SpaceForm
 
@@ -151,10 +151,8 @@ def develop_cone(space: SpaceForm, apex: np.ndarray,
                               chords.gamma[:len(alpha) - 1])
         theta = np.concatenate(([0.0], np.cumsum(angles)))
         dev_samples = developed_points(plane, r, theta)
-        dev_edge = EdgeCurve(id=edge.id, endpoints=edge.endpoints,
-                             samples=dev_samples, s=edge.s.copy())
-        khat = _num.extend_interior(
-            cone_conormal_curvature(plane, plane_apex, dev_edge))
+        khat = _num.extend_interior(cone_conormal_curvature(
+            plane, plane_apex, edge.with_samples(dev_samples)))
         per_edge.append(EdgeDevelopment(
             edge_id=edge.id, s=edge.s.copy(), r=r, theta=theta, khat_nu=khat))
         total_angle += float(theta[-1])
@@ -387,20 +385,39 @@ def gauss_bonnet_residual(space: SpaceForm, apex: np.ndarray,
             - sum_vertices sum_ends (pi/2 - angle(T_end, toward apex)),
 
     with K the model's sectional curvature.  Zero in exact arithmetic; the
-    numerical value shrinks at second order under sample refinement.
+    numerical value shrinks at second order under sample refinement.  A
+    given `dev` must be develop_cone's for this apex and graph: same apex,
+    same edge ids and parameters in graph order, or ValidationError.  The
+    vertex term measures every edge-end's angle in one pass and subtracts
+    them in graph order.
     """
     apex = np.asarray(apex, float)
     if dev is None:
         dev = develop_cone(space, apex, graph)
+    else:
+        _check_development(apex, graph, dev)
     k_ambient = space.sectional_curvature
     total = 2.0 * math.pi * dev.hat_density - k_ambient * dev.hat_area
     for ed in dev.per_edge:
         vals = np.nan_to_num(ed.khat_nu, nan=0.0)
         total += _num.trapezoid(vals, ed.s)
-    for vertex in graph.vertices:
-        q = vertex.point
-        toward_apex = space.log(q, apex)
-        for tv in vertex_star(graph, vertex.id):
-            ang = float(space.angle_between(tv.vec, toward_apex))
-            total -= math.pi / 2.0 - ang
+    star = [tv for vertex in graph.vertices
+            for tv in vertex_star(graph, vertex.id)]
+    toward_apex = space.log(np.array([tv.base for tv in star]), apex)
+    angles = space.angle_between(np.array([tv.vec for tv in star]),
+                                 toward_apex)
+    for ang in angles.tolist():
+        total -= math.pi / 2.0 - ang
     return abs(total)
+
+
+def _check_development(apex: np.ndarray, graph: EmbeddedGraph,
+                       dev: ConeDevelopment) -> None:
+    """ValidationError unless dev develops the cone from this apex over
+    this graph's edges."""
+    if not np.array_equal(dev.apex, apex):
+        raise ValidationError("the development was made at another apex")
+    if len(dev.per_edge) != len(graph.edges) or any(
+            ed.edge_id != e.id or not np.array_equal(ed.s, e.s)
+            for ed, e in zip(dev.per_edge, graph.edges)):
+        raise ValidationError("the development was made over another graph")

@@ -58,6 +58,16 @@ class EdgeCurve:
     def length(self) -> float:
         return float(self.s[-1])
 
+    def with_samples(self, samples: np.ndarray) -> "EdgeCurve":
+        """An edge with this one's id, endpoints and parameters but the
+        given samples, one per parameter.  Its first-derivative stencil
+        depends on the parameters alone, so it is this edge's stencil,
+        built here once for both."""
+        twin = EdgeCurve(id=self.id, endpoints=self.endpoints,
+                         samples=samples, s=self.s)
+        twin._stencil = _derivative_stencil(self)
+        return twin
+
 
 @dataclass(eq=False)
 class EmbeddedGraph:
@@ -345,14 +355,24 @@ def resample_arclength(graph: EmbeddedGraph, h: float) -> EmbeddedGraph:
 # ---------------------------------------------------------------------------
 # tangents
 
+def _derivative_stencil(edge: EdgeCurve) -> tuple[np.ndarray, np.ndarray]:
+    """The edge's _num.first_derivative_stencil, cached on the edge and
+    shared with the edges EdgeCurve.with_samples makes from it."""
+    cached = getattr(edge, "_stencil", None)
+    if cached is None:
+        cached = edge._stencil = _num.first_derivative_stencil(edge.s)
+    return cached
+
+
 def edge_unit_tangents(space: SpaceForm, edge: EdgeCurve) -> np.ndarray:
     """Unit tangent at every sample: finite differences of the samples
     (one-sided at the ends), projected to the tangent space and normalized.
-    Cached on the edge; edges are immutable after construction."""
+    Cached on the edge, as is the difference stencil; edges are immutable
+    after construction."""
     cached = getattr(edge, "_unit_tangents", None)
     if cached is not None:
         return cached
-    d = _num.curve_first_derivative(edge.s, edge.samples)
+    d = _num.apply_stencil(_derivative_stencil(edge), edge.samples)
     t = space.tangent_project(edge.samples, d)
     n = space.norm(t)
     if np.any(n < 1e-12):

@@ -1,6 +1,8 @@
 """Shared generators for randomized test instances: smooth random graphs,
 generic apices, random ambient isometries, and plain triangle sums of cone
-areas that serve as independent references."""
+areas that serve as independent references.  It also keeps loop-by-loop
+forms of the first-derivative stencil and of the angle-balance vertex term,
+as oracles for their array forms."""
 
 from __future__ import annotations
 
@@ -9,8 +11,9 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from soapcert import (Model, SpaceForm, check_apex, edge_unit_tangents,
-                      karcher_center)
+from soapcert import (Model, SpaceForm, check_apex, develop_cone,
+                      edge_unit_tangents, karcher_center, vertex_star)
+from soapcert._num import trapezoid
 from soapcert.cone import _half_sq_chords, _triangle_areas, developed_points
 from soapcert.graph import EmbeddedGraph, Vertex, make_edge, validate_graph
 
@@ -354,3 +357,53 @@ def four_leg_star_graph(chords=16):
               for k in range(4)]
     return validate_graph(EmbeddedGraph(space=space, vertices=vertices,
                                         edges=edges))
+
+
+def loop_first_derivative(s, x):
+    """dX/ds from the sliding 5-node Lagrange window of
+    _num.first_derivative_stencil, built weight by weight: for node j the
+    slope at 0 of its basis polynomial, sum_{k != j} prod_{m != j, k} (-t_m)
+    over prod_{m != j} (t_j - t_m), every product started at 1 and every sum
+    at 0."""
+    window = 5
+    n = len(s)
+    s = np.asarray(s, float)
+    x = np.asarray(x, float)
+    start = np.clip(np.arange(n) - window // 2, 0, n - window)
+    t = s[start[:, None] + np.arange(window)[None, :]] - s[:, None]
+    d = np.zeros_like(x)
+    for j in range(window):
+        denom = np.ones(n)
+        for m in range(window):
+            if m != j:
+                denom *= t[:, j] - t[:, m]
+        num = np.zeros(n)
+        for k in range(window):
+            if k == j:
+                continue
+            prod = np.ones(n)
+            for m in range(window):
+                if m != j and m != k:
+                    prod *= -t[:, m]
+            num += prod
+        w = num / denom
+        d += w.reshape(w.shape + (1,) * (x.ndim - 1)) * x[start + j]
+    return d
+
+
+def loop_gauss_bonnet_residual(space, apex, graph, dev=None):
+    """gauss_bonnet_residual with its vertex term taken vertex by vertex:
+    one log map per vertex and one angle per edge-end."""
+    apex = np.asarray(apex, float)
+    if dev is None:
+        dev = develop_cone(space, apex, graph)
+    total = 2.0 * math.pi * dev.hat_density \
+        - space.sectional_curvature * dev.hat_area
+    for ed in dev.per_edge:
+        total += trapezoid(np.nan_to_num(ed.khat_nu, nan=0.0), ed.s)
+    for vertex in graph.vertices:
+        toward_apex = space.log(vertex.point, apex)
+        for tv in vertex_star(graph, vertex.id):
+            ang = float(space.angle_between(tv.vec, toward_apex))
+            total -= math.pi / 2.0 - ang
+    return abs(total)

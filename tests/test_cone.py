@@ -9,6 +9,7 @@ from soapcert import (
     Model,
     NumericalError,
     SpaceForm,
+    ValidationError,
     ambient_cone_area,
     ambient_cone_density,
     check_apex,
@@ -17,12 +18,13 @@ from soapcert import (
     cone_total_curvature,
     density_bound,
     develop_cone,
+    edge_unit_tangents,
     gauss_bonnet_residual,
     hull_approx,
     resample_arclength,
     vertex_star,
 )
-from soapcert import shapes
+from soapcert import _num, shapes
 from soapcert.certify import SEARCH_CLEARANCE, _ball_objective
 from soapcert.cone import (
     APEX_CLEARANCE,
@@ -36,6 +38,9 @@ from soapcert.graph import make_edge
 from builders import (
     SPACES,
     developed_plain_area,
+    figure_eight_graph,
+    four_leg_star_graph,
+    loop_gauss_bonnet_residual,
     plain_cone_area,
     projected_cone_density,
     random_instance,
@@ -577,3 +582,113 @@ class TestGaussBonnetResidual:
             chain = 2.0 * math.pi * dev.hat_density \
                 - space.sectional_curvature * dev.hat_area
             assert chain <= rep.total + 1e-3
+
+
+class TestDevelopmentCheck:
+    """gauss_bonnet_residual only accepts the development of its own apex
+    and graph."""
+
+    APEX = np.array([0.3, 0.2, 0.6])
+
+    def test_matching_development_accepted(self):
+        g = shapes.theta_graph(samples_per_edge=128)
+        dev = develop_cone(FLAT, self.APEX, g)
+        assert gauss_bonnet_residual(FLAT, self.APEX, g, dev=dev) < 1e-3
+
+    def test_development_at_another_apex_rejected(self):
+        g = shapes.theta_graph(samples_per_edge=128)
+        dev = develop_cone(FLAT, np.array([0.1, -0.3, 0.5]), g)
+        with pytest.raises(ValidationError, match="another apex"):
+            gauss_bonnet_residual(FLAT, self.APEX, g, dev=dev)
+
+    def test_development_of_another_graph_rejected(self):
+        g = shapes.theta_graph(samples_per_edge=128)
+        cube = shapes.cube_skeleton_graph(samples_per_edge=32)
+        dev = develop_cone(FLAT, self.APEX, cube)
+        with pytest.raises(ValidationError, match="another graph"):
+            gauss_bonnet_residual(FLAT, self.APEX, g, dev=dev)
+
+    def test_development_of_a_resampled_graph_rejected(self):
+        # same edge ids, other parameters
+        g = shapes.theta_graph(samples_per_edge=128)
+        dev = develop_cone(FLAT, self.APEX, resample_arclength(g, 0.02))
+        with pytest.raises(ValidationError, match="another graph"):
+            gauss_bonnet_residual(FLAT, self.APEX, g, dev=dev)
+
+
+@pytest.fixture
+def stencil_builds(monkeypatch):
+    """The parameter arrays of every first-derivative stencil built while
+    the test runs."""
+    built = []
+    build = _num.first_derivative_stencil
+
+    def counted(s):
+        built.append(s)
+        return build(s)
+
+    monkeypatch.setattr(_num, "first_derivative_stencil", counted)
+    return built
+
+
+class TestDerivativeStencilSharing:
+    """Each edge builds its first-derivative stencil once; the developed
+    edges of develop_cone share their source edge's."""
+
+    CASES = {
+        "cube": lambda: shapes.cube_skeleton_graph(samples_per_edge=32),
+        "hyperbolic-pentagon": lambda: shapes.regular_polygon_graph(
+            HYP1, 5, 0.8, samples_per_edge=32),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_one_build_per_source_edge(self, name, stencil_builds):
+        g = self.CASES[name]()
+        apex = _off_base_apex(g.space)
+        dev = develop_cone(g.space, apex, g)
+        gauss_bonnet_residual(g.space, apex, g, dev=dev)
+        for _ in range(4):
+            gauss_bonnet_residual(g.space, apex, g)
+        assert len(stencil_builds) == len(g.edges)
+        assert {id(s) for s in stencil_builds} == {id(e.s) for e in g.edges}
+
+    def test_with_samples_shares_parameters_and_stencil(self, stencil_builds):
+        g = shapes.regular_polygon_graph(HYP1, 5, 0.8, samples_per_edge=32)
+        edge = g.edges[0]
+        twin = edge.with_samples(edge.samples[::-1].copy())
+        assert (twin.id, twin.endpoints) == (edge.id, edge.endpoints)
+        assert twin.s is edge.s
+        assert len(stencil_builds) == 1
+        forward = edge_unit_tangents(HYP1, edge)
+        backward = edge_unit_tangents(HYP1, twin)
+        assert len(stencil_builds) == 1
+        # the reversed samples on the same parameters run backwards
+        assert np.allclose(backward[::-1], -forward, atol=1e-3)
+        with pytest.raises(ValidationError):
+            edge.with_samples(edge.samples[:-1])
+
+
+# (graph, apex) builders for the vertex-term oracle
+VERTEX_TERM_CASES = {
+    "cube": lambda: (shapes.cube_skeleton_graph(samples_per_edge=32),
+                     np.array([0.11, -0.07, 0.21])),
+    "theta": lambda: (shapes.theta_graph(samples_per_edge=64),
+                      np.array([0.3, 0.2, 0.6])),
+    "four-leg-star": lambda: (four_leg_star_graph(),
+                              np.array([-0.1, 0.2, 0.15])),
+}
+for _space in (FLAT, HYP1, SPH1):
+    VERTEX_TERM_CASES[f"pentagon-{_space.model.value}"] = \
+        lambda space=_space: (shapes.regular_polygon_graph(
+            space, 5, 0.8, samples_per_edge=32), _pentagon_apex(space))
+    VERTEX_TERM_CASES[f"figure-eight-{_space.model.value}"] = \
+        lambda space=_space: (figure_eight_graph(space), _off_base_apex(space))
+
+
+@pytest.mark.parametrize("name", sorted(VERTEX_TERM_CASES))
+def test_vertex_term_equals_loop_oracle_bitwise(name):
+    g, apex = VERTEX_TERM_CASES[name]()
+    dev = develop_cone(g.space, apex, g)
+    want = loop_gauss_bonnet_residual(g.space, apex, g, dev=dev)
+    assert gauss_bonnet_residual(g.space, apex, g, dev=dev) == want
+    assert gauss_bonnet_residual(g.space, apex, g) == want

@@ -2,11 +2,18 @@ import numpy as np
 import pytest
 
 from soapcert._num import (
-    curve_first_derivative,
+    apply_stencil,
     curve_second_derivative_interior,
     extend_interior,
+    first_derivative_stencil,
     trapezoid,
 )
+
+from builders import loop_first_derivative
+
+
+def curve_first_derivative(s, x):
+    return apply_stencil(first_derivative_stencil(s), x)
 
 
 def _jittered_grid(n, rng, span=2.0):
@@ -47,3 +54,26 @@ def test_end_fill_equals_trapezoid_with_copied_ends():
     assert (full[0], full[-1]) == (interior[0], interior[-1])
     # end subintervals carry 2 and 3, the interior ramps from 2 to 3
     assert trapezoid(full, s) == pytest.approx(0.1 * 2.0 + 0.8 * 2.5 + 0.1 * 3.0)
+
+
+def _grids(n):
+    rng = np.random.default_rng(n)
+    return {"uniform": np.linspace(0.0, 2.0, n),
+            "random": _jittered_grid(n, rng),
+            "geometric": np.concatenate([[0.0], np.geomspace(1e-3, 5.0, n - 1)])}
+
+
+# 4500 samples span three blocks of the weight build
+@pytest.mark.parametrize("n", [8, 9, 85, 1025, 4500])
+@pytest.mark.parametrize("grid", ["uniform", "random", "geometric"])
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_stencil_equals_loop_oracle_bitwise(n, grid, ndim):
+    s = _grids(n)[grid]
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(n) if ndim == 1 else rng.standard_normal((n, 4))
+    start, weights = stencil = first_derivative_stencil(s)
+    assert start.shape == (n,) and weights.shape == (n, 5)
+    assert np.array_equal(apply_stencil(stencil, x), loop_first_derivative(s, x))
+    # a zero coordinate keeps the sign of the oracle's zeros
+    zeros = apply_stencil(stencil, np.zeros((n, 3)))
+    assert not np.any(np.signbit(zeros))

@@ -328,10 +328,16 @@ _COMMANDS = {
 }
 
 
+_parser = None
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
+    # parse_args leaves the parser as it was, so one serves every call
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     started = time.perf_counter()

@@ -251,26 +251,24 @@ class _EdgeChords:
 
 
 def _edge_chords(space: SpaceForm, edge: EdgeCurve) -> _EdgeChords:
-    """The edge's _EdgeChords, cached on the edge like its unit tangents;
-    edges are immutable after construction."""
-    cached = getattr(edge, "_cone_chords", None)
-    if cached is not None:
-        return cached
-    n = len(edge.samples) - 1
-    nodes = np.arange(0, n + 1, 2)
-    nodes[-1] = n
-    lo, hi = nodes[:-1], nodes[1:]
-    tail = np.concatenate([np.arange(n), lo])
-    head = np.concatenate([np.arange(1, n + 1), hi])
-    denom = (hi - lo) ** 2 - 1
-    step = 1.0 / denom
-    chords = _EdgeChords(
-        tail=tail, head=head,
-        gamma=_half_sq_chords(space, edge.samples[tail], edge.samples[head]),
-        lo=lo, denom=denom,
-        weight=np.concatenate([1.0 + np.repeat(step, hi - lo), -step]))
-    edge._cone_chords = chords
-    return chords
+    """The edge's _EdgeChords, cached on the edge like its unit tangents."""
+    def build():
+        n = len(edge.samples) - 1
+        nodes = np.arange(0, n + 1, 2)
+        nodes[-1] = n
+        lo, hi = nodes[:-1], nodes[1:]
+        tail = np.concatenate([np.arange(n), lo])
+        head = np.concatenate([np.arange(1, n + 1), hi])
+        denom = (hi - lo) ** 2 - 1
+        step = 1.0 / denom
+        return _EdgeChords(
+            tail=tail, head=head,
+            gamma=_half_sq_chords(space, edge.samples[tail],
+                                  edge.samples[head]),
+            lo=lo, denom=denom,
+            weight=np.concatenate([1.0 + np.repeat(step, hi - lo), -step]))
+
+    return edge.cached("cone_chords", build)
 
 
 def _edge_cone_area(space: SpaceForm, alpha: np.ndarray,

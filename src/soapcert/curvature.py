@@ -8,7 +8,9 @@ The vertex contribution at q is
 
 with T_k the unit tangents pointing into the incident edge-ends.  For a
 valence-2 vertex this is the exterior angle of the curve, taken in closed
-form; higher valences run an ascent.
+form; higher valences run an ascent.  All valence >= 3 stars of a graph
+share one lockstep ascent, each with its own starts and its own stopping
+rule, so each reads what it would read alone.
 """
 
 from __future__ import annotations
@@ -86,46 +88,83 @@ def edge_total_curvature(space: SpaceForm, edge: EdgeCurve) -> float:
 # ---------------------------------------------------------------------------
 # vertex contribution
 
-def _star_objective(tangent_coords: np.ndarray):
-    """Build value/gradient callables of g(e) = sum_k (pi/2 - angle(T_k, e))
-    for unit e given the star's tangents in orthonormal coordinates."""
-    T = tangent_coords
+def _valence_runs(valence: np.ndarray) -> list[tuple[int, int, int]]:
+    """(lo, hi, k) for each run of stars lo:hi that share the valence k, in
+    a batch sorted by valence."""
+    cuts = [0, *(np.flatnonzero(np.diff(valence)) + 1).tolist(), len(valence)]
+    return [(lo, hi, int(valence[lo])) for lo, hi in zip(cuts[:-1], cuts[1:])]
 
-    def value(E: np.ndarray) -> np.ndarray:
-        dots = np.clip(E @ T.T, -1.0, 1.0)
-        return np.sum(math.pi / 2.0 - np.arccos(dots), axis=-1)
 
-    def gradient(E: np.ndarray) -> np.ndarray:
+def _batch_values(dots: np.ndarray, runs) -> np.ndarray:
+    """The star objective g(e) = sum_k (pi/2 - angle(T_k, e)) of every
+    (star, start) of a batch from its dot products with the star's unit
+    tangents.  Each row is summed over its own valence only, so its sum is
+    the one a star of that valence reads alone: numpy sums eight or more
+    terms pairwise, and a padded row would pair them differently."""
+    terms = math.pi / 2.0 - np.arccos(np.clip(dots, -1.0, 1.0))
+    values = np.empty(dots.shape[:2])
+    for lo, hi, k in runs:
+        values[lo:hi] = np.sum(terms[lo:hi, :, :k], axis=-1)
+    return values
+
+
+def _ascent_on_sphere(starts: list[np.ndarray],
+                      tangents: list[np.ndarray]) -> list[tuple]:
+    """Projected-gradient ascent with backtracking of the star objective on
+    the unit sphere, for several stars in one lockstep.  Star i climbs from
+    the rows of starts[i] with the unit tangents tangents[i]; it leaves the
+    batch at the iteration where all of its steps are below 1e-13, so each
+    star takes exactly the steps it would take alone.  The stars are
+    stacked, sorted by valence, as (star, start, coordinate) blocks padded
+    with copies of their first start (step 0) and with zero tangents (dot
+    product 0, a zero term); per star the matrix products and sums are
+    those of its own block.  Returns each star's (directions, values);
+    raises IterationError if a star takes VERTEX_ASCENT_MAX_ITER steps."""
+    order = sorted(range(len(starts)), key=lambda i: len(tangents[i]))
+    size = np.array([len(starts[i]) for i in order])
+    valence = np.array([len(tangents[i]) for i in order])
+    n = starts[0].shape[1]
+    E = np.empty((len(order), size.max(), n))
+    T = np.zeros((len(order), valence.max(), n))
+    step = np.zeros(E.shape[:2])
+    for j, i in enumerate(order):
+        E[j] = starts[i][0]
+        E[j, :size[j]] = starts[i]
+        T[j, :valence[j]] = tangents[i]
+        step[j, :size[j]] = 0.25
+    ids = np.array(order)
+    runs = _valence_runs(valence)
+    E /= np.linalg.norm(E, axis=-1, keepdims=True)
+    # the dot products of the current directions, kept for the gradient
+    dots = E @ T.transpose(0, 2, 1)
+    g = _batch_values(dots, runs)
+    out = [None] * len(order)
+    for _ in range(VERTEX_ASCENT_MAX_ITER):
         # d/de of -arccos(<T, e>); the clamp keeps the slope finite at the
         # nonsmooth directions e = +-T_k.
-        dots = np.clip(E @ T.T, -1.0 + 1e-9, 1.0 - 1e-9)
-        coef = 1.0 / np.sqrt(1.0 - dots ** 2)
-        return coef @ T
-
-    return value, gradient
-
-
-def _ascent_on_sphere(starts: np.ndarray, value,
-                      gradient) -> tuple[np.ndarray, np.ndarray]:
-    """Projected-gradient ascent with backtracking, run on all starts in
-    lockstep until every step is below 1e-13.  Returns (directions, values);
-    raises IterationError if that takes VERTEX_ASCENT_MAX_ITER steps."""
-    E = starts / np.linalg.norm(starts, axis=1, keepdims=True)
-    g = value(E)
-    step = np.full(len(E), 0.25)
-    for _ in range(VERTEX_ASCENT_MAX_ITER):
-        grad = gradient(E)
-        grad = grad - np.sum(grad * E, axis=1, keepdims=True) * E
-        cand = E + step[:, None] * grad
-        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        gc = value(cand)
+        clamped = np.clip(dots, -1.0 + 1e-9, 1.0 - 1e-9)
+        grad = (1.0 / np.sqrt(1.0 - clamped ** 2)) @ T
+        grad = grad - np.sum(grad * E, axis=-1, keepdims=True) * E
+        cand = E + step[:, :, None] * grad
+        cand /= np.linalg.norm(cand, axis=-1, keepdims=True)
+        cand_dots = cand @ T.transpose(0, 2, 1)
+        gc = _batch_values(cand_dots, runs)
         better = gc > g
-        E[better] = cand[better]
-        g[better] = gc[better]
-        step[better] *= 1.4
-        step[~better] *= 0.5
-        if np.all(step < 1e-13):
-            return E, g
+        np.copyto(E, cand, where=better[:, :, None])
+        np.copyto(dots, cand_dots, where=better[:, :, None])
+        np.copyto(g, gc, where=better)
+        step *= np.where(better, 1.4, 0.5)
+        stopped = (step < 1e-13).all(axis=1)
+        if stopped.any():
+            for j in np.flatnonzero(stopped):
+                out[ids[j]] = (E[j, :size[j]], g[j, :size[j]])
+            if stopped.all():
+                return out
+            keep = ~stopped
+            E, T, dots = E[keep], T[keep], dots[keep]
+            g, step = g[keep], step[keep]
+            ids, size, valence = ids[keep], size[keep], valence[keep]
+            runs = _valence_runs(valence)
     raise IterationError("vertex ascent reached VERTEX_ASCENT_MAX_ITER")
 
 
@@ -158,12 +197,56 @@ def _unit_grid(n: int, count: int) -> np.ndarray:
 
 
 def _star_coordinates(space: SpaceForm, graph: EmbeddedGraph, vertex_id):
-    star = vertex_star(graph, vertex_id)
+    """The vertex point q, an orthonormal basis of its tangent space, and
+    the star's unit tangents in that basis."""
     q = graph.vertex_point(vertex_id)
     basis = space.tangent_basis(q)
-    coords = np.stack([space.mdot(basis, t.vec) for t in star])
+    coords = np.stack([space.mdot(basis, t.vec)
+                       for t in vertex_star(graph, vertex_id)])
     norms = np.linalg.norm(coords, axis=1, keepdims=True)
-    return star, q, basis, coords / norms
+    return q, basis, coords / norms
+
+
+def _star_starts(T: np.ndarray) -> np.ndarray:
+    """The fixed starts of a star's ascent: every +-T_k, all normalized
+    pairwise sums, and the VERTEX_GRID_STARTS directions of _unit_grid."""
+    k, n = T.shape
+    starts = [T, -T]
+    for i in range(k):
+        for j in range(i + 1, k):
+            v = T[i] + T[j]
+            norm = np.linalg.norm(v)
+            if norm > 1e-12:
+                starts.append((v / norm)[None, :])
+    starts.append(_unit_grid(n, VERTEX_GRID_STARTS))
+    return np.concatenate(starts, axis=0)
+
+
+def _vertex_terms(space: SpaceForm, graph: EmbeddedGraph,
+                  vertex_ids) -> list[VertexTC]:
+    """The contributions of the given vertices, in their order; see
+    vertex_tc.  The ascents of all valence >= 3 stars run in one lockstep."""
+    out = [None] * len(vertex_ids)
+    climbs = []
+    for i, vertex_id in enumerate(vertex_ids):
+        q, basis, T = _star_coordinates(space, graph, vertex_id)
+        if len(T) == 2:
+            angle = 2.0 * math.atan2(float(np.linalg.norm(T[0] - T[1])),
+                                     float(np.linalg.norm(T[0] + T[1])))
+            out[i] = VertexTC(vertex_id=vertex_id, tc=math.pi - angle,
+                              argmax_dir=TangentVector(base=q,
+                                                       vec=T[0] @ basis))
+        else:
+            climbs.append((i, q, basis, T))
+    if climbs:
+        found = _ascent_on_sphere([_star_starts(T) for *_, T in climbs],
+                                  [T for *_, T in climbs])
+        for (i, q, basis, _), (E, g) in zip(climbs, found):
+            best = int(np.argmax(g))
+            out[i] = VertexTC(vertex_id=vertex_ids[i], tc=float(g[best]),
+                              argmax_dir=TangentVector(base=q,
+                                                       vec=E[best] @ basis))
+    return out
 
 
 def vertex_tc(space: SpaceForm, graph: EmbeddedGraph, vertex_id) -> VertexTC:
@@ -181,50 +264,30 @@ def vertex_tc(space: SpaceForm, graph: EmbeddedGraph, vertex_id) -> VertexTC:
     VERTEX_GRID_STARTS directions of _unit_grid; the nonsmooth candidates
     e = +-T_k are therefore always evaluated exactly.  Every start is fixed,
     so the result depends on the graph alone."""
-    star, q, basis, T = _star_coordinates(space, graph, vertex_id)
-    k, n = T.shape
-    if k == 2:
-        angle = 2.0 * math.atan2(float(np.linalg.norm(T[0] - T[1])),
-                                 float(np.linalg.norm(T[0] + T[1])))
-        return VertexTC(vertex_id=vertex_id, tc=math.pi - angle,
-                        argmax_dir=TangentVector(base=q, vec=T[0] @ basis))
-    starts = [T, -T]
-    for i in range(k):
-        for j in range(i + 1, k):
-            v = T[i] + T[j]
-            norm = np.linalg.norm(v)
-            if norm > 1e-12:
-                starts.append((v / norm)[None, :])
-    starts.append(_unit_grid(n, VERTEX_GRID_STARTS))
-    E0 = np.concatenate(starts, axis=0)
-
-    value, gradient = _star_objective(T)
-    E, g = _ascent_on_sphere(E0, value, gradient)
-    best = int(np.argmax(g))
-    direction = E[best] @ basis
-    return VertexTC(vertex_id=vertex_id, tc=float(g[best]),
-                    argmax_dir=TangentVector(base=q, vec=direction))
+    return _vertex_terms(space, graph, [vertex_id])[0]
 
 
 def vertex_tc_grid(space: SpaceForm, graph: EmbeddedGraph, vertex_id,
                    n_dirs: int = 1_000_000) -> float:
     """Brute-force sup of the star objective over a dense direction grid.
     Independent of the ascent path; used to certify vertex_tc."""
-    _, _, _, T = _star_coordinates(space, graph, vertex_id)
+    _, _, T = _star_coordinates(space, graph, vertex_id)
     dirs = _unit_grid(T.shape[1], n_dirs)
-    value, _ = _star_objective(T)
     best = -math.inf
     block = 262144
     for i in range(0, len(dirs), block):
-        best = max(best, float(np.max(value(dirs[i:i + block]))))
+        dots = np.clip(dirs[i:i + block] @ T.T, -1.0, 1.0)
+        values = np.sum(math.pi / 2.0 - np.arccos(dots), axis=-1)
+        best = max(best, float(np.max(values)))
     return best
 
 
 def cone_total_curvature(space: SpaceForm, graph: EmbeddedGraph) -> TCReport:
     """Assemble the cone total curvature: per-edge curvature integrals over
-    the regular part plus the vertex contributions."""
+    the regular part plus the vertex contributions, whose valence >= 3
+    ascents share one lockstep."""
     per_edge = [EdgeTC(edge_id=e.id, integral=edge_total_curvature(space, e))
                 for e in graph.edges]
-    per_vertex = [vertex_tc(space, graph, v.id) for v in graph.vertices]
+    per_vertex = _vertex_terms(space, graph, [v.id for v in graph.vertices])
     total = sum(e.integral for e in per_edge) + sum(v.tc for v in per_vertex)
     return TCReport(per_edge=per_edge, per_vertex=per_vertex, total=total)

@@ -45,6 +45,7 @@ class EdgeCurve:
     endpoints: tuple
     samples: np.ndarray
     s: np.ndarray
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.samples) < MIN_EDGE_SAMPLES:
@@ -58,6 +59,16 @@ class EdgeCurve:
     def length(self) -> float:
         return float(self.s[-1])
 
+    def cached(self, key: str, build):
+        """The value of build() under key, built on the first call and kept
+        on the edge: edges are immutable after construction, so whatever
+        is derived from one edge alone is built once."""
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = self._cache[key] = build()
+            return value
+
     def with_samples(self, samples: np.ndarray) -> "EdgeCurve":
         """An edge with this one's id, endpoints and parameters but the
         given samples, one per parameter.  Its first-derivative stencil
@@ -65,7 +76,8 @@ class EdgeCurve:
         built here once for both."""
         twin = EdgeCurve(id=self.id, endpoints=self.endpoints,
                          samples=samples, s=self.s)
-        twin._stencil = _derivative_stencil(self)
+        stencil = _derivative_stencil(self)
+        twin.cached("stencil", lambda: stencil)
         return twin
 
 
@@ -358,28 +370,23 @@ def resample_arclength(graph: EmbeddedGraph, h: float) -> EmbeddedGraph:
 def _derivative_stencil(edge: EdgeCurve) -> tuple[np.ndarray, np.ndarray]:
     """The edge's _num.first_derivative_stencil, cached on the edge and
     shared with the edges EdgeCurve.with_samples makes from it."""
-    cached = getattr(edge, "_stencil", None)
-    if cached is None:
-        cached = edge._stencil = _num.first_derivative_stencil(edge.s)
-    return cached
+    return edge.cached("stencil",
+                       lambda: _num.first_derivative_stencil(edge.s))
 
 
 def edge_unit_tangents(space: SpaceForm, edge: EdgeCurve) -> np.ndarray:
     """Unit tangent at every sample: finite differences of the samples
     (one-sided at the ends), projected to the tangent space and normalized.
-    Cached on the edge, as is the difference stencil; edges are immutable
-    after construction."""
-    cached = getattr(edge, "_unit_tangents", None)
-    if cached is not None:
-        return cached
-    d = _num.apply_stencil(_derivative_stencil(edge), edge.samples)
-    t = space.tangent_project(edge.samples, d)
-    n = space.norm(t)
-    if np.any(n < 1e-12):
-        raise ValidationError(f"degenerate tangent on edge {edge.id!r}")
-    t = t / n[:, None]
-    edge._unit_tangents = t
-    return t
+    Cached on the edge, as is the difference stencil."""
+    def build():
+        d = _num.apply_stencil(_derivative_stencil(edge), edge.samples)
+        t = space.tangent_project(edge.samples, d)
+        n = space.norm(t)
+        if np.any(n < 1e-12):
+            raise ValidationError(f"degenerate tangent on edge {edge.id!r}")
+        return t / n[:, None]
+
+    return edge.cached("unit_tangents", build)
 
 
 def vertex_star(graph: EmbeddedGraph, vertex_id) -> list[TangentVector]:

@@ -1,8 +1,8 @@
 """Shared generators for randomized test instances: smooth random graphs,
 generic apices, random ambient isometries, and plain triangle sums of cone
 areas that serve as independent references.  It also keeps loop-by-loop
-forms of the first-derivative stencil and of the angle-balance vertex term,
-as oracles for their array forms."""
+forms of the first-derivative stencil, of the angle-balance vertex term and
+of the vertex ascent, as oracles for their array forms."""
 
 from __future__ import annotations
 
@@ -11,8 +11,10 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from soapcert import (Model, SpaceForm, check_apex, develop_cone,
-                      edge_unit_tangents, karcher_center, vertex_star)
+from soapcert import (IterationError, Model, SpaceForm, check_apex,
+                      develop_cone, edge_unit_tangents, karcher_center,
+                      vertex_star)
+from soapcert import curvature
 from soapcert._num import trapezoid
 from soapcert.cone import _half_sq_chords, _triangle_areas, developed_points
 from soapcert.graph import EmbeddedGraph, Vertex, make_edge, validate_graph
@@ -407,3 +409,52 @@ def loop_gauss_bonnet_residual(space, apex, graph, dev=None):
             ang = float(space.angle_between(tv.vec, toward_apex))
             total -= math.pi / 2.0 - ang
     return abs(total)
+
+
+def star_ascent(space, graph, vertex_id):
+    """vertex_tc's (tc, argmax direction) with the ascent run for this one
+    star alone: the projected-gradient lockstep over its own starts, with
+    every dot product taken afresh, until all its steps are below 1e-13."""
+    q, basis, T = curvature._star_coordinates(space, graph, vertex_id)
+    k, n = T.shape
+    if k == 2:
+        angle = 2.0 * math.atan2(float(np.linalg.norm(T[0] - T[1])),
+                                 float(np.linalg.norm(T[0] + T[1])))
+        return math.pi - angle, T[0] @ basis
+    starts = [T, -T]
+    for i in range(k):
+        for j in range(i + 1, k):
+            v = T[i] + T[j]
+            norm = np.linalg.norm(v)
+            if norm > 1e-12:
+                starts.append((v / norm)[None, :])
+    starts.append(curvature._unit_grid(n, curvature.VERTEX_GRID_STARTS))
+    starts = np.concatenate(starts, axis=0)
+
+    def value(E):
+        dots = np.clip(E @ T.T, -1.0, 1.0)
+        return np.sum(math.pi / 2.0 - np.arccos(dots), axis=-1)
+
+    def gradient(E):
+        dots = np.clip(E @ T.T, -1.0 + 1e-9, 1.0 - 1e-9)
+        coef = 1.0 / np.sqrt(1.0 - dots ** 2)
+        return coef @ T
+
+    E = starts / np.linalg.norm(starts, axis=1, keepdims=True)
+    g = value(E)
+    step = np.full(len(E), 0.25)
+    for _ in range(curvature.VERTEX_ASCENT_MAX_ITER):
+        grad = gradient(E)
+        grad = grad - np.sum(grad * E, axis=1, keepdims=True) * E
+        cand = E + step[:, None] * grad
+        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+        gc = value(cand)
+        better = gc > g
+        E[better] = cand[better]
+        g[better] = gc[better]
+        step[better] *= 1.4
+        step[~better] *= 0.5
+        if np.all(step < 1e-13):
+            best = int(np.argmax(g))
+            return float(g[best]), E[best] @ basis
+    raise IterationError("vertex ascent reached VERTEX_ASCENT_MAX_ITER")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from soapcert import Model, SpaceForm, hull_approx, load_graph_file
-from soapcert import shapes
+from soapcert import cli, shapes
 from soapcert.certify import SEARCH_CLEARANCE
 from soapcert.cli import run
 from soapcert.graph import EmbeddedGraph, Vertex, make_edge, validate_graph
@@ -494,6 +494,39 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err == f"validation error: {named}\n"
+
+
+class TestParserReuse:
+    """run builds its argument parser once per process and reuses it."""
+
+    def test_usage_error_leaves_later_runs_as_fresh_ones(
+            self, capsys, monkeypatch, circle_file, cube_file):
+        later = ["tc", cube_file]
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh = run_capture(capsys, later)
+        monkeypatch.setattr(cli, "_parser", None)
+        assert run_capture(capsys, ["tc", circle_file, "--seed", "9"])[0] == 0
+        code, out, err = run_capture(capsys, ["tc", "--bogus", circle_file])
+        assert (code, out) == (64, "")
+        assert "usage" in err
+        code, out, _ = run_capture(capsys, later)
+        assert (code, out) == fresh[:2]
+        assert out.splitlines()[0].endswith("seed=0")
+
+    def test_parser_built_once(self, capsys, monkeypatch, circle_file):
+        builds = []
+        build = cli.build_parser
+
+        def counted():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        monkeypatch.setattr(cli, "_parser", None)
+        for argv in (["tc", circle_file], ["frobnicate"],
+                     ["tc", circle_file, "--seed", "2"]):
+            run_capture(capsys, argv)
+        assert len(builds) == 1
 
 
 class TestDeterminism:

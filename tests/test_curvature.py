@@ -19,7 +19,7 @@ from soapcert import curvature, shapes
 from soapcert.graph import make_edge
 
 from builders import (SPACES, four_leg_star_graph, random_graph, random_isometry,
-                      transform_graph, wedge_graph)
+                      star_ascent, transform_graph, wedge_graph)
 
 FLAT = SPACES["flat"]
 CUBE_CORNER_TC = 3.0 * (math.pi / 2.0 - math.acos(1.0 / math.sqrt(3.0)))
@@ -218,6 +218,73 @@ class TestVertexTC:
             math.pi - 1.0, abs=1e-12)
         with pytest.raises(RuntimeError, match="ascent called"):
             vertex_tc(FLAT, shapes.cube_skeleton_graph(), "v0")
+
+
+def _random_cases():
+    """random_graph in dimensions 2-5 of every model: a sparse graph of
+    valence 2 to 6, and a dense one of valence 3 to 9 whose stars of eight
+    or more tangents share a lockstep with smaller ones."""
+    cases = {}
+    for dim in (2, 3, 4, 5):
+        for name, like in SPACES.items():
+            space = SpaceForm(like.model, dim, like.curv)
+            seed = 100 * dim + len(cases)
+            cases[f"random-{name}-{dim}"] = (
+                lambda space=space, seed=seed: random_graph(
+                    space, np.random.default_rng(seed), n_vertices=5,
+                    n_extra=4, samples_per_edge=32))
+            cases[f"dense-{name}-{dim}"] = (
+                lambda space=space, seed=seed: random_graph(
+                    space, np.random.default_rng(seed + 1), n_vertices=4,
+                    n_extra=9, samples_per_edge=16))
+    return cases
+
+
+LOCKSTEP_CASES = {
+    "cube": shapes.cube_skeleton_graph,
+    "theta": lambda: shapes.theta_graph(samples_per_edge=64),
+    "four-leg-star": four_leg_star_graph,
+    "hyperbolic-pentagon": lambda: shapes.regular_polygon_graph(
+        SpaceForm(Model.HYPERBOLIC, 3, 1.0), 5, 0.8, samples_per_edge=32),
+    **_random_cases(),
+}
+
+
+class TestLockstepAscent:
+    """All valence >= 3 stars of a graph climb in one lockstep, and each
+    reads bit for bit what its own ascent alone reads."""
+
+    @pytest.mark.parametrize("name", sorted(LOCKSTEP_CASES))
+    def test_every_star_matches_its_own_ascent(self, name):
+        g = LOCKSTEP_CASES[name]()
+        for res in cone_total_curvature(g.space, g).per_vertex:
+            tc, direction = star_ascent(g.space, g, res.vertex_id)
+            assert np.array_equal(res.tc, tc)
+            assert np.array_equal(res.argmax_dir.vec, direction)
+
+    def test_one_lockstep_per_graph(self, monkeypatch):
+        calls = []
+        ascent = curvature._ascent_on_sphere
+
+        def counted(starts, tangents):
+            calls.append(len(starts))
+            return ascent(starts, tangents)
+
+        monkeypatch.setattr(curvature, "_ascent_on_sphere", counted)
+        g = four_leg_star_graph()
+        cone_total_curvature(g.space, g)
+        assert calls == [5]
+
+    def test_capped_lockstep_raises(self, monkeypatch):
+        # the corners a_k stop within the cap; the valence-4 vertex q needs
+        # about 3,100 iterations and must fail the whole graph loudly
+        monkeypatch.setattr(curvature, "VERTEX_ASCENT_MAX_ITER", 400)
+        g = four_leg_star_graph()
+        assert sorted(g.valence(v.id) for v in g.vertices) == [3, 3, 3, 3, 4]
+        for corner in ("a0", "a1", "a2", "a3"):
+            vertex_tc(g.space, g, corner)
+        with pytest.raises(IterationError):
+            cone_total_curvature(g.space, g)
 
 
 class TestConeTotalCurvature:

@@ -7,6 +7,9 @@ shared is also its only reason to exist, so every function in ``_num``
 must be used by another module, directly or through another ``_num``
 function that is.
 
+Likewise a private attribute belongs to its object: only the object's own
+methods write it, through ``self``.
+
 The library below the CLI is a function of its inputs alone: no function
 outside ``cli`` takes a ``seed``, and every random generator it builds is
 seeded with a literal.
@@ -86,6 +89,88 @@ def test_detector_flags_imports_and_attribute_uses():
         "line 3: imports graph._subdivide",
         "line 5: uses cone._check",
     ]
+
+
+def _written_attributes(target):
+    """The attribute nodes an assignment target writes: the target itself,
+    the container of a subscript target, and the parts of an unpacking."""
+    if isinstance(target, ast.Attribute):
+        yield target
+    elif isinstance(target, ast.Subscript):
+        yield from _written_attributes(target.value)
+    elif isinstance(target, ast.Starred):
+        yield from _written_attributes(target.value)
+    elif isinstance(target, (ast.Tuple, ast.List)):
+        for item in target.elts:
+            yield from _written_attributes(item)
+
+
+def _attribute_writes(node) -> list[tuple]:
+    """(owner, name) of each attribute an assignment, or a setattr call
+    with a literal name, writes."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+            and node.func.id == "setattr" and len(node.args) >= 2 \
+            and isinstance(node.args[1], ast.Constant) \
+            and isinstance(node.args[1].value, str):
+        return [(node.args[0], node.args[1].value)]
+    else:
+        return []
+    return [(attr.value, attr.attr)
+            for target in targets for attr in _written_attributes(target)]
+
+
+def foreign_private_writes(source: str) -> list[str]:
+    """Each write in `source` to a private attribute of an object other
+    than `self`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        for owner, name in _attribute_writes(node):
+            if _private(name) and not (isinstance(owner, ast.Name)
+                                       and owner.id == "self"):
+                found.append((node.lineno, f"{ast.unparse(owner)}.{name}"))
+    return [f"line {line}: writes {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_private_attributes_written_only_through_self(path):
+    assert foreign_private_writes(path.read_text(encoding="utf-8")) == []
+
+
+def test_write_detector_flags_foreign_private_attributes():
+    flagged = (
+        "edge._cache = {}\n"
+        "edge._stencil, n = stencil, 3\n"
+        "graph._ends[v] = []\n"
+        "twin._count += 1\n"
+        "self.edges[0]._cache = None\n"
+        "setattr(edge, '_chords', chords)\n"
+    )
+    assert foreign_private_writes(flagged) == [
+        "line 1: writes edge._cache",
+        "line 2: writes edge._stencil",
+        "line 3: writes graph._ends",
+        "line 4: writes twin._count",
+        "line 5: writes self.edges[0]._cache",
+        "line 6: writes edge._chords",
+    ]
+    clean = (
+        "class Edge:\n"
+        "    def cache(self, key, value):\n"
+        "        self._cache = {}\n"
+        "        self._cache[key] = value\n"
+        "        self.__dict__ = {}\n"
+        "        setattr(self, '_seen', True)\n"
+        "edge.samples = samples\n"
+        "values[edge._index] = 0.0\n"
+        "_parser = None\n"
+        "x = edge._cache\n"
+    )
+    assert foreign_private_writes(clean) == []
 
 
 def _shared_names_used(source: str) -> set[str]:

@@ -61,12 +61,16 @@ def _num(x: float) -> str:
 
 def _effective_seed(args) -> int:
     env = os.environ.get("SOAPCERT_SEED")
-    if env is not None:
+    if env is None:
+        seed, source = args.seed, "--seed"
+    else:
         try:
-            return int(env)
+            seed, source = int(env), "SOAPCERT_SEED"
         except ValueError:
             raise ValidationError(f"SOAPCERT_SEED is not an integer: {env!r}")
-    return args.seed
+    if seed < 0:
+        raise ValidationError(f"{source} must be a non-negative integer: {seed}")
+    return seed
 
 
 def _parse_apex(space: SpaceForm, text: str, tolerance: float = 1e-6) -> np.ndarray:
@@ -191,6 +195,8 @@ def _write_files(outputs) -> None:
 
 
 def _cmd_develop(args, graph: EmbeddedGraph, seed: int) -> list[str]:
+    if args.svg and os.path.realpath(args.svg) == os.path.realpath(args.out):
+        raise ValidationError(f"--svg names the --out file: {args.svg}")
     apex = _parse_apex(graph.space, args.apex)
     dev = cone_mod.develop_cone(graph.space, apex, graph)
     outputs = [(args.out, _develop_csv(dev))]

@@ -8,9 +8,10 @@ The vertex contribution at q is
 
 with T_k the unit tangents pointing into the incident edge-ends.  For a
 valence-2 vertex this is the exterior angle of the curve, taken in closed
-form; higher valences run an ascent.  All valence >= 3 stars of a graph
-share one lockstep ascent, each with its own starts and its own stopping
-rule, so each reads what it would read alone.
+form; higher valences run an ascent.  The valence >= 3 stars of a graph
+go to one ascent call, where stars of the same shape share a lockstep, each
+with its own starts and its own stopping rule, so each reads what it would
+read alone.
 """
 
 from __future__ import annotations
@@ -88,84 +89,63 @@ def edge_total_curvature(space: SpaceForm, edge: EdgeCurve) -> float:
 # ---------------------------------------------------------------------------
 # vertex contribution
 
-def _valence_runs(valence: np.ndarray) -> list[tuple[int, int, int]]:
-    """(lo, hi, k) for each run of stars lo:hi that share the valence k, in
-    a batch sorted by valence."""
-    cuts = [0, *(np.flatnonzero(np.diff(valence)) + 1).tolist(), len(valence)]
-    return [(lo, hi, int(valence[lo])) for lo, hi in zip(cuts[:-1], cuts[1:])]
-
-
-def _batch_values(dots: np.ndarray, runs) -> np.ndarray:
-    """The star objective g(e) = sum_k (pi/2 - angle(T_k, e)) of every
-    (star, start) of a batch from its dot products with the star's unit
-    tangents.  Each row is summed over its own valence only, so its sum is
-    the one a star of that valence reads alone: numpy sums eight or more
-    terms pairwise, and a padded row would pair them differently."""
-    terms = math.pi / 2.0 - np.arccos(np.clip(dots, -1.0, 1.0))
-    values = np.empty(dots.shape[:2])
-    for lo, hi, k in runs:
-        values[lo:hi] = np.sum(terms[lo:hi, :, :k], axis=-1)
-    return values
+def _star_values(dots: np.ndarray) -> np.ndarray:
+    """The star objective g(e) = sum_k (pi/2 - angle(T_k, e)) of every row
+    from its dot products with the star's unit tangents."""
+    return np.sum(math.pi / 2.0 - np.arccos(np.clip(dots, -1.0, 1.0)),
+                  axis=-1)
 
 
 def _ascent_on_sphere(starts: list[np.ndarray],
                       tangents: list[np.ndarray]) -> list[tuple]:
     """Projected-gradient ascent with backtracking of the star objective on
-    the unit sphere, for several stars in one lockstep.  Star i climbs from
-    the rows of starts[i] with the unit tangents tangents[i]; it leaves the
-    batch at the iteration where all of its steps are below 1e-13, so each
-    star takes exactly the steps it would take alone.  The stars are
-    stacked, sorted by valence, as (star, start, coordinate) blocks padded
-    with copies of their first start (step 0) and with zero tangents (dot
-    product 0, a zero term); per star the matrix products and sums are
-    those of its own block.  Returns each star's (directions, values);
-    raises IterationError if a star takes VERTEX_ASCENT_MAX_ITER steps."""
-    order = sorted(range(len(starts)), key=lambda i: len(tangents[i]))
-    size = np.array([len(starts[i]) for i in order])
-    valence = np.array([len(tangents[i]) for i in order])
-    n = starts[0].shape[1]
-    E = np.empty((len(order), size.max(), n))
-    T = np.zeros((len(order), valence.max(), n))
-    step = np.zeros(E.shape[:2])
-    for j, i in enumerate(order):
-        E[j] = starts[i][0]
-        E[j, :size[j]] = starts[i]
-        T[j, :valence[j]] = tangents[i]
-        step[j, :size[j]] = 0.25
-    ids = np.array(order)
-    runs = _valence_runs(valence)
-    E /= np.linalg.norm(E, axis=-1, keepdims=True)
-    # the dot products of the current directions, kept for the gradient
-    dots = E @ T.transpose(0, 2, 1)
-    g = _batch_values(dots, runs)
-    out = [None] * len(order)
-    for _ in range(VERTEX_ASCENT_MAX_ITER):
-        # d/de of -arccos(<T, e>); the clamp keeps the slope finite at the
-        # nonsmooth directions e = +-T_k.
-        clamped = np.clip(dots, -1.0 + 1e-9, 1.0 - 1e-9)
-        grad = (1.0 / np.sqrt(1.0 - clamped ** 2)) @ T
-        grad = grad - np.sum(grad * E, axis=-1, keepdims=True) * E
-        cand = E + step[:, :, None] * grad
-        cand /= np.linalg.norm(cand, axis=-1, keepdims=True)
-        cand_dots = cand @ T.transpose(0, 2, 1)
-        gc = _batch_values(cand_dots, runs)
-        better = gc > g
-        np.copyto(E, cand, where=better[:, :, None])
-        np.copyto(dots, cand_dots, where=better[:, :, None])
-        np.copyto(g, gc, where=better)
-        step *= np.where(better, 1.4, 0.5)
-        stopped = (step < 1e-13).all(axis=1)
-        if stopped.any():
+    the unit sphere, for several stars.  Star i climbs from the rows of
+    starts[i] with the unit tangents tangents[i] until all of its steps are
+    below 1e-13.  Stars of one shape (start count, valence) climb stacked
+    in one lockstep, which a star leaves at its own stopping iteration, so
+    each takes exactly the steps it would take alone.  Returns each star's
+    (directions, values); raises IterationError if a star takes
+    VERTEX_ASCENT_MAX_ITER steps."""
+    groups = {}
+    for i, (E, T) in enumerate(zip(starts, tangents)):
+        groups.setdefault((len(E), len(T)), []).append(i)
+    out = [None] * len(starts)
+    for ids in groups.values():
+        ids = np.array(ids)
+        E = np.stack([starts[i] for i in ids])
+        T = np.stack([tangents[i] for i in ids])
+        E /= np.linalg.norm(E, axis=-1, keepdims=True)
+        # the dot products of the current directions, kept for the gradient
+        dots = E @ T.transpose(0, 2, 1)
+        g = _star_values(dots)
+        step = np.full(g.shape, 0.25)
+        for _ in range(VERTEX_ASCENT_MAX_ITER):
+            # d/de of -arccos(<T, e>); the clamp keeps the slope finite at
+            # the nonsmooth directions e = +-T_k.
+            clamped = np.clip(dots, -1.0 + 1e-9, 1.0 - 1e-9)
+            grad = (1.0 / np.sqrt(1.0 - clamped ** 2)) @ T
+            grad = grad - np.sum(grad * E, axis=-1, keepdims=True) * E
+            cand = E + step[:, :, None] * grad
+            cand /= np.linalg.norm(cand, axis=-1, keepdims=True)
+            cand_dots = cand @ T.transpose(0, 2, 1)
+            gc = _star_values(cand_dots)
+            better = gc > g
+            np.copyto(E, cand, where=better[:, :, None])
+            np.copyto(dots, cand_dots, where=better[:, :, None])
+            np.copyto(g, gc, where=better)
+            step *= np.where(better, 1.4, 0.5)
+            stopped = (step < 1e-13).all(axis=1)
             for j in np.flatnonzero(stopped):
-                out[ids[j]] = (E[j, :size[j]], g[j, :size[j]])
+                out[ids[j]] = (E[j], g[j])
             if stopped.all():
-                return out
-            keep = ~stopped
-            E, T, dots = E[keep], T[keep], dots[keep]
-            g, step = g[keep], step[keep]
-            ids, size, valence = ids[keep], size[keep], valence[keep]
-            runs = _valence_runs(valence)
-    raise IterationError("vertex ascent reached VERTEX_ASCENT_MAX_ITER")
+                break
+            if stopped.any():
+                keep = ~stopped
+                E, T, dots = E[keep], T[keep], dots[keep]
+                g, step, ids = g[keep], step[keep], ids[keep]
+        else:
+            raise IterationError("vertex ascent reached VERTEX_ASCENT_MAX_ITER")
+    return out
 
 
 def _unit_grid(n: int, count: int) -> np.ndarray:
@@ -225,7 +205,7 @@ def _star_starts(T: np.ndarray) -> np.ndarray:
 def _vertex_terms(space: SpaceForm, graph: EmbeddedGraph,
                   vertex_ids) -> list[VertexTC]:
     """The contributions of the given vertices, in their order; see
-    vertex_tc.  The ascents of all valence >= 3 stars run in one lockstep."""
+    vertex_tc.  All valence >= 3 stars go to one _ascent_on_sphere call."""
     out = [None] * len(vertex_ids)
     climbs = []
     for i, vertex_id in enumerate(vertex_ids):
@@ -285,7 +265,7 @@ def vertex_tc_grid(space: SpaceForm, graph: EmbeddedGraph, vertex_id,
 def cone_total_curvature(space: SpaceForm, graph: EmbeddedGraph) -> TCReport:
     """Assemble the cone total curvature: per-edge curvature integrals over
     the regular part plus the vertex contributions, whose valence >= 3
-    ascents share one lockstep."""
+    ascents run in one call."""
     per_edge = [EdgeTC(edge_id=e.id, integral=edge_total_curvature(space, e))
                 for e in graph.edges]
     per_vertex = _vertex_terms(space, graph, [v.id for v in graph.vertices])

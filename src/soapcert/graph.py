@@ -126,12 +126,16 @@ class EmbeddedGraph:
 # ---------------------------------------------------------------------------
 # construction helpers
 
-def arclength_params(space: SpaceForm, samples: np.ndarray) -> np.ndarray:
-    chords = space.dist(samples[:-1], samples[1:])
-    s = np.empty(len(samples))
+def _cumulative_length(chords: np.ndarray) -> np.ndarray:
+    """Arclength parameters of a polyline from its chord lengths."""
+    s = np.empty(len(chords) + 1)
     s[0] = 0.0
     np.cumsum(chords, out=s[1:])
     return s
+
+
+def arclength_params(space: SpaceForm, samples: np.ndarray) -> np.ndarray:
+    return _cumulative_length(space.dist(samples[:-1], samples[1:]))
 
 
 def _subdivide_to_minimum(space: SpaceForm, samples: np.ndarray) -> np.ndarray:
@@ -155,9 +159,10 @@ def make_edge(space: SpaceForm, edge_id, endpoints, samples) -> EdgeCurve:
     chords = space.dist(samples[:-1], samples[1:])
     if np.any(chords < 1e-12):
         raise ValidationError(f"edge {edge_id!r} has coincident consecutive samples")
-    samples = _subdivide_to_minimum(space, samples)
-    return EdgeCurve(id=edge_id, endpoints=tuple(endpoints), samples=samples,
-                     s=arclength_params(space, samples))
+    full = _subdivide_to_minimum(space, samples)
+    s = (_cumulative_length(chords) if len(full) == len(samples)
+         else arclength_params(space, full))
+    return EdgeCurve(id=edge_id, endpoints=tuple(endpoints), samples=full, s=s)
 
 
 def _check_spherical_diameter(space: SpaceForm, points: np.ndarray):

@@ -220,6 +220,19 @@ class TestDevelop:
         assert str(missing) in err
         assert out_csv.exists()
 
+    def test_svg_naming_the_out_file_is_validation_failure(
+            self, capsys, tmp_path, circle_file):
+        # the two outputs would overwrite each other; nothing is written
+        out_csv = tmp_path / "dev.csv"
+        same = tmp_path / "." / "dev.csv"
+        code, out, err = run_capture(capsys, [
+            "develop", "--apex", "0,0,0.5", "--out", str(out_csv),
+            "--svg", str(same), circle_file])
+        assert code == 2
+        assert out == ""
+        assert err == f"validation error: --svg names the --out file: {same}\n"
+        assert not out_csv.exists()
+
     @pytest.mark.parametrize("model", ["hyperbolic", "spherical"])
     def test_curved_svg_fits_the_view_box(self, capsys, tmp_path, model):
         space = SPACES[model]
@@ -390,6 +403,24 @@ class TestExitCodes:
         assert out == ""
         assert err == "validation error: SOAPCERT_SEED is not an integer: " \
             "'7.5'\n"
+
+    def test_negative_seed_flag_is_validation_failure(self, capsys,
+                                                       circle_file):
+        code, out, err = run_capture(capsys, ["gb-check", circle_file,
+                                              "--seed", "-5"])
+        assert code == 2
+        assert out == ""
+        assert err == "validation error: --seed must be a non-negative " \
+            "integer: -5\n"
+
+    def test_negative_env_seed_is_validation_failure(
+            self, capsys, circle_file, monkeypatch):
+        monkeypatch.setenv("SOAPCERT_SEED", "-3")
+        code, out, err = run_capture(capsys, ["gb-check", circle_file])
+        assert code == 2
+        assert out == ""
+        assert err == "validation error: SOAPCERT_SEED must be a " \
+            "non-negative integer: -3\n"
 
     @pytest.mark.parametrize("argv,message", [
         (["gb-check", "--trials", "0"], "trial count must be >= 1"),

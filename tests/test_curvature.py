@@ -222,8 +222,8 @@ class TestVertexTC:
 
 def _random_cases():
     """random_graph in dimensions 2-5 of every model: a sparse graph of
-    valence 2 to 6, and a dense one of valence 3 to 9 whose stars of eight
-    or more tangents share a lockstep with smaller ones."""
+    valence 2 to 6, and a dense one of valence 3 to 9 whose stars, some of
+    eight or more tangents, come in several shapes."""
     cases = {}
     for dim in (2, 3, 4, 5):
         for name, like in SPACES.items():
@@ -251,7 +251,8 @@ LOCKSTEP_CASES = {
 
 
 class TestLockstepAscent:
-    """All valence >= 3 stars of a graph climb in one lockstep, and each
+    """All valence >= 3 stars of a graph go to one ascent call, where stars
+    of the same shape (start count, valence) share a lockstep, and each
     reads bit for bit what its own ascent alone reads."""
 
     @pytest.mark.parametrize("name", sorted(LOCKSTEP_CASES))
@@ -274,6 +275,28 @@ class TestLockstepAscent:
         g = four_leg_star_graph()
         cone_total_curvature(g.space, g)
         assert calls == [5]
+
+    def test_cube_corners_share_one_lockstep(self, monkeypatch):
+        # the eight corners have one shape, so the graph reads the objective
+        # as often as its slowest corner does alone, not as often as all
+        # eight together
+        calls = []
+        values = curvature._star_values
+
+        def counted(dots):
+            calls.append(dots.shape)
+            return values(dots)
+
+        monkeypatch.setattr(curvature, "_star_values", counted)
+        g = shapes.cube_skeleton_graph()
+        per_corner = []
+        for v in g.vertices:
+            calls.clear()
+            vertex_tc(g.space, g, v.id)
+            per_corner.append(len(calls))
+        calls.clear()
+        cone_total_curvature(g.space, g)
+        assert len(calls) == max(per_corner)
 
     def test_capped_lockstep_raises(self, monkeypatch):
         # the corners a_k stop within the cap; the valence-4 vertex q needs

@@ -268,6 +268,24 @@ class TestIngestErrors:
         assert len(g.edges[0].samples) == 32769
         assert len(calls) <= len(doc["vertices"]) + len(doc["edges"])
 
+    def test_each_chord_is_measured_once(self, monkeypatch):
+        # the coincident-sample check and the arclength parameters read the
+        # same chord lengths; the rest is a few endpoint gaps per edge
+        doc = _long_hyperbolic_document(n=4096)
+        rows = []
+        dist = SpaceForm.dist
+
+        def counted(self, p, q):
+            out = dist(self, p, q)
+            rows.append(np.size(out))
+            return out
+
+        monkeypatch.setattr(SpaceForm, "dist", counted)
+        g = load_graph(doc)
+        samples = sum(len(e.samples) for e in g.edges)
+        assert samples == 4097
+        assert sum(rows) <= samples + 4 * len(g.edges)
+
 
 def _document_round_trips(g):
     back = load_graph(shapes.graph_document(g))

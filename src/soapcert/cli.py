@@ -43,6 +43,9 @@ USAGE_EXIT = 64
 VALIDATION_EXIT = 2
 NUMERICAL_EXIT = 3
 
+# A parsed --apex may move this far when projected onto the model manifold.
+APEX_TOLERANCE = 1e-6
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -73,7 +76,7 @@ def _effective_seed(args) -> int:
     return seed
 
 
-def _parse_apex(space: SpaceForm, text: str, tolerance: float = 1e-6) -> np.ndarray:
+def _parse_apex(space: SpaceForm, text: str) -> np.ndarray:
     try:
         coords = np.array([float(t) for t in text.split(",")])
     except ValueError:
@@ -84,7 +87,7 @@ def _parse_apex(space: SpaceForm, text: str, tolerance: float = 1e-6) -> np.ndar
     if not np.all(np.isfinite(coords)):
         raise ValidationError("apex coordinates must be finite numbers")
     proj = space.project_point(coords)
-    if float(np.linalg.norm(proj - coords)) > tolerance:
+    if float(np.linalg.norm(proj - coords)) > APEX_TOLERANCE:
         raise ValidationError("apex is off the manifold beyond tolerance")
     return proj
 

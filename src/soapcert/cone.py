@@ -62,14 +62,16 @@ def _half_sq_chord(space: SpaceForm, d: float) -> float:
     return 2.0 * (h / k) ** 2
 
 
-def _admit(space: SpaceForm, alpha: np.ndarray, clearance: float):
-    """The apex admissibility rule on the half squared chords `alpha` from
-    the apex to the samples: ApexOnGraphError when a sample lies within
-    `clearance`, ConjugatePointError when a spherical sample sits at or
-    beyond the conjugate radius pi/b less 1e-6 (or within the antipodal
-    slack of SpaceForm.dist, when that is nearer).  Half squared chords
-    grow with distance, so these are the distance tests, without arcsin or
-    arcsinh per sample."""
+def check_apex(space: SpaceForm, apex: np.ndarray, samples: np.ndarray,
+               clearance: float = APEX_CLEARANCE) -> np.ndarray:
+    """The half squared chords alpha from the apex to the samples, once the
+    apex passes the admissibility rule on them: ApexOnGraphError when a
+    sample lies within `clearance`, ConjugatePointError when a spherical
+    sample sits at or beyond the conjugate radius pi/b less 1e-6 (or within
+    the antipodal slack of SpaceForm.dist, when that is nearer).  Half
+    squared chords grow with distance, so these are the distance tests,
+    without arcsin or arcsinh per sample."""
+    alpha = _half_sq_chords(space, samples, apex)
     if np.min(alpha) <= _half_sq_chord(space, clearance):
         raise ApexOnGraphError("apex lies on the graph")
     if space.model is Model.SPHERICAL:
@@ -78,12 +80,7 @@ def _admit(space: SpaceForm, alpha: np.ndarray, clearance: float):
         if np.max(alpha) >= _half_sq_chord(space, limit):
             raise ConjugatePointError(
                 "apex sees a graph point at or beyond the conjugate radius pi/b")
-
-
-def check_apex(space: SpaceForm, apex: np.ndarray, samples: np.ndarray,
-               clearance: float = APEX_CLEARANCE) -> None:
-    """Check with _admit that the apex can carry a cone over the samples."""
-    _admit(space, _half_sq_chords(space, samples, apex), clearance)
+    return alpha
 
 
 def development_plane(space: SpaceForm) -> tuple[SpaceForm, np.ndarray]:
@@ -133,34 +130,32 @@ def develop_cone(space: SpaceForm, apex: np.ndarray,
                  graph: EmbeddedGraph) -> ConeDevelopment:
     """Unroll the cone edge by edge.  Over each chord the swept angle grows
     by the apex angle of the chord's geodesic triangle, starting at zero on
-    each edge, and the developed area is _edge_cone_area on the same half
-    squared chords, so hat_area equals ambient_cone_area.  The developed
+    each edge, and the developed area is _richardson_sum on the same
+    triangles, so hat_area equals ambient_cone_area.  The developed
     curve is re-embedded in the 2-D model plane and its conormal curvature
     is measured with the same stencils as on the ambient side."""
     apex = np.asarray(apex, float)
+    table, alpha, a, b = _triangles(space, apex, graph, APEX_CLEARANCE)
     plane, plane_apex = development_plane(space)
+    r = space.chord_dist(2.0 * alpha)
+    n = table.nfine
+    angles = _apex_angles(space, a[:n], b[:n], table.gamma[:n])
     per_edge = []
     total_angle = 0.0
-    hat_area = 0.0
-    for edge in graph.edges:
-        alpha = _half_sq_chords(space, edge.samples, apex)
-        _admit(space, alpha, APEX_CLEARANCE)
-        r = space.chord_dist(2.0 * alpha)
-        chords = _edge_chords(space, edge)
-        angles = _apex_angles(space, alpha[:-1], alpha[1:],
-                              chords.gamma[:len(alpha) - 1])
-        theta = np.concatenate(([0.0], np.cumsum(angles)))
-        dev_samples = developed_points(plane, r, theta)
+    for edge, (samples, fine, _) in zip(graph.edges, table.spans):
+        theta = np.concatenate(([0.0], np.cumsum(angles[fine])))
+        dev_samples = developed_points(plane, r[samples], theta)
         khat = _num.extend_interior(cone_conormal_curvature(
             plane, plane_apex, edge.with_samples(dev_samples)))
         per_edge.append(EdgeDevelopment(
-            edge_id=edge.id, s=edge.s.copy(), r=r, theta=theta, khat_nu=khat))
+            edge_id=edge.id, s=edge.s.copy(), r=r[samples], theta=theta,
+            khat_nu=khat))
         total_angle += float(theta[-1])
-        hat_area += _edge_cone_area(space, alpha, chords)
     return ConeDevelopment(apex=apex, per_edge=per_edge,
                            hat_density=total_angle / (2.0 * math.pi),
-                           hat_area=hat_area, plane=plane,
-                           plane_apex=plane_apex)
+                           hat_area=_richardson_sum(_triangle_areas(
+                               space, a, b, table.gamma), table),
+                           plane=plane, plane_apex=plane_apex)
 
 
 def ambient_cone_density(space: SpaceForm, apex: np.ndarray,
@@ -170,15 +165,10 @@ def ambient_cone_density(space: SpaceForm, apex: np.ndarray,
     unit tangent sphere at the apex, divided by 2 pi.  Computed as the sum of
     the angles between consecutive image directions, which are the
     _apex_angles that develop_cone accumulates."""
-    apex = np.asarray(apex, float)
-    total = 0.0
-    for edge in graph.edges:
-        alpha = _half_sq_chords(space, edge.samples, apex)
-        _admit(space, alpha, APEX_CLEARANCE)
-        total += float(np.sum(_apex_angles(
-            space, alpha[:-1], alpha[1:],
-            _edge_chords(space, edge).gamma[:len(alpha) - 1])))
-    return total / (2.0 * math.pi)
+    table, _, a, b = _triangles(space, apex, graph, APEX_CLEARANCE)
+    n = table.nfine
+    return float(np.sum(_apex_angles(space, a[:n], b[:n], table.gamma[:n]))) \
+        / (2.0 * math.pi)
 
 
 def _half_sq_chords(space: SpaceForm, a: np.ndarray,
@@ -233,99 +223,81 @@ def _apex_angles(space: SpaceForm, alpha: np.ndarray, beta: np.ndarray,
 
 
 @dataclass(eq=False)
-class _EdgeChords:
-    """The apex-free part of _edge_cone_area for one edge.  Its triangles
-    are the n fine chords followed by the coarse chords; chord i joins
-    samples tail[i] and head[i], with half squared chord gamma[i].  Coarse
-    chord m starts at fine chord lo[m] and spans j of them, and
-    denom[m] = j^2 - 1.  weight[i] is the factor of triangle i in the
-    Richardson sum: 1 + 1/denom[m] for a fine chord inside coarse chord m,
-    -1/denom[m] for coarse chord m."""
+class _ChordTable:
+    """The part of the cone quantities over a graph that does not depend on
+    the apex.  samples holds every edge's samples, edge after edge.  The
+    triangles stand on every edge's fine chords, nfine in all, then on
+    every edge's coarse chords; chord i joins samples tail[i] and head[i],
+    with half squared chord gamma[i].  Coarse chord m spans the j fine
+    chords from lo[m] on, and denom[m] = j^2 - 1.  weight[i] is the factor
+    of triangle i in the Richardson sum: 1 + 1/denom[m] for a fine chord
+    inside coarse chord m, -1/denom[m] for coarse chord m.  spans holds
+    each edge's slices of the samples, the fine chords and the coarse
+    chords."""
 
+    samples: np.ndarray
     tail: np.ndarray
     head: np.ndarray
     gamma: np.ndarray
+    nfine: int
     lo: np.ndarray
     denom: np.ndarray
     weight: np.ndarray
+    spans: list[tuple[slice, slice, slice]]
 
 
-def _edge_chords(space: SpaceForm, edge: EdgeCurve) -> _EdgeChords:
-    """The edge's _EdgeChords, cached on the edge like its unit tangents."""
+def _chord_table(graph: EmbeddedGraph) -> _ChordTable:
+    """The graph's _ChordTable, built on first use and cached on the graph.
+    An edge of n chords has n // 2 coarse chords, each spanning j = 2 of
+    its fine chords, or j = 3 for the last one when n is odd."""
     def build():
-        n = len(edge.samples) - 1
-        nodes = np.arange(0, n + 1, 2)
-        nodes[-1] = n
-        lo, hi = nodes[:-1], nodes[1:]
-        tail = np.concatenate([np.arange(n), lo])
-        head = np.concatenate([np.arange(1, n + 1), hi])
+        n = [len(e.samples) - 1 for e in graph.edges]
+        f = np.cumsum([0] + n)
+        lo = np.concatenate([np.arange(a, b - 1, 2) for a, b in zip(f, f[1:])])
+        hi = np.append(lo[1:], f[-1])
+        edge = np.repeat(np.arange(len(n)), n)  # the edge of each fine chord
+        fine = np.arange(f[-1]) + edge  # the sample each fine chord leaves
+        tail = np.concatenate([fine, lo + edge[lo]])
+        head = np.concatenate([fine + 1, hi + edge[lo]])
         denom = (hi - lo) ** 2 - 1
         step = 1.0 / denom
-        return _EdgeChords(
-            tail=tail, head=head,
-            gamma=_half_sq_chords(space, edge.samples[tail],
-                                  edge.samples[head]),
-            lo=lo, denom=denom,
-            weight=np.concatenate([1.0 + np.repeat(step, hi - lo), -step]))
+        samples = graph.all_samples()
+        f, c = f.tolist(), np.searchsorted(lo, f).tolist()
+        return _ChordTable(
+            samples=samples, tail=tail, head=head,
+            gamma=_half_sq_chords(graph.space, samples[tail], samples[head]),
+            nfine=f[-1], lo=lo, denom=denom,
+            weight=np.concatenate([1.0 + np.repeat(step, hi - lo), -step]),
+            spans=[(slice(f[e] + e, f[e + 1] + e + 1), slice(f[e], f[e + 1]),
+                    slice(c[e], c[e + 1])) for e in range(len(n))])
 
-    return edge.cached("cone_chords", build)
-
-
-def _edge_cone_area(space: SpaceForm, alpha: np.ndarray,
-                    chords: _EdgeChords) -> float:
-    """Cone area over one edge, given the half squared chords alpha from
-    the apex to its samples, from the triangles on its chords and on coarse
-    chords that each span j = 2 of them (j = 3 for the last one when the
-    chord count is odd).  A triangle misses the cone over its arc by c H^3
-    to leading order for a chord of length H, so adding (fine - coarse) /
-    (j^2 - 1) per coarse chord, a Richardson step, cancels that term.
-    Straight edges stay exact."""
-    return _richardson_sum(
-        _triangle_areas(space, alpha[chords.tail], alpha[chords.head],
-                        chords.gamma), chords)
+    return graph.cached("chord_table", build)
 
 
-def _richardson_sum(areas: np.ndarray, chords: _EdgeChords) -> float:
-    """The Richardson-weighted sum of the triangle areas on an edge's fine
-    chords followed by its coarse chords; chords.weight holds its factors."""
-    n = len(chords.tail) - len(chords.lo)
-    fine, coarse = areas[:n], areas[n:]
-    correction = (np.add.reduceat(fine, chords.lo) - coarse) / chords.denom
-    return float(np.sum(fine) + np.sum(correction))
+def _triangles(space: SpaceForm, apex: np.ndarray, graph: EmbeddedGraph,
+               clearance: float):
+    """The graph's _ChordTable and the half squared chords from the apex:
+    alpha to its samples, and a and b to the tails and heads of its
+    chords.  The apex must pass check_apex at `clearance`."""
+    table = _chord_table(graph)
+    alpha = check_apex(space, apex, table.samples, clearance)
+    return table, alpha, alpha[table.tail], alpha[table.head]
 
 
-def _edge_cone_area_partials(space: SpaceForm, alpha: np.ndarray,
-                             chords: _EdgeChords) -> tuple[float, np.ndarray]:
-    """_edge_cone_area, bit for bit, and its partials c = dArea/dalpha.
-
-    A triangle's area is (2/|K|) atan2(|K| s, D) with s = sqrt(g) its
-    _gram_root and D = 4 - K (alpha + beta + gamma), or s/2 flat; both give
-
-        dA/dalpha = (D g_alpha + 2 K g) / (s (K^2 g + D^2)),
-        g_alpha = 2 (beta + gamma - alpha) - 2 K beta gamma,
-
-    and likewise in beta.  Where g <= 0 the apex lies on the chord's
-    geodesic (a fold of the cone) and the partials of s are infinite; that
-    triangle's partials are set to 0 there.  Each sample's c sums the
-    Richardson-weighted partials of the triangles that have it as a
-    corner."""
-    a, b, gamma = alpha[chords.tail], alpha[chords.head], chords.gamma
-    k = space.sectional_curvature
-    total = a + b + gamma
-    root = _gram_root(space, a, b, gamma)
-    area = _richardson_sum(_root_areas(space, total, root), chords)
-    d = 4.0 - k * total
-    g = root * root
-    fold = root == 0.0
-    scale = chords.weight / np.where(fold, 1.0, root * (k * k * g + d * d))
-    scale[fold] = 0.0
-    c_tail = scale * (d * (2.0 * (b + gamma - a) - 2.0 * k * b * gamma)
-                      + 2.0 * k * g)
-    c_head = scale * (d * (2.0 * (a + gamma - b) - 2.0 * k * a * gamma)
-                      + 2.0 * k * g)
-    size = len(alpha)
-    return area, (np.bincount(chords.tail, c_tail, minlength=size)
-                  + np.bincount(chords.head, c_head, minlength=size))
+def _richardson_sum(areas: np.ndarray, table: _ChordTable) -> float:
+    """The cone area from the areas of the triangles on the table's fine
+    chords followed by its coarse chords.  A triangle misses the cone over
+    its arc by c H^3 to leading order for a chord of length H, so adding
+    (fine - coarse) / (j^2 - 1) per coarse chord, a Richardson step,
+    cancels that term.  Straight edges stay exact.  Each edge is summed on
+    its own slices and the edge sums are added in graph order."""
+    fine = areas[:table.nfine]
+    correction = (np.add.reduceat(fine, table.lo) - areas[table.nfine:]) \
+        / table.denom
+    total = 0.0
+    for _, on_fine, on_coarse in table.spans:
+        total += float(np.sum(fine[on_fine]) + np.sum(correction[on_coarse]))
+    return total
 
 
 def ambient_cone_area(space: SpaceForm, apex: np.ndarray,
@@ -333,16 +305,11 @@ def ambient_cone_area(space: SpaceForm, apex: np.ndarray,
                       clearance: float = APEX_CLEARANCE) -> float:
     """Area (with multiplicity) of the ruled cone surface.  Over each
     geodesic chord of an edge the cone is a geodesic triangle with a closed
-    form; _edge_cone_area sums them with one Richardson step.  The apex
-    must pass _admit at `clearance`, on the same half squared chords that
+    form; _richardson_sum sums them with one Richardson step.  The apex
+    must pass check_apex at `clearance`, on the same half squared chords that
     feed the triangles."""
-    apex = np.asarray(apex, float)
-    total = 0.0
-    for edge in graph.edges:
-        alpha = _half_sq_chords(space, edge.samples, apex)
-        _admit(space, alpha, clearance)
-        total += _edge_cone_area(space, alpha, _edge_chords(space, edge))
-    return total
+    table, _, a, b = _triangles(space, apex, graph, clearance)
+    return _richardson_sum(_triangle_areas(space, a, b, table.gamma), table)
 
 
 def cone_area_gradient(space: SpaceForm, apex: np.ndarray,
@@ -357,21 +324,36 @@ def cone_area_gradient(space: SpaceForm, apex: np.ndarray,
     dArea = <G, dp> (space.mdot) for every tangent dp at the apex, so the
     Riemannian gradient is space.tangent_project(apex, G); the part of G
     normal to the model carries no meaning, and it grows large near a
-    fold.  The c_i sum the triangle partials of _edge_cone_area_partials
-    over the fine and coarse chords with the Richardson weights; a
-    triangle whose apex lies on its chord's geodesic (g <= 0) has partials
-    0.  The apex must pass _admit at `clearance`."""
+    fold.  A triangle's area is (2/|K|) atan2(|K| s, D), or s/2 flat, with
+    s = sqrt(g) its _gram_root and D = 4 - K (alpha + beta + gamma); both give
+
+        dA/dalpha = (D g_alpha + 2 K g) / (s (K^2 g + D^2)),
+        g_alpha = 2 (beta + gamma - alpha) - 2 K beta gamma,
+
+    and likewise in beta.  Where g <= 0 the apex lies on the chord's
+    geodesic (a fold of the cone) and the partials of s are infinite; that
+    triangle's partials are set to 0 there.  c_i sums the Richardson-weighted
+    partials of the triangles with corner x_i, on fine and coarse chords.
+    The apex must pass check_apex at `clearance`."""
     apex = np.asarray(apex, float)
-    total = 0.0
-    grad = np.zeros_like(apex)
-    for edge in graph.edges:
-        alpha = _half_sq_chords(space, edge.samples, apex)
-        _admit(space, alpha, clearance)
-        area, c = _edge_cone_area_partials(space, alpha,
-                                           _edge_chords(space, edge))
-        total += area
-        grad -= c @ (edge.samples - apex)
-    return total, grad
+    table, alpha, a, b = _triangles(space, apex, graph, clearance)
+    gamma = table.gamma
+    k = space.sectional_curvature
+    total = a + b + gamma
+    root = _gram_root(space, a, b, gamma)
+    d = 4.0 - k * total
+    g = root * root
+    fold = root == 0.0
+    scale = table.weight / np.where(fold, 1.0, root * (k * k * g + d * d))
+    scale[fold] = 0.0
+    c_tail = scale * (d * (2.0 * (b + gamma - a) - 2.0 * k * b * gamma)
+                      + 2.0 * k * g)
+    c_head = scale * (d * (2.0 * (a + gamma - b) - 2.0 * k * a * gamma)
+                      + 2.0 * k * g)
+    c = np.bincount(table.tail, c_tail, minlength=len(alpha)) \
+        + np.bincount(table.head, c_head, minlength=len(alpha))
+    return (_richardson_sum(_root_areas(space, total, root), table),
+            -c @ (table.samples - apex))
 
 
 def gauss_bonnet_residual(space: SpaceForm, apex: np.ndarray,

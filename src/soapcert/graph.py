@@ -24,6 +24,9 @@ MIN_EDGE_SAMPLES = 8
 # snapped to it exactly when they do).
 ENDPOINT_TOL = 1e-8
 
+# resample_arclength makes at most this many samples over a whole graph.
+MAX_RESAMPLED_SAMPLES = 2 ** 20
+
 
 @dataclass(eq=False)
 class Vertex:
@@ -32,7 +35,23 @@ class Vertex:
 
 
 @dataclass(eq=False)
-class EdgeCurve:
+class _Cached:
+    """An object that is immutable after construction, so whatever is
+    derived from it alone is built once and kept on it by cached."""
+
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
+
+    def cached(self, key: str, build):
+        """The value of build() under key, built on the first call."""
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = self._cache[key] = build()
+            return value
+
+
+@dataclass(eq=False)
+class EdgeCurve(_Cached):
     """A sampled edge: points joined by model-space geodesics.
 
     ``s`` holds cumulative geodesic chord lengths, so consecutive chord
@@ -45,7 +64,6 @@ class EdgeCurve:
     endpoints: tuple
     samples: np.ndarray
     s: np.ndarray
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.samples) < MIN_EDGE_SAMPLES:
@@ -58,16 +76,6 @@ class EdgeCurve:
     @property
     def length(self) -> float:
         return float(self.s[-1])
-
-    def cached(self, key: str, build):
-        """The value of build() under key, built on the first call and kept
-        on the edge: edges are immutable after construction, so whatever
-        is derived from one edge alone is built once."""
-        try:
-            return self._cache[key]
-        except KeyError:
-            value = self._cache[key] = build()
-            return value
 
     def with_samples(self, samples: np.ndarray) -> "EdgeCurve":
         """An edge with this one's id, endpoints and parameters but the
@@ -82,7 +90,7 @@ class EdgeCurve:
 
 
 @dataclass(eq=False)
-class EmbeddedGraph:
+class EmbeddedGraph(_Cached):
     """Vertices joined by edges.  The incidence map from vertex id to its
     (edge, end) pairs is built once here, in graph order with end 0 before
     end 1.  An edge naming an unknown vertex is filed under that id, so
@@ -344,17 +352,23 @@ def load_graph_file(path) -> EmbeddedGraph:
 def resample_arclength(graph: EmbeddedGraph, h: float) -> EmbeddedGraph:
     """Resample every edge at arclength spacing ~h along its geodesic
     polyline.  Endpoints are kept exactly; each edge keeps at least
-    MIN_EDGE_SAMPLES samples even when h is coarse."""
+    MIN_EDGE_SAMPLES samples even when h is coarse.  A step that would make
+    over MAX_RESAMPLED_SAMPLES samples fails before allocating anything."""
     if not h > 0.0:
         raise ValidationError("resampling step must be positive")
+    # capped before the ceiling, so a quotient that overflowed stays finite
+    counts = [max(math.ceil(min(e.length / h, MAX_RESAMPLED_SAMPLES) - 1e-9),
+                  MIN_EDGE_SAMPLES - 1) for e in graph.edges]
+    if sum(counts) + len(counts) > MAX_RESAMPLED_SAMPLES:
+        raise ValidationError(f"step {h:g} would resample the graph to more "
+                              f"than {MAX_RESAMPLED_SAMPLES} samples")
     space = graph.space
     new_edges = []
-    for e in graph.edges:
+    for e, m in zip(graph.edges, counts):
         total = e.length
         if h > total:
             raise ValidationError(
                 f"step {h:g} exceeds the length {total:g} of edge {e.id!r}")
-        m = max(math.ceil(total / h - 1e-9), MIN_EDGE_SAMPLES - 1)
         targets = np.linspace(0.0, total, m + 1)
         idx = np.clip(np.searchsorted(e.s, targets, side="right") - 1,
                       0, len(e.s) - 2)

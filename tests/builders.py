@@ -458,3 +458,9 @@ def star_ascent(space, graph, vertex_id):
             best = int(np.argmax(g))
             return float(g[best]), E[best] @ basis
     raise IterationError("vertex ascent reached VERTEX_ASCENT_MAX_ITER")
+
+
+def refuse_allocation(*args, **kwargs):
+    """A stand-in for np.linspace where a resampling step must be refused
+    before any array is sized by it."""
+    raise AssertionError("an array was sized by a step that must be refused")

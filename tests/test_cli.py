@@ -10,7 +10,8 @@ from soapcert.certify import SEARCH_CLEARANCE
 from soapcert.cli import run
 from soapcert.graph import EmbeddedGraph, Vertex, make_edge, validate_graph
 
-from builders import SPACES, figure_eight_graph, four_leg_star_graph
+from builders import (SPACES, figure_eight_graph, four_leg_star_graph,
+                      refuse_allocation)
 
 FLAT = SpaceForm(Model.FLAT, 3)
 
@@ -450,6 +451,18 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err == "validation error: grid size must be >= 1\n"
+
+    @pytest.mark.parametrize("step,shown", [("1e-300", "1e-300"),
+                                            ("1e-9", "1e-09")])
+    def test_too_fine_resampling_step_is_validation_failure(
+            self, capsys, monkeypatch, circle_file, step, shown):
+        # the step is refused before np.linspace sizes a resampled edge
+        monkeypatch.setattr(np, "linspace", refuse_allocation)
+        code, out, err = run_capture(capsys, ["tc", circle_file, "--h", step])
+        assert code == 2
+        assert out == ""
+        assert err == f"validation error: step {shown} would resample the " \
+            "graph to more than 1048576 samples\n"
 
     def test_missing_file_is_io_failure(self, capsys):
         code, _, _ = run_capture(capsys, ["tc", "/nonexistent/x.json"])

@@ -24,7 +24,7 @@ from soapcert import (
     resample_arclength,
     vertex_star,
 )
-from soapcert import _num, shapes
+from soapcert import _num, cone as cone_mod, shapes
 from soapcert.certify import SEARCH_CLEARANCE, _ball_objective
 from soapcert.cone import (
     APEX_CLEARANCE,
@@ -310,6 +310,17 @@ def _off_base_apex(space):
                      @ space.tangent_basis(base))
 
 
+def mixed_chord_polygon(space):
+    """A quadrilateral with unequal sides, resampled so that its edges have
+    both odd and even chord counts (41/48/47/38 chords flat)."""
+    corners = np.array([[0.35, -0.1, 0.0], [0.1, 0.4, 0.05],
+                        [-0.45, 0.05, 0.1], [-0.05, -0.4, -0.1]])
+    g = resample_arclength(shapes.polygon_graph(space, corners,
+                                                samples_per_edge=9), 0.0137)
+    assert {len(e.samples) % 2 for e in g.edges} == {0, 1}
+    return g
+
+
 class TestConeAreaCache:
     # each builder makes edges of n chords (n + 96 on the loop)
     CASES = {
@@ -329,6 +340,36 @@ class TestConeAreaCache:
         first = ambient_cone_area(g.space, apex, g)
         assert first == uncached_cone_area(g.space, apex, g)
         assert ambient_cone_area(g.space, apex, g) == first
+
+    @UNIT_MODELS
+    def test_mixed_chord_counts_across_edges(self, space):
+        g = mixed_chord_polygon(space)
+        apex = _off_base_apex(space)
+        area = ambient_cone_area(space, apex, g)
+        assert area == uncached_cone_area(space, apex, g)
+        assert float.hex(cone_area_gradient(space, apex, g)[0]) \
+            == float.hex(area)
+        dev = develop_cone(space, apex, g)
+        assert dev.hat_area == area
+        assert abs(ambient_cone_density(space, apex, g) - dev.hat_density) \
+            <= 1e-12
+
+    def test_one_chord_table_per_graph(self, monkeypatch):
+        built = []
+        table = cone_mod._ChordTable
+
+        def counted(**fields):
+            built.append(fields)
+            return table(**fields)
+
+        monkeypatch.setattr(cone_mod, "_ChordTable", counted)
+        g = mixed_chord_polygon(HYP1)
+        apex = _off_base_apex(HYP1)
+        ambient_cone_area(HYP1, apex, g)
+        cone_area_gradient(HYP1, apex, g)
+        ambient_cone_density(HYP1, apex, g)
+        develop_cone(HYP1, apex, g)
+        assert len(built) == 1
 
     def test_resampled_graph_builds_its_own_chords(self):
         g = shapes.regular_polygon_graph(HYP1, 5, 0.8, samples_per_edge=32)
@@ -395,6 +436,16 @@ class TestConeAreaGradient:
             assert np.max(np.abs(grad - fd)) < 1e-8
         assert float(space.dist(apex_at(z), hull.center)) == pytest.approx(
             hull.radius, rel=1e-12)
+
+    @UNIT_MODELS
+    def test_mixed_chord_counts_match_central_differences(self, space):
+        g = mixed_chord_polygon(space)
+        for apex in _gradient_apices(space):
+            _, grad = cone_area_gradient(space, apex, g)
+            got = space.mdot(space.tangent_basis(apex),
+                             space.tangent_project(apex, grad))
+            assert np.max(np.abs(got - _tangent_differences(space, apex, g))) \
+                < 1e-8
 
     def test_fold_gives_a_finite_gradient(self):
         # apices on the geodesic through two consecutive samples, beyond

@@ -19,7 +19,7 @@ from soapcert import (
     resample_arclength,
     vertex_star,
 )
-from soapcert import shapes
+from soapcert import graph as graph_mod, shapes
 from soapcert.graph import (
     _check_spherical_diameter,
     arclength_params,
@@ -27,7 +27,7 @@ from soapcert.graph import (
 )
 from soapcert.spaceform import ANTIPODAL_SLACK
 
-from builders import figure_eight_graph, random_graph
+from builders import figure_eight_graph, random_graph, refuse_allocation
 
 FLAT = SpaceForm(Model.FLAT, 3)
 
@@ -475,6 +475,24 @@ class TestResample:
         g = shapes.square_graph(FLAT, 1.0)
         with pytest.raises(ValidationError, match="exceeds"):
             resample_arclength(g, 1.5)
+
+    @pytest.mark.parametrize("h", [1e-9, 1e-300, 5e-324])
+    def test_too_fine_step_rejected_before_allocating(self, h, monkeypatch):
+        # 1e-9 would make about 6e9 samples and 5e-324 overflows length / h;
+        # np.linspace would size the resampled edge, so it must not be reached
+        g = shapes.circle_graph(FLAT, 1.0, 1024)
+        monkeypatch.setattr(np, "linspace", refuse_allocation)
+        with pytest.raises(ValidationError, match="more than 1048576 samples"):
+            resample_arclength(g, h)
+
+    def test_sample_bound_counts_every_sample(self, monkeypatch):
+        monkeypatch.setattr(graph_mod, "MAX_RESAMPLED_SAMPLES", 100)
+        g = shapes.circle_graph(FLAT, 1.0, 1024)
+        # 99 chords make 100 samples, 100 chords 101
+        assert len(resample_arclength(
+            g, g.total_length / 98.5).edges[0].samples) == 100
+        with pytest.raises(ValidationError, match="more than 100 samples"):
+            resample_arclength(g, g.total_length / 99.5)
 
 
 INCIDENCE_CASES = {

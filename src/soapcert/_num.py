@@ -35,7 +35,8 @@ _REST = np.array([[[m for m in _OTHERS[j] if m != k] for k in _OTHERS[j]]
 _BLOCK = 2048
 
 
-def first_derivative_stencil(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def first_derivative_stencil(s: np.ndarray, bounds=None
+                             ) -> tuple[np.ndarray, np.ndarray]:
     """The first-derivative stencil on parameters s: a sliding 5-node
     Lagrange window (clamped at the ends), fourth order on smooth grids.
     A uniform scheme is used at every sample, interior and ends alike, so
@@ -45,10 +46,17 @@ def first_derivative_stencil(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns each sample's window start, shape (n,), and the weights of
     its window's five samples, shape (n, 5).  They depend on s alone, so
     one stencil serves every curve sampled at s; apply_stencil evaluates
-    it."""
+    it.  Given bounds, s holds several curves' parameters one after
+    another, curve i at s[bounds[i]:bounds[i + 1]], and each window is
+    clamped to its own curve; every weight is computed on its own, so
+    curve i's rows are its own stencil bit for bit, with window starts
+    offset by bounds[i]."""
     s = np.asarray(s, float)
     n = len(s)
-    start = np.clip(np.arange(n) - _WINDOW // 2, 0, n - _WINDOW)
+    bounds = np.array([0, n] if bounds is None else bounds)
+    count = np.diff(bounds)
+    start = np.clip(np.arange(n) - _WINDOW // 2, np.repeat(bounds[:-1], count),
+                    np.repeat(bounds[1:] - _WINDOW, count))
     # node parameters relative to the evaluation point, one row per node
     t = s[start + np.arange(_WINDOW)[:, None]] - s
     weights = np.empty_like(t)

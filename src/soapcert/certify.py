@@ -157,11 +157,18 @@ def _ball_grid(space: SpaceForm, center: np.ndarray, radius: float,
     return np.asarray(pts)
 
 
-def _unique_rows(points: np.ndarray) -> np.ndarray:
-    """Drop exact duplicates (shared endpoint samples repeat across edges)
-    while preserving first-seen order."""
-    _, idx = np.unique(points.round(decimals=12), axis=0, return_index=True)
-    return points[np.sort(idx)]
+def _hull_samples(graph: EmbeddedGraph) -> np.ndarray:
+    """The graph's samples, edge after edge, with each vertex once: an edge
+    end is dropped when an earlier edge end already gave its vertex."""
+    seen = set()
+    parts = []
+    for e in graph.edges:
+        keep = np.ones(len(e.samples), bool)
+        for end in (0, 1):
+            keep[-end] = e.endpoints[end] not in seen
+            seen.add(e.endpoints[end])
+        parts.append(e.samples[keep])
+    return np.concatenate(parts)
 
 
 def hull_approx(space: SpaceForm, graph: EmbeddedGraph,
@@ -170,7 +177,7 @@ def hull_approx(space: SpaceForm, graph: EmbeddedGraph,
     A spherical graph whose ball diameter comes within 85% of the pi/b
     bound triggers a warning: apex candidates near the ball boundary may
     then see graph points at conjugate distances."""
-    samples = _unique_rows(graph.all_samples())
+    samples = _hull_samples(graph)
     center = karcher_center(space, samples)
     radius = float(np.max(space.dist(center, samples)))
     if space.model is Model.SPHERICAL \

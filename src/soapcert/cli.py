@@ -43,7 +43,8 @@ USAGE_EXIT = 64
 VALIDATION_EXIT = 2
 NUMERICAL_EXIT = 3
 
-# A parsed --apex may move this far when projected onto the model manifold.
+# A parsed --apex may sit this far off the model manifold, measured by
+# SpaceForm.manifold_offset as graph file points are.
 APEX_TOLERANCE = 1e-6
 
 
@@ -87,7 +88,7 @@ def _parse_apex(space: SpaceForm, text: str) -> np.ndarray:
     if not np.all(np.isfinite(coords)):
         raise ValidationError("apex coordinates must be finite numbers")
     proj = space.project_point(coords)
-    if float(np.linalg.norm(proj - coords)) > APEX_TOLERANCE:
+    if float(space.manifold_offset(coords)) > APEX_TOLERANCE:
         raise ValidationError("apex is off the manifold beyond tolerance")
     return proj
 

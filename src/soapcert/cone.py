@@ -22,9 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _num
-from .curvature import edge_curvature
+from .curvature import curvature_vectors
 from .errors import ApexOnGraphError, ConjugatePointError, ValidationError
-from .graph import EdgeCurve, EmbeddedGraph, edge_unit_tangents, vertex_star
+from .graph import (
+    EdgeCurve,
+    EmbeddedGraph,
+    derivative_stencil,
+    edge_unit_tangents,
+    star_table,
+)
 from .spaceform import ANTIPODAL_SLACK, Model, SpaceForm
 
 # Distances from apex to the graph below this are treated as a collision.
@@ -114,15 +120,24 @@ def cone_conormal_curvature(space: SpaceForm, apex: np.ndarray,
     radially and the conormal is undefined."""
     apex = np.asarray(apex, float)
     check_apex(space, apex, edge.samples)
-    u = space.tangent_project(edge.samples, edge.samples - apex)
+    return _conormal_rows(space, apex, edge.samples,
+                          edge_unit_tangents(space, edge), edge.s)
+
+
+def _conormal_rows(space: SpaceForm, apex: np.ndarray, x: np.ndarray,
+                   t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """cone_conormal_curvature at the interior samples of a curve sampled
+    at x, with unit tangents t and parameters s.  Every row is computed
+    from its own sample and its two neighbours alone."""
+    kvec = curvature_vectors(space, x, t, s)
+    x, t = x[1:-1], t[1:-1]
+    u = space.tangent_project(x, x - apex)
     u = u / space.norm(u)[:, None]
-    t = edge_unit_tangents(space, edge)
-    ec = edge_curvature(space, edge)
-    nu = (u - space.mdot(u, t)[:, None] * t)[1:-1]
+    nu = u - space.mdot(u, t)[:, None] * t
     norms = space.norm(nu)
     out = np.full(len(norms), np.nan)
     ok = norms >= 1e-8
-    out[ok] = space.mdot(ec.kvec[ok], nu[ok] / norms[ok][:, None])
+    out[ok] = space.mdot(kvec[ok], nu[ok] / norms[ok][:, None])
     return out
 
 
@@ -132,25 +147,46 @@ def develop_cone(space: SpaceForm, apex: np.ndarray,
     by the apex angle of the chord's geodesic triangle, starting at zero on
     each edge, and the developed area is _richardson_sum on the same
     triangles, so hat_area equals ambient_cone_area.  The developed
-    curve is re-embedded in the 2-D model plane and its conormal curvature
-    is measured with the same stencils as on the ambient side."""
+    curves are re-embedded in the 2-D model plane as one array, and their
+    conormal curvature is measured in one pass over it: tangents from the
+    graph's derivative_stencil, then cone_conormal_curvature's row kernel,
+    each row from its sample and two neighbours, so every row inside an
+    edge reads what that edge alone would.  The ambient admission of the
+    apex stands for the plane's: every developed point lies at its
+    sample's distance r from the plane apex."""
     apex = np.asarray(apex, float)
     table, alpha, a, b = _triangles(space, apex, graph, APEX_CLEARANCE)
     plane, plane_apex = development_plane(space)
     r = space.chord_dist(2.0 * alpha)
     n = table.nfine
     angles = _apex_angles(space, a[:n], b[:n], table.gamma[:n])
+    theta = np.zeros(len(r))
+    for samples, fine, _ in table.spans:
+        np.cumsum(angles[fine], out=theta[samples.start + 1:samples.stop])
+    x = developed_points(plane, r, theta)
+    t = plane.tangent_project(
+        x, _num.apply_stencil(derivative_stencil(graph), x))
+    norm = plane.norm(t)
+    if np.any(norm < 1e-12):
+        first = int(np.argmax(norm < 1e-12))
+        edge = next(e for e, (samples, _, _) in zip(graph.edges, table.spans)
+                    if samples.stop > first)
+        raise ValidationError(f"degenerate tangent on edge {edge.id!r}")
+    # all edges as one curve: the rows at an edge's two ends mix two edges
+    # and are overwritten below, so their floating-point faults are ignored
+    khat = np.empty(len(r))
+    with np.errstate(all="ignore"):
+        khat[1:-1] = _conormal_rows(plane, plane_apex, x, t / norm[:, None],
+                                    table.s)
     per_edge = []
     total_angle = 0.0
-    for edge, (samples, fine, _) in zip(graph.edges, table.spans):
-        theta = np.concatenate(([0.0], np.cumsum(angles[fine])))
-        dev_samples = developed_points(plane, r[samples], theta)
-        khat = _num.extend_interior(cone_conormal_curvature(
-            plane, plane_apex, edge.with_samples(dev_samples)))
+    for edge, (samples, _, _) in zip(graph.edges, table.spans):
+        khat_nu = khat[samples]
+        khat_nu[0], khat_nu[-1] = khat_nu[1], khat_nu[-2]
         per_edge.append(EdgeDevelopment(
-            edge_id=edge.id, s=edge.s.copy(), r=r[samples], theta=theta,
-            khat_nu=khat))
-        total_angle += float(theta[-1])
+            edge_id=edge.id, s=edge.s.copy(), r=r[samples],
+            theta=theta[samples], khat_nu=khat_nu))
+        total_angle += float(theta[samples.stop - 1])
     return ConeDevelopment(apex=apex, per_edge=per_edge,
                            hat_density=total_angle / (2.0 * math.pi),
                            hat_area=_richardson_sum(_triangle_areas(
@@ -225,17 +261,18 @@ def _apex_angles(space: SpaceForm, alpha: np.ndarray, beta: np.ndarray,
 @dataclass(eq=False)
 class _ChordTable:
     """The part of the cone quantities over a graph that does not depend on
-    the apex.  samples holds every edge's samples, edge after edge.  The
-    triangles stand on every edge's fine chords, nfine in all, then on
-    every edge's coarse chords; chord i joins samples tail[i] and head[i],
-    with half squared chord gamma[i].  Coarse chord m spans the j fine
-    chords from lo[m] on, and denom[m] = j^2 - 1.  weight[i] is the factor
-    of triangle i in the Richardson sum: 1 + 1/denom[m] for a fine chord
-    inside coarse chord m, -1/denom[m] for coarse chord m.  spans holds
-    each edge's slices of the samples, the fine chords and the coarse
-    chords."""
+    the apex.  samples holds every edge's samples, edge after edge, and s
+    their parameters.  The triangles stand on every edge's fine chords,
+    nfine in all, then on every edge's coarse chords; chord i joins
+    samples tail[i] and head[i], with half squared chord gamma[i].
+    Coarse chord m spans the j fine chords from lo[m] on, and
+    denom[m] = j^2 - 1.  weight[i] is the factor of triangle i in the
+    Richardson sum: 1 + 1/denom[m] for a fine chord inside coarse chord m,
+    -1/denom[m] for coarse chord m.  spans holds each edge's slices of the
+    samples, the fine chords and the coarse chords."""
 
     samples: np.ndarray
+    s: np.ndarray
     tail: np.ndarray
     head: np.ndarray
     gamma: np.ndarray
@@ -264,7 +301,8 @@ def _chord_table(graph: EmbeddedGraph) -> _ChordTable:
         samples = graph.all_samples()
         f, c = f.tolist(), np.searchsorted(lo, f).tolist()
         return _ChordTable(
-            samples=samples, tail=tail, head=head,
+            samples=samples, s=np.concatenate([e.s for e in graph.edges]),
+            tail=tail, head=head,
             gamma=_half_sq_chords(graph.space, samples[tail], samples[head]),
             nfine=f[-1], lo=lo, denom=denom,
             weight=np.concatenate([1.0 + np.repeat(step, hi - lo), -step]),
@@ -368,8 +406,8 @@ def gauss_bonnet_residual(space: SpaceForm, apex: np.ndarray,
     numerical value shrinks at second order under sample refinement.  A
     given `dev` must be develop_cone's for this apex and graph: same apex,
     same edge ids and parameters in graph order, or ValidationError.  The
-    vertex term measures every edge-end's angle in one pass and subtracts
-    them in graph order.
+    vertex term measures every edge-end's angle of the graph's star_table
+    in one pass and subtracts them in graph order.
     """
     apex = np.asarray(apex, float)
     if dev is None:
@@ -381,11 +419,8 @@ def gauss_bonnet_residual(space: SpaceForm, apex: np.ndarray,
     for ed in dev.per_edge:
         vals = np.nan_to_num(ed.khat_nu, nan=0.0)
         total += _num.trapezoid(vals, ed.s)
-    star = [tv for vertex in graph.vertices
-            for tv in vertex_star(graph, vertex.id)]
-    toward_apex = space.log(np.array([tv.base for tv in star]), apex)
-    angles = space.angle_between(np.array([tv.vec for tv in star]),
-                                 toward_apex)
+    stars = star_table(graph)
+    angles = space.angle_between(stars.vec, space.log(stars.base, apex))
     for ang in angles.tolist():
         total -= math.pi / 2.0 - ang
     return abs(total)

@@ -23,7 +23,13 @@ import numpy as np
 
 from . import _num
 from .errors import IterationError
-from .graph import EdgeCurve, EmbeddedGraph, edge_unit_tangents, vertex_star
+from .graph import (
+    EdgeCurve,
+    EmbeddedGraph,
+    derivative_stencil,
+    edge_unit_tangents,
+    star_table,
+)
 from .spaceform import SpaceForm, TangentVector
 
 # Fixed grid starts of the vertex ascent, on top of the structured ones.
@@ -62,17 +68,25 @@ class TCReport:
     total: float
 
 
+def curvature_vectors(space: SpaceForm, x: np.ndarray, t: np.ndarray,
+                      s: np.ndarray) -> np.ndarray:
+    """Geodesic-curvature vectors at the interior samples of a curve
+    sampled at x, with unit tangents t and parameters s: the second
+    difference of the embedding, projected to the tangent space, with its
+    component along the unit tangent removed."""
+    t = t[1:-1]
+    acc = space.tangent_project(
+        x[1:-1], _num.curve_second_derivative_interior(s, x))
+    return acc - space.mdot(acc, t)[:, None] * t
+
+
 def edge_curvature(space: SpaceForm, edge: EdgeCurve) -> EdgeCurvatureSamples:
     """Geodesic-curvature vector of the curve in the model space at interior
-    samples: the second difference of the embedding, projected to the tangent
-    space, with its component along the unit tangent removed."""
-    acc = _num.curve_second_derivative_interior(edge.s, edge.samples)
-    mid = edge.samples[1:-1]
-    acc = space.tangent_project(mid, acc)
-    t = edge_unit_tangents(space, edge)[1:-1]
-    kvec = acc - space.mdot(acc, t)[:, None] * t
-    kmag = space.norm(kvec)
-    return EdgeCurvatureSamples(s=edge.s[1:-1].copy(), kvec=kvec, kmag=kmag)
+    samples, by curvature_vectors."""
+    kvec = curvature_vectors(space, edge.samples,
+                             edge_unit_tangents(space, edge), edge.s)
+    return EdgeCurvatureSamples(s=edge.s[1:-1].copy(), kvec=kvec,
+                                kmag=space.norm(kvec))
 
 
 def edge_total_curvature(space: SpaceForm, edge: EdgeCurve) -> float:
@@ -178,11 +192,11 @@ def _unit_grid(n: int, count: int) -> np.ndarray:
 
 def _star_coordinates(space: SpaceForm, graph: EmbeddedGraph, vertex_id):
     """The vertex point q, an orthonormal basis of its tangent space, and
-    the star's unit tangents in that basis."""
+    the star's unit tangents in that basis, from the graph's star_table."""
     q = graph.vertex_point(vertex_id)
     basis = space.tangent_basis(q)
-    coords = np.stack([space.mdot(basis, t.vec)
-                       for t in vertex_star(graph, vertex_id)])
+    table = star_table(graph)
+    coords = space.mdot(basis, table.vec[table.rows[vertex_id], None])
     norms = np.linalg.norm(coords, axis=1, keepdims=True)
     return q, basis, coords / norms
 
@@ -265,7 +279,9 @@ def vertex_tc_grid(space: SpaceForm, graph: EmbeddedGraph, vertex_id,
 def cone_total_curvature(space: SpaceForm, graph: EmbeddedGraph) -> TCReport:
     """Assemble the cone total curvature: per-edge curvature integrals over
     the regular part plus the vertex contributions, whose valence >= 3
-    ascents run in one call."""
+    ascents run in one call.  Every edge's stencil comes from the graph's
+    one derivative_stencil build."""
+    derivative_stencil(graph)
     per_edge = [EdgeTC(edge_id=e.id, integral=edge_total_curvature(space, e))
                 for e in graph.edges]
     per_vertex = _vertex_terms(space, graph, [v.id for v in graph.vertices])

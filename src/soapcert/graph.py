@@ -77,17 +77,6 @@ class EdgeCurve(_Cached):
     def length(self) -> float:
         return float(self.s[-1])
 
-    def with_samples(self, samples: np.ndarray) -> "EdgeCurve":
-        """An edge with this one's id, endpoints and parameters but the
-        given samples, one per parameter.  Its first-derivative stencil
-        depends on the parameters alone, so it is this edge's stencil,
-        built here once for both."""
-        twin = EdgeCurve(id=self.id, endpoints=self.endpoints,
-                         samples=samples, s=self.s)
-        stencil = _derivative_stencil(self)
-        twin.cached("stencil", lambda: stencil)
-        return twin
-
 
 @dataclass(eq=False)
 class EmbeddedGraph(_Cached):
@@ -240,7 +229,8 @@ def _take_points(space: SpaceForm, coords, ndim: int, what: str,
                  tol: float) -> np.ndarray:
     """Project raw coordinates onto the model manifold as one array: a
     single point when ndim is 1, a list of points when it is 2.  Each
-    point may move by at most tol."""
+    point may sit at most tol off the manifold, by SpaceForm.manifold_offset,
+    which does not depend on where on the manifold it sits."""
     d = space.embedding_dim
     try:
         x = np.array(coords, float)
@@ -250,7 +240,7 @@ def _take_points(space: SpaceForm, coords, ndim: int, what: str,
             or not np.all(np.isfinite(x))):
         raise _coordinate_fault(coords, ndim, d, what)
     proj = space.project_point(x)
-    if not np.all(np.linalg.norm(proj - x, axis=-1) <= tol):
+    if not np.all(space.manifold_offset(x) <= tol):
         raise ValidationError(f"{what}: point is off the manifold "
                               f"beyond tolerance {tol:g}")
     return proj
@@ -277,8 +267,9 @@ def _block_id(block, what: str):
 
 def load_graph(document: dict) -> EmbeddedGraph:
     """Build a validated graph from a parsed document (see the file format
-    in the CLI module).  Points are projected onto the model manifold; the
-    projection must move them less than the document's tolerance."""
+    in the CLI module).  Points are projected onto the model manifold;
+    they may start at most the document's tolerance off it, measured by
+    SpaceForm.manifold_offset."""
     if not isinstance(document, dict):
         raise ValidationError("graph document must be a mapping")
     try:
@@ -387,10 +378,28 @@ def resample_arclength(graph: EmbeddedGraph, h: float) -> EmbeddedGraph:
 # tangents
 
 def _derivative_stencil(edge: EdgeCurve) -> tuple[np.ndarray, np.ndarray]:
-    """The edge's _num.first_derivative_stencil, cached on the edge and
-    shared with the edges EdgeCurve.with_samples makes from it."""
+    """The edge's _num.first_derivative_stencil, cached on the edge: its
+    rows of derivative_stencil when a graph holding it built that first,
+    else its own build."""
     return edge.cached("stencil",
                        lambda: _num.first_derivative_stencil(edge.s))
+
+
+def derivative_stencil(graph: EmbeddedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The first-derivative stencil of all the graph's samples, edge after
+    edge as all_samples stacks them: one _num.first_derivative_stencil
+    build with every window clamped to its own edge, made on first use and
+    cached on the graph.  Each edge's rows are its own stencil bit for bit,
+    so the build caches them on the edge too, for edge_unit_tangents."""
+    def build():
+        bounds = np.cumsum([0] + [len(e.s) for e in graph.edges])
+        start, weights = _num.first_derivative_stencil(
+            np.concatenate([e.s for e in graph.edges]), bounds)
+        for e, lo, hi in zip(graph.edges, bounds[:-1], bounds[1:]):
+            e.cached("stencil", lambda: (start[lo:hi] - lo, weights[lo:hi]))
+        return start, weights
+
+    return graph.cached("stencil", build)
 
 
 def edge_unit_tangents(space: SpaceForm, edge: EdgeCurve) -> np.ndarray:
@@ -424,6 +433,33 @@ def vertex_star(graph: EmbeddedGraph, vertex_id) -> list[TangentVector]:
         vec = tangents[0] if end == 0 else -tangents[-1]
         out.append(TangentVector(base=q, vec=vec))
     return out
+
+
+@dataclass(eq=False)
+class StarTable:
+    """Every vertex's vertex_star, vertex after vertex in graph order, one
+    row per edge-end: base holds the vertex points and vec the unit
+    tangents.  rows maps each vertex id to its slice of them."""
+
+    base: np.ndarray
+    vec: np.ndarray
+    rows: dict
+
+
+def star_table(graph: EmbeddedGraph) -> StarTable:
+    """The graph's StarTable, built on first use and cached on the graph.
+    Its edge tangents use the graph's one derivative_stencil."""
+    def build():
+        derivative_stencil(graph)
+        stars, rows = [], {}
+        for v in graph.vertices:
+            star = vertex_star(graph, v.id)
+            rows[v.id] = slice(len(stars), len(stars) + len(star))
+            stars += star
+        return StarTable(base=np.array([tv.base for tv in stars]),
+                         vec=np.array([tv.vec for tv in stars]), rows=rows)
+
+    return graph.cached("star_table", build)
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,17 @@ class SpaceForm:
             else 1.0 / self.curv ** 2
         return np.abs(self.mdot(x, x) - target)
 
+    def manifold_offset(self, x: np.ndarray) -> np.ndarray:
+        """How far ambient coordinates sit off the model manifold along its
+        normal, to first order: manifold_residual times k/2, which is 0
+        flat.  At x = (1 + e) p for a manifold point p it is |e|/k plus
+        O(e^2), the length of x - p (its Minkowski length on the
+        hyperboloid).  The quadric's residual is invariant under the
+        model's isometries, so the offset does not depend on where x sits,
+        unlike the Euclidean move of project_point, which grows like
+        cosh(k d) at distance d from the base point on the hyperboloid."""
+        return 0.5 * self.curv * self.manifold_residual(x)
+
     def project_point(self, x: np.ndarray) -> np.ndarray:
         """Radially project ambient coordinates onto the model manifold."""
         x = np.asarray(x, float)

@@ -13,7 +13,7 @@ from scipy.linalg import expm
 
 from soapcert import (IterationError, Model, SpaceForm, check_apex,
                       develop_cone, edge_unit_tangents, karcher_center,
-                      vertex_star)
+                      resample_arclength, shapes, vertex_star)
 from soapcert import curvature
 from soapcert._num import trapezoid
 from soapcert.cone import _half_sq_chords, _triangle_areas, developed_points
@@ -162,6 +162,39 @@ def transform_graph(graph, mapping):
         for end, idx in ((0, 0), (1, -1)):
             vid = e.endpoints[end]
             samples[idx] = next(v.point for v in vertices if v.id == vid)
+        edges.append(make_edge(space, e.id, e.endpoints, samples))
+    return validate_graph(EmbeddedGraph(space=space, vertices=vertices,
+                                        edges=edges))
+
+
+def mixed_chord_polygon(space):
+    """A quadrilateral with unequal sides, resampled so that its edges have
+    both odd and even chord counts (41/48/47/38 chords flat)."""
+    corners = np.array([[0.35, -0.1, 0.0], [0.1, 0.4, 0.05],
+                        [-0.45, 0.05, 0.1], [-0.05, -0.4, -0.1]])
+    g = resample_arclength(shapes.polygon_graph(space, corners,
+                                                samples_per_edge=9), 0.0137)
+    assert {len(e.samples) % 2 for e in g.edges} == {0, 1}
+    return g
+
+
+def carried_graph(graph, space, scale=0.5):
+    """A flat 3-space graph carried into `space`: every point x goes to
+    exp_base(scale * x in the tangent basis at the base point), and edge
+    ends are set to their vertices' images."""
+    base = space.base_point()
+    basis = space.tangent_basis(base)
+
+    def carry(x):
+        return space.exp(base, scale * np.asarray(x) @ basis)
+
+    vertices = [Vertex(id=v.id, point=carry(v.point[None])[0])
+                for v in graph.vertices]
+    points = {v.id: v.point for v in vertices}
+    edges = []
+    for e in graph.edges:
+        samples = carry(e.samples)
+        samples[0], samples[-1] = points[e.endpoints[0]], points[e.endpoints[1]]
         edges.append(make_edge(space, e.id, e.endpoints, samples))
     return validate_graph(EmbeddedGraph(space=space, vertices=vertices,
                                         edges=edges))

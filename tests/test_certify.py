@@ -22,6 +22,7 @@ from soapcert import (
     evaluate_certificates,
     extremal_cone_area,
     hull_approx,
+    karcher_center,
 )
 from soapcert import shapes
 from soapcert.certify import SEARCH_CLEARANCE
@@ -29,6 +30,7 @@ from soapcert.certify import SEARCH_CLEARANCE
 from builders import (
     SPACES,
     figure_eight_graph,
+    mixed_chord_polygon,
     random_graph,
     random_isometry,
     transform_graph,
@@ -101,6 +103,25 @@ class TestHullApprox:
             d = space.dist(np.broadcast_to(hull.center, hull.grid.shape),
                            hull.grid)
             assert np.max(d) <= hull.radius + 1e-9
+
+    @pytest.mark.parametrize("name", ["theta", "cube", "mixed-flat",
+                                      "mixed-hyperbolic", "mixed-spherical"])
+    def test_center_and_radius_of_the_distinct_samples(self, name):
+        # the samples without repeated points, found by rounding every row,
+        # give the same center and radius bit for bit
+        g = {"theta": shapes.theta_graph, "cube": shapes.cube_skeleton_graph,
+             "mixed-flat": lambda: mixed_chord_polygon(FLAT),
+             "mixed-hyperbolic": lambda: mixed_chord_polygon(HYP1),
+             "mixed-spherical": lambda: mixed_chord_polygon(
+                 SpaceForm(Model.SPHERICAL, 3, 1.0))}[name]()
+        points = g.all_samples()
+        _, first = np.unique(points.round(decimals=12), axis=0,
+                             return_index=True)
+        distinct = points[np.sort(first)]
+        center = karcher_center(g.space, distinct)
+        hull = hull_approx(g.space, g, grid_n=1)
+        assert np.array_equal(hull.center, center)
+        assert hull.radius == float(np.max(g.space.dist(center, distinct)))
 
     def test_wide_spherical_graph_warns(self):
         space = SpaceForm(Model.SPHERICAL, 3, 1.0)

@@ -1,11 +1,13 @@
+import importlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from soapcert import Model, SpaceForm, hull_approx, load_graph_file
-from soapcert import cli, shapes
+from soapcert import (Model, SpaceForm, ValidationError, hull_approx,
+                      load_graph_file)
+from soapcert import _num, cli, shapes
 from soapcert.certify import SEARCH_CLEARANCE
 from soapcert.cli import run
 from soapcert.graph import EmbeddedGraph, Vertex, make_edge, validate_graph
@@ -384,6 +386,52 @@ class TestDensityMapAndGBCheck:
                 "gb-check", "--trials", "4", "--seed", str(seed), str(path)])
         assert code == 0
         assert "max residual over 4 trials" in out
+
+
+def test_far_apex_is_judged_by_its_quadric_residual():
+    # 1e-7 off the hyperboloid along its normal at distance 10 from the
+    # base point, where the projection moves it by 1.6e-3 in Euclidean terms
+    space = SpaceForm(Model.HYPERBOLIC, 3, 1.0)
+    point = np.array([0.0, math.sinh(10.0), 0.3, -0.2])
+    point[0] = math.sqrt(1.0 + np.sum(point[1:] ** 2))
+    for scale, accepted in ((1.0 + 1e-7, True), (1.0 + 1e-5, False)):
+        apex = scale * point
+        text = ",".join(repr(float(c)) for c in apex)
+        assert np.linalg.norm(space.project_point(apex) - apex) > 1e-6
+        if accepted:
+            assert np.array_equal(cli._parse_apex(space, text),
+                                  space.project_point(apex))
+        else:
+            with pytest.raises(ValidationError, match="off the manifold"):
+                cli._parse_apex(space, text)
+
+
+class TestOneBuildPerGraph:
+    """A command builds its graph's first-derivative stencil and its star
+    table once, for every edge and every vertex."""
+
+    @pytest.mark.parametrize("argv", [
+        ["tc"], ["cone", "--apex=0.11,-0.07,0.21"],
+        ["gb-check", "--trials", "3"]], ids=["tc", "cone", "gb-check"])
+    def test_one_stencil_and_one_star_table(self, capsys, monkeypatch,
+                                            cube_file, argv):
+        graph_mod = importlib.import_module("soapcert.graph")
+        stencils, tables = [], []
+        build, table = _num.first_derivative_stencil, graph_mod.StarTable
+
+        def counted_stencil(s, bounds=None):
+            stencils.append(s)
+            return build(s, bounds)
+
+        def counted_table(**fields):
+            tables.append(fields)
+            return table(**fields)
+
+        monkeypatch.setattr(_num, "first_derivative_stencil", counted_stencil)
+        monkeypatch.setattr(graph_mod, "StarTable", counted_table)
+        code, _, _ = run_capture(capsys, argv + [cube_file])
+        assert code == 0
+        assert (len(stencils), len(tables)) == (1, 1)
 
 
 class TestExitCodes:

@@ -18,7 +18,6 @@ from soapcert import (
     cone_total_curvature,
     density_bound,
     develop_cone,
-    edge_unit_tangents,
     gauss_bonnet_residual,
     hull_approx,
     resample_arclength,
@@ -28,19 +27,25 @@ from soapcert import _num, cone as cone_mod, shapes
 from soapcert.certify import SEARCH_CLEARANCE, _ball_objective
 from soapcert.cone import (
     APEX_CLEARANCE,
+    ConeDevelopment,
+    EdgeDevelopment,
     _apex_angles,
     _gram_root,
     _half_sq_chords,
     _triangle_areas,
+    developed_points,
+    development_plane,
 )
-from soapcert.graph import make_edge
+from soapcert.graph import EdgeCurve, derivative_stencil, make_edge
 
 from builders import (
     SPACES,
+    carried_graph,
     developed_plain_area,
     figure_eight_graph,
     four_leg_star_graph,
     loop_gauss_bonnet_residual,
+    mixed_chord_polygon,
     plain_cone_area,
     projected_cone_density,
     random_instance,
@@ -308,17 +313,6 @@ def _off_base_apex(space):
     base = space.base_point()
     return space.exp(base, np.array([0.15, -0.1, 0.35])
                      @ space.tangent_basis(base))
-
-
-def mixed_chord_polygon(space):
-    """A quadrilateral with unequal sides, resampled so that its edges have
-    both odd and even chord counts (41/48/47/38 chords flat)."""
-    corners = np.array([[0.35, -0.1, 0.0], [0.1, 0.4, 0.05],
-                        [-0.45, 0.05, 0.1], [-0.05, -0.4, -0.1]])
-    g = resample_arclength(shapes.polygon_graph(space, corners,
-                                                samples_per_edge=9), 0.0137)
-    assert {len(e.samples) % 2 for e in g.edges} == {0, 1}
-    return g
 
 
 class TestConeAreaCache:
@@ -674,17 +668,17 @@ def stencil_builds(monkeypatch):
     built = []
     build = _num.first_derivative_stencil
 
-    def counted(s):
+    def counted(s, bounds=None):
         built.append(s)
-        return build(s)
+        return build(s, bounds)
 
     monkeypatch.setattr(_num, "first_derivative_stencil", counted)
     return built
 
 
 class TestDerivativeStencilSharing:
-    """Each edge builds its first-derivative stencil once; the developed
-    edges of develop_cone share their source edge's."""
+    """A graph builds one first-derivative stencil for all its edges, and
+    each edge's rows of it are that edge's own stencil."""
 
     CASES = {
         "cube": lambda: shapes.cube_skeleton_graph(samples_per_edge=32),
@@ -693,30 +687,85 @@ class TestDerivativeStencilSharing:
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_one_build_per_source_edge(self, name, stencil_builds):
+    def test_one_build_per_graph(self, name, stencil_builds):
         g = self.CASES[name]()
         apex = _off_base_apex(g.space)
         dev = develop_cone(g.space, apex, g)
         gauss_bonnet_residual(g.space, apex, g, dev=dev)
         for _ in range(4):
             gauss_bonnet_residual(g.space, apex, g)
-        assert len(stencil_builds) == len(g.edges)
-        assert {id(s) for s in stencil_builds} == {id(e.s) for e in g.edges}
+        cone_total_curvature(g.space, g)
+        assert len(stencil_builds) == 1
 
-    def test_with_samples_shares_parameters_and_stencil(self, stencil_builds):
-        g = shapes.regular_polygon_graph(HYP1, 5, 0.8, samples_per_edge=32)
-        edge = g.edges[0]
-        twin = edge.with_samples(edge.samples[::-1].copy())
-        assert (twin.id, twin.endpoints) == (edge.id, edge.endpoints)
-        assert twin.s is edge.s
-        assert len(stencil_builds) == 1
-        forward = edge_unit_tangents(HYP1, edge)
-        backward = edge_unit_tangents(HYP1, twin)
-        assert len(stencil_builds) == 1
-        # the reversed samples on the same parameters run backwards
-        assert np.allclose(backward[::-1], -forward, atol=1e-3)
-        with pytest.raises(ValidationError):
-            edge.with_samples(edge.samples[:-1])
+    @UNIT_MODELS
+    def test_edge_rows_are_the_edge_stencil(self, space):
+        g = mixed_chord_polygon(space)
+        start, weights = derivative_stencil(g)
+        lo = 0
+        for e in g.edges:
+            hi = lo + len(e.s)
+            own_start, own_weights = _num.first_derivative_stencil(e.s)
+            assert np.array_equal(start[lo:hi] - lo, own_start)
+            assert np.array_equal(weights[lo:hi], own_weights)
+            lo = hi
+        assert lo == len(start)
+
+
+def edge_by_edge_development(space, apex, graph):
+    """develop_cone computed edge by edge: each edge's radii and swept
+    angles from its own half squared chords, and its conormal curvature by
+    cone_conormal_curvature on its developed curve, an EdgeCurve of its
+    own with its own stencil.  The area is uncached_cone_area."""
+    plane, plane_apex = development_plane(space)
+    per_edge = []
+    total = 0.0
+    for e in graph.edges:
+        x = e.samples
+        alpha = _half_sq_chords(space, x, apex)
+        theta = np.concatenate(([0.0], np.cumsum(_apex_angles(
+            space, alpha[:-1], alpha[1:], _half_sq_chords(space, x[:-1],
+                                                          x[1:])))))
+        r = space.chord_dist(2.0 * alpha)
+        curve = EdgeCurve(id=e.id, endpoints=e.endpoints,
+                          samples=developed_points(plane, r, theta), s=e.s)
+        per_edge.append(EdgeDevelopment(
+            edge_id=e.id, s=e.s.copy(), r=r, theta=theta,
+            khat_nu=_num.extend_interior(cone_conormal_curvature(
+                plane, plane_apex, curve))))
+        total += float(theta[-1])
+    return ConeDevelopment(apex=apex, per_edge=per_edge,
+                           hat_density=total / (2.0 * math.pi),
+                           hat_area=uncached_cone_area(space, apex, graph),
+                           plane=plane, plane_apex=plane_apex)
+
+
+# graphs of the graph-wide development test, each in all three models
+DEVELOPMENT_CASES = {
+    "mixed-chord-polygon": mixed_chord_polygon,
+    "cube": lambda space: carried_graph(
+        shapes.cube_skeleton_graph(samples_per_edge=16), space),
+    "theta": lambda space: carried_graph(
+        shapes.theta_graph(samples_per_edge=32), space),
+}
+
+
+@UNIT_MODELS
+@pytest.mark.parametrize("name", sorted(DEVELOPMENT_CASES))
+def test_graph_wide_development_is_the_edge_by_edge_one(name, space):
+    g = DEVELOPMENT_CASES[name](space)
+    for apex in _gradient_apices(space) + [_off_base_apex(space)]:
+        dev = develop_cone(space, apex, g)
+        ref = edge_by_edge_development(space, apex, g)
+        assert (dev.hat_density, dev.hat_area) \
+            == (ref.hat_density, ref.hat_area)
+        for got, want in zip(dev.per_edge, ref.per_edge, strict=True):
+            assert got.edge_id == want.edge_id
+            for field in ("s", "r", "theta"):
+                assert np.array_equal(getattr(got, field),
+                                      getattr(want, field))
+            assert np.array_equal(got.khat_nu, want.khat_nu, equal_nan=True)
+        assert gauss_bonnet_residual(space, apex, g) \
+            == loop_gauss_bonnet_residual(space, apex, g, dev=ref)
 
 
 # (graph, apex) builders for the vertex-term oracle

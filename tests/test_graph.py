@@ -109,6 +109,26 @@ class TestLoad:
         g = load_graph(doc)
         assert float(g.space.manifold_residual(g.vertex_point("a"))) < 1e-9
 
+    @pytest.mark.parametrize("rapidity", [7.5, 10.0])
+    def test_boosted_hyperbolic_loop_loads(self, rapidity):
+        # the projection moves these points by 2.4e-6 and 4.1e-3 in
+        # Euclidean terms, but their quadric residual stays below 2.4e-7
+        space = SpaceForm(Model.HYPERBOLIC, 3, 1.0)
+        boost = np.eye(4)
+        boost[:2, :2] = [[math.cosh(rapidity), math.sinh(rapidity)],
+                         [math.sinh(rapidity), math.cosh(rapidity)]]
+        doc = shapes.graph_document(shapes.circle_graph(space, 0.8, 256))
+        for block in doc["vertices"]:
+            block["coords"] = (np.array(block["coords"]) @ boost.T).tolist()
+        for block in doc["edges"]:
+            block["samples"] = (np.array(block["samples"]) @ boost.T).tolist()
+        raw = np.array(doc["edges"][0]["samples"])
+        assert np.max(np.linalg.norm(space.project_point(raw) - raw,
+                                     axis=-1)) > 1e-6
+        g = load_graph(doc)
+        assert len(g.edges[0].samples) == 257
+        assert np.max(space.manifold_offset(raw)) < 1e-6
+
     def test_spherical_diameter_bound_rejected(self):
         n = 16
         t = np.linspace(0.0, math.pi - 1e-9, n)

@@ -31,8 +31,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
-from scipy.stats import qmc
 
 from .cone import ambient_cone_area, check_apex, cone_area_gradient
 from .curvature import TCReport, cone_total_curvature
@@ -135,20 +133,51 @@ def karcher_center(space: SpaceForm, points: np.ndarray) -> np.ndarray:
     raise IterationError("intrinsic mean iteration did not converge")
 
 
+def _primes(count: int) -> list[int]:
+    """The first `count` primes."""
+    primes = []
+    k = 2
+    while len(primes) < count:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def _halton(d: int, count: int) -> np.ndarray:
+    """Points 1 .. count of the unscrambled d-dimensional Halton sequence:
+    coordinate j of point i is the radical inverse of i in the j-th prime
+    base b, sum_k digit_k(i) b^-(k+1).  It is accumulated from the lowest
+    digit with the factor divided by b after each digit, the order in which
+    scipy.stats.qmc.Halton(d, scramble=False) sums it, so the two agree bit
+    for bit."""
+    out = np.zeros((count, d))
+    for j, b in enumerate(_primes(d)):
+        q = np.arange(1, count + 1)
+        f = 1.0 / b
+        while q.any():
+            out[:, j] += (q % b) * f
+            f /= b
+            q //= b
+    return out
+
+
 def _ball_grid(space: SpaceForm, center: np.ndarray, radius: float,
                grid_n: int) -> np.ndarray:
-    """Quasi-uniform apex candidates in the geodesic ball: a low-discrepancy
-    sequence in the tangent ball pushed out by the exponential map.  The
-    center itself is always the first candidate."""
+    """Quasi-uniform apex candidates in the geodesic ball: points 1 ..
+    grid_n - 1 of the (dim + 1)-dimensional Halton radical inverse, the
+    first dim coordinates mapped to Gaussian directions by the inverse
+    normal CDF and the last to the radius, pushed out by the exponential
+    map.  The center itself is always the first candidate."""
     if grid_n < 1:
         raise ValidationError("grid size must be >= 1")
     pts = [center]
     if grid_n > 1:
+        from scipy.special import ndtri
+
         n = space.dim
-        sampler = qmc.Halton(d=n + 1, scramble=False)
-        sampler.fast_forward(1)  # skip the all-zero first point
-        u = sampler.random(grid_n - 1)
-        dirs = special.ndtri(np.clip(u[:, :n], 1e-12, 1.0 - 1e-12))
+        u = _halton(n + 1, grid_n - 1)
+        dirs = ndtri(np.clip(u[:, :n], 1e-12, 1.0 - 1e-12))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         radii = radius * u[:, n] ** (1.0 / n)
         basis = space.tangent_basis(center)
@@ -250,6 +279,8 @@ def extremal_cone_area(space: SpaceForm, graph: EmbeddedGraph,
     at the grid incumbent.  The ball is kept by evaluating at the
     projection of each iterate onto it.  The refined apex replaces the
     incumbent only when its value is finite and strictly better."""
+    from scipy import optimize
+
     if mode not in ("min", "max"):
         raise ValidationError("mode must be 'min' or 'max'")
     sense = 1.0 if mode == "min" else -1.0

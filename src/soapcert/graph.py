@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import _num
 from .errors import ValidationError
@@ -164,10 +163,23 @@ def make_edge(space: SpaceForm, edge_id, endpoints, samples) -> EdgeCurve:
 
 def _check_spherical_diameter(space: SpaceForm, points: np.ndarray):
     """Reject any sample pair whose chord reaches that of the angle
-    pi - ANTIPODAL_SLACK, in O(N log N)."""
+    pi - ANTIPODAL_SLACK, in O(N log N).
+
+    Samples inside an open hemisphere pass in O(N): with c the sum of the
+    samples, x . c > 1e-6 r |c| for every sample x puts all of them within
+    pi/2 - 1e-6 of c, so every pair is closer than pi - 2e-6.  The 1e-6
+    margin dwarfs the rounding of the dot products and the norm, and such
+    a pair's chord falls short of the limit chord by about 1e-12 r, far
+    more than the exact test's rounding, so the pre-test accepts only
+    points the exact query accepts.  Everything else goes to the query."""
     if space.model is not Model.SPHERICAL:
         return
     radius = 1.0 / space.curv
+    c = np.sum(points, axis=0)
+    if np.min(points @ c) > 1e-6 * radius * float(np.linalg.norm(c)):
+        return
+    from scipy.spatial import cKDTree
+
     limit_chord = 2.0 * radius * math.sin(0.5 * (math.pi - ANTIPODAL_SLACK))
     # |x_i - x_j| >= limit_chord exactly when -x_i lies within
     # sqrt(4 r^2 - limit_chord^2) = 2 r sin(ANTIPODAL_SLACK / 2) of x_j, up to

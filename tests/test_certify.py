@@ -25,7 +25,7 @@ from soapcert import (
     karcher_center,
 )
 from soapcert import shapes
-from soapcert.certify import SEARCH_CLEARANCE
+from soapcert.certify import SEARCH_CLEARANCE, _halton
 
 from builders import (
     SPACES,
@@ -122,6 +122,20 @@ class TestHullApprox:
         hull = hull_approx(g.space, g, grid_n=1)
         assert np.array_equal(hull.center, center)
         assert hull.radius == float(np.max(g.space.dist(center, distinct)))
+
+    @pytest.mark.parametrize("count", [1, 2, 127, 999])
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_halton_matches_scipy(self, d, count):
+        # the grid's radical inverse against scipy's unscrambled Halton
+        # engine, which starts at the all-zero point 0
+        from scipy.stats import qmc
+
+        engine = qmc.Halton(d=d, scramble=False)
+        engine.fast_forward(1)
+        expected = engine.random(count)
+        u = _halton(d, count)
+        assert np.array_equal(u, expected)
+        assert np.array_equal(np.signbit(u), np.signbit(expected))
 
     def test_wide_spherical_graph_warns(self):
         space = SpaceForm(Model.SPHERICAL, 3, 1.0)
@@ -232,13 +246,13 @@ class TestExtremalConeArea:
     @pytest.mark.parametrize("name", ["hyperbolic", "spherical"])
     def test_refinement_evaluation_count(self, name, monkeypatch):
         """A counted, not timed, guard on the refinement's cost: one
-        optimize.minimize call per search, where the benchmark's tracer
-        times it, within 50 evaluations of area and gradient."""
+        scipy.optimize.minimize call per search, where the benchmark's
+        tracer times it, within 50 evaluations of area and gradient."""
         space = SPACES[name]
         g = shapes.wavy_closed_curve_graph(space, n=512)
         hull = hull_approx(space, g, grid_n=128)
-        module = importlib.import_module("soapcert.certify")
-        minimize = module.optimize.minimize
+        optimize = importlib.import_module("scipy.optimize")
+        minimize = optimize.minimize
         nfev = []
 
         def counted(*args, **kwargs):
@@ -246,7 +260,7 @@ class TestExtremalConeArea:
             nfev.append(res.nfev)
             return res
 
-        monkeypatch.setattr(module.optimize, "minimize", counted)
+        monkeypatch.setattr(optimize, "minimize", counted)
         extremal_cone_area(space, g, hull,
                            "max" if name == "spherical" else "min")
         assert len(nfev) == 1 and 0 < nfev[0] <= 50

@@ -1,12 +1,17 @@
 import importlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from soapcert import (Model, SpaceForm, ValidationError, hull_approx,
                       load_graph_file)
+import soapcert
 from soapcert import _num, cli, shapes
 from soapcert.certify import SEARCH_CLEARANCE
 from soapcert.cli import run
@@ -432,6 +437,78 @@ class TestOneBuildPerGraph:
         code, _, _ = run_capture(capsys, argv + [cube_file])
         assert code == 0
         assert (len(stencils), len(tables)) == (1, 1)
+
+
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+
+def scipy_loaded():
+    return sorted(k for k in sys.modules
+                  if k == "scipy" or k.startswith("scipy."))
+
+import soapcert, soapcert.cli
+stages = [("import", 0, scipy_loaded())]
+for name, argvs in json.loads(sys.argv[1]):
+    codes = []
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()), \\
+                contextlib.redirect_stderr(io.StringIO()):
+            codes.append(soapcert.cli.run(argv))
+    stages.append((name, max(codes), scipy_loaded()))
+print(json.dumps(stages))
+"""
+
+
+class TestScipyOnDemand:
+    """In a fresh interpreter, importing the CLI and running the commands
+    that need no optimizer load no part of scipy; the density map loads
+    scipy.special alone, and the heuristic search adds scipy.optimize
+    (which imports scipy.spatial itself) but never scipy.stats."""
+
+    def test_modules_loaded_by_each_command(self, tmp_path):
+        hyp = SPACES["hyperbolic"]
+        sphere = SpaceForm(Model.SPHERICAL, 3, 1.0)
+        graphs = {
+            "pentagon": (shapes.regular_polygon_graph(
+                hyp, 5, 0.8, samples_per_edge=64), hyp),
+            "cube": (shapes.cube_skeleton_graph(), FLAT),
+            "loop": (shapes.wavy_closed_curve_graph(sphere, n=256), sphere),
+        }
+        strict = []
+        for key, (g, space) in graphs.items():
+            path = str(tmp_path / f"{key}.json")
+            Path(path).write_text(json.dumps(shapes.graph_document(g)))
+            center = space.base_point()
+            apex = ",".join(repr(float(x)) for x in space.exp(
+                center, 0.05 * space.tangent_basis(center)[2]))
+            strict += [["tc", path], ["cone", f"--apex={apex}", path],
+                       ["develop", f"--apex={apex}", path,
+                        "--out", str(tmp_path / f"{key}.csv")],
+                       ["gb-check", "--trials", "2", path],
+                       ["certify", path]]
+        loop = str(tmp_path / "loop.json")
+        stages = [
+            ("strict", strict),
+            ("density-map", [["density-map", "--grid", "8", loop,
+                              "--out", str(tmp_path / "map.csv")]]),
+            ("heuristic", [["certify", "--mode", "heuristic", "--grid", "8",
+                            loop]]),
+        ]
+        src = Path(soapcert.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", _SCIPY_PROBE, json.dumps(stages)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+            text=True, check=True, timeout=120)
+        seen = {name: (code, set(mods))
+                for name, code, mods in json.loads(done.stdout)}
+        assert seen["import"] == (0, set())
+        assert seen["strict"] == (0, set())
+        code, mods = seen["density-map"]
+        assert code == 0 and "scipy.special" in mods
+        assert not mods & {"scipy.optimize", "scipy.spatial", "scipy.stats"}
+        code, mods = seen["heuristic"]
+        assert code == 0 and {"scipy.optimize", "scipy.special"} <= mods
+        assert "scipy.stats" not in mods
 
 
 class TestExitCodes:

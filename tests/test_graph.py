@@ -437,6 +437,28 @@ class TestSphericalDiameter:
         g = load_graph(doc)
         assert len(g.all_samples()) == 3 * 65
 
+    @pytest.fixture()
+    def no_tree(self, monkeypatch):
+        """Make the exact query fail loudly whenever it runs."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("exact query reached")
+
+        monkeypatch.setattr("scipy.spatial.cKDTree", refuse)
+
+    def test_loop_in_a_hemisphere_skips_the_exact_query(self, no_tree):
+        space = SpaceForm(Model.SPHERICAL, 3, 1.0)
+        g = shapes.wavy_closed_curve_graph(space, 1.3, 0.12, 3, 512)
+        points = g.all_samples()
+        assert np.max(space.dist(space.base_point(), points)) < 1.5
+        loaded = load_graph(shapes.graph_document(g)).all_samples()
+        assert loaded.shape == points.shape
+        assert np.max(space.dist(loaded, points)) < 1e-12
+
+    def test_graph_outside_every_cap_reaches_the_exact_query(self, no_tree):
+        _, doc = _equator_bulged_triangle(64)
+        with pytest.raises(AssertionError, match="exact query reached"):
+            load_graph(doc)
+
     def test_planted_antipode_in_large_graph_rejected(self):
         _, doc = _equator_bulged_triangle(11000)
         samples = doc["edges"][0]["samples"]

@@ -13,6 +13,10 @@ methods write it, through ``self``.
 The library below the CLI is a function of its inputs alone: no function
 outside ``cli`` takes a ``seed``, and every random generator it builds is
 seeded with a literal.
+
+scipy is imported only inside the functions that use it, so importing the
+package, and running the commands that need no optimizer, loads numpy
+alone.
 """
 
 import ast
@@ -294,4 +298,69 @@ def test_seed_detector_flags_parameters_and_rng_calls():
         "line 7: takes a seed",
         "line 9: default_rng of a non-literal seed",
         "line 10: default_rng of a non-literal seed",
+    ]
+
+
+def _scipy_modules(node) -> list[str]:
+    """The scipy modules an import statement names."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+        names = [node.module]
+    else:
+        return []
+    return [n for n in names if n == "scipy" or n.startswith("scipy.")]
+
+
+def eager_scipy_imports(source: str) -> list[str]:
+    """Each import of scipy in `source` that runs when the module is
+    imported, i.e. every one outside a function body."""
+    found = []
+
+    def visit(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            inside = in_function or isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            if not inside:
+                found.extend(f"line {child.lineno}: imports {name}"
+                             for name in _scipy_modules(child))
+            visit(child, inside)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_scipy_imported_only_inside_functions(path):
+    assert eager_scipy_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_scipy_detector_flags_module_level_imports():
+    source = (
+        "import numpy as np\n"
+        "import scipy\n"
+        "from scipy import optimize\n"
+        "import os, scipy.spatial as sp\n"
+        "try:\n"
+        "    from scipy.stats import qmc\n"
+        "except ImportError:\n"
+        "    qmc = None\n"
+        "class Search:\n"
+        "    from scipy import special\n"
+        "    def run(self):\n"
+        "        from scipy.spatial import cKDTree\n"
+        "def area():\n"
+        "    from scipy import optimize\n"
+        "    def inner():\n"
+        "        import scipy.special\n"
+        "from .scipy import helper\n"
+        "import scipyish\n"
+    )
+    assert eager_scipy_imports(source) == [
+        "line 2: imports scipy",
+        "line 3: imports scipy",
+        "line 4: imports scipy.spatial",
+        "line 6: imports scipy.stats",
+        "line 10: imports scipy",
     ]

@@ -47,6 +47,9 @@ NUMERICAL_EXIT = 3
 # SpaceForm.manifold_offset as graph file points are.
 APEX_TOLERANCE = 1e-6
 
+# gb-check admits its random apices only this far from every sample.
+GB_CHECK_CLEARANCE = 1e-3
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -266,7 +269,7 @@ def _cmd_gb_check(args, graph: EmbeddedGraph, seed: int) -> list[str]:
         z *= rng.uniform(0.1, 1.1) * hull.radius / np.linalg.norm(z)
         try:
             apex = space.exp(hull.center, z @ basis)
-            cone_mod.check_apex(space, apex, samples, 1e-3)
+            cone_mod.check_apex(space, apex, samples, GB_CHECK_CLEARANCE)
         except (ApexOnGraphError, ConjugatePointError):
             continue
         res = cone_mod.gauss_bonnet_residual(space, apex, graph)

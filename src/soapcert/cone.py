@@ -145,15 +145,15 @@ def develop_cone(space: SpaceForm, apex: np.ndarray,
                  graph: EmbeddedGraph) -> ConeDevelopment:
     """Unroll the cone edge by edge.  Over each chord the swept angle grows
     by the apex angle of the chord's geodesic triangle, starting at zero on
-    each edge, and the developed area is _richardson_sum on the same
-    triangles, so hat_area equals ambient_cone_area.  The developed
-    curves are re-embedded in the 2-D model plane as one array, and their
-    conormal curvature is measured in one pass over it: tangents from the
-    graph's derivative_stencil, then cone_conormal_curvature's row kernel,
-    each row from its sample and two neighbours, so every row inside an
-    edge reads what that edge alone would.  The ambient admission of the
-    apex stands for the plane's: every developed point lies at its
-    sample's distance r from the plane apex."""
+    each edge.  hat_density is _cone_density of the same angles and hat_area
+    is _richardson_sum on the same triangles, so both equal their ambient
+    counterparts bit for bit.  The developed curves are re-embedded in the
+    2-D model plane as one array, and their conormal curvature is measured
+    in one pass over it: tangents from the graph's derivative_stencil, then
+    cone_conormal_curvature's row kernel, each row from its sample and two
+    neighbours, so every row inside an edge reads what that edge alone
+    would.  The ambient admission of the apex stands for the plane's: every
+    developed point lies at its sample's distance r from the plane apex."""
     apex = np.asarray(apex, float)
     table, alpha, a, b = _triangles(space, apex, graph, APEX_CLEARANCE)
     plane, plane_apex = development_plane(space)
@@ -161,7 +161,7 @@ def develop_cone(space: SpaceForm, apex: np.ndarray,
     n = table.nfine
     angles = _apex_angles(space, a[:n], b[:n], table.gamma[:n])
     theta = np.zeros(len(r))
-    for samples, fine, _ in table.spans:
+    for samples, fine in table.spans:
         np.cumsum(angles[fine], out=theta[samples.start + 1:samples.stop])
     x = developed_points(plane, r, theta)
     t = plane.tangent_project(
@@ -169,7 +169,7 @@ def develop_cone(space: SpaceForm, apex: np.ndarray,
     norm = plane.norm(t)
     if np.any(norm < 1e-12):
         first = int(np.argmax(norm < 1e-12))
-        edge = next(e for e, (samples, _, _) in zip(graph.edges, table.spans)
+        edge = next(e for e, (samples, _) in zip(graph.edges, table.spans)
                     if samples.stop > first)
         raise ValidationError(f"degenerate tangent on edge {edge.id!r}")
     # all edges as one curve: the rows at an edge's two ends mix two edges
@@ -179,16 +179,14 @@ def develop_cone(space: SpaceForm, apex: np.ndarray,
         khat[1:-1] = _conormal_rows(plane, plane_apex, x, t / norm[:, None],
                                     table.s)
     per_edge = []
-    total_angle = 0.0
-    for edge, (samples, _, _) in zip(graph.edges, table.spans):
+    for edge, (samples, _) in zip(graph.edges, table.spans):
         khat_nu = khat[samples]
         khat_nu[0], khat_nu[-1] = khat_nu[1], khat_nu[-2]
         per_edge.append(EdgeDevelopment(
             edge_id=edge.id, s=edge.s.copy(), r=r[samples],
             theta=theta[samples], khat_nu=khat_nu))
-        total_angle += float(theta[samples.stop - 1])
     return ConeDevelopment(apex=apex, per_edge=per_edge,
-                           hat_density=total_angle / (2.0 * math.pi),
+                           hat_density=_cone_density(angles),
                            hat_area=_richardson_sum(_triangle_areas(
                                space, a, b, table.gamma), table),
                            plane=plane, plane_apex=plane_apex)
@@ -200,11 +198,16 @@ def ambient_cone_density(space: SpaceForm, apex: np.ndarray,
     s -> (unit initial direction of the geodesic apex -> curve point) on the
     unit tangent sphere at the apex, divided by 2 pi.  Computed as the sum of
     the angles between consecutive image directions, which are the
-    _apex_angles that develop_cone accumulates."""
+    _apex_angles that develop_cone accumulates, so it equals hat_density
+    bit for bit."""
     table, _, a, b = _triangles(space, apex, graph, APEX_CLEARANCE)
     n = table.nfine
-    return float(np.sum(_apex_angles(space, a[:n], b[:n], table.gamma[:n]))) \
-        / (2.0 * math.pi)
+    return _cone_density(_apex_angles(space, a[:n], b[:n], table.gamma[:n]))
+
+
+def _cone_density(angles: np.ndarray) -> float:
+    """The apex density: all fine chords' apex angles, summed over 2 pi."""
+    return float(np.sum(angles)) / (2.0 * math.pi)
 
 
 def _half_sq_chords(space: SpaceForm, a: np.ndarray,
@@ -265,11 +268,10 @@ class _ChordTable:
     their parameters.  The triangles stand on every edge's fine chords,
     nfine in all, then on every edge's coarse chords; chord i joins
     samples tail[i] and head[i], with half squared chord gamma[i].
-    Coarse chord m spans the j fine chords from lo[m] on, and
-    denom[m] = j^2 - 1.  weight[i] is the factor of triangle i in the
-    Richardson sum: 1 + 1/denom[m] for a fine chord inside coarse chord m,
-    -1/denom[m] for coarse chord m.  spans holds each edge's slices of the
-    samples, the fine chords and the coarse chords."""
+    weight[i] is the factor of triangle i in the Richardson sum: for a
+    coarse chord spanning j fine chords, 1 + 1/(j^2 - 1) on each of those
+    fine chords and -1/(j^2 - 1) on the coarse chord.  spans holds each
+    edge's slices of the samples and of the fine chords."""
 
     samples: np.ndarray
     s: np.ndarray
@@ -277,10 +279,8 @@ class _ChordTable:
     head: np.ndarray
     gamma: np.ndarray
     nfine: int
-    lo: np.ndarray
-    denom: np.ndarray
     weight: np.ndarray
-    spans: list[tuple[slice, slice, slice]]
+    spans: list[tuple[slice, slice]]
 
 
 def _chord_table(graph: EmbeddedGraph) -> _ChordTable:
@@ -296,18 +296,17 @@ def _chord_table(graph: EmbeddedGraph) -> _ChordTable:
         fine = np.arange(f[-1]) + edge  # the sample each fine chord leaves
         tail = np.concatenate([fine, lo + edge[lo]])
         head = np.concatenate([fine + 1, hi + edge[lo]])
-        denom = (hi - lo) ** 2 - 1
-        step = 1.0 / denom
+        step = 1.0 / ((hi - lo) ** 2 - 1)
         samples = graph.all_samples()
-        f, c = f.tolist(), np.searchsorted(lo, f).tolist()
+        f = f.tolist()
         return _ChordTable(
             samples=samples, s=np.concatenate([e.s for e in graph.edges]),
             tail=tail, head=head,
             gamma=_half_sq_chords(graph.space, samples[tail], samples[head]),
-            nfine=f[-1], lo=lo, denom=denom,
+            nfine=f[-1],
             weight=np.concatenate([1.0 + np.repeat(step, hi - lo), -step]),
-            spans=[(slice(f[e] + e, f[e + 1] + e + 1), slice(f[e], f[e + 1]),
-                    slice(c[e], c[e + 1])) for e in range(len(n))])
+            spans=[(slice(f[e] + e, f[e + 1] + e + 1), slice(f[e], f[e + 1]))
+                   for e in range(len(n))])
 
     return graph.cached("chord_table", build)
 
@@ -324,18 +323,13 @@ def _triangles(space: SpaceForm, apex: np.ndarray, graph: EmbeddedGraph,
 
 def _richardson_sum(areas: np.ndarray, table: _ChordTable) -> float:
     """The cone area from the areas of the triangles on the table's fine
-    chords followed by its coarse chords.  A triangle misses the cone over
-    its arc by c H^3 to leading order for a chord of length H, so adding
-    (fine - coarse) / (j^2 - 1) per coarse chord, a Richardson step,
-    cancels that term.  Straight edges stay exact.  Each edge is summed on
-    its own slices and the edge sums are added in graph order."""
-    fine = areas[:table.nfine]
-    correction = (np.add.reduceat(fine, table.lo) - areas[table.nfine:]) \
-        / table.denom
-    total = 0.0
-    for _, on_fine, on_coarse in table.spans:
-        total += float(np.sum(fine[on_fine]) + np.sum(correction[on_coarse]))
-    return total
+    chords followed by its coarse chords: their sum weighted by
+    table.weight, taken by np.sum in table order.  A triangle misses the
+    cone over its arc by c H^3 to leading order for a chord of length H,
+    so adding (fine - coarse) / (j^2 - 1) per coarse chord, a Richardson
+    step, cancels that term; the weights are that step, expanded.
+    Straight edges stay exact."""
+    return float(np.sum(areas * table.weight))
 
 
 def ambient_cone_area(space: SpaceForm, apex: np.ndarray,

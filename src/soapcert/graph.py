@@ -162,8 +162,8 @@ def make_edge(space: SpaceForm, edge_id, endpoints, samples) -> EdgeCurve:
 
 
 def _check_spherical_diameter(space: SpaceForm, points: np.ndarray):
-    """Reject any sample pair whose chord reaches that of the angle
-    pi - ANTIPODAL_SLACK, in O(N log N).
+    """Reject any pair of these spherical samples whose chord reaches that
+    of the angle pi - ANTIPODAL_SLACK, in O(N log N).
 
     Samples inside an open hemisphere pass in O(N): with c the sum of the
     samples, x . c > 1e-6 r |c| for every sample x puts all of them within
@@ -172,8 +172,6 @@ def _check_spherical_diameter(space: SpaceForm, points: np.ndarray):
     a pair's chord falls short of the limit chord by about 1e-12 r, far
     more than the exact test's rounding, so the pre-test accepts only
     points the exact query accepts.  Everything else goes to the query."""
-    if space.model is not Model.SPHERICAL:
-        return
     radius = 1.0 / space.curv
     c = np.sum(points, axis=0)
     if np.min(points @ c) > 1e-6 * radius * float(np.linalg.norm(c)):
@@ -215,7 +213,8 @@ def validate_graph(graph: EmbeddedGraph) -> EmbeddedGraph:
             raise ValidationError(
                 f"vertex {v.id!r} has valence {c} < 2; closed arcs must meet "
                 "in at least two edge-ends everywhere")
-    _check_spherical_diameter(graph.space, graph.all_samples())
+    if graph.space.model is Model.SPHERICAL:
+        _check_spherical_diameter(graph.space, graph.all_samples())
     return graph
 
 

@@ -290,29 +290,78 @@ class TestAmbientConeArea:
             ambient_cone_area(SPH1, apex, g)
 
 
+def _edge_triangles(space, apex, edge):
+    """One edge's triangles from its own samples alone: the areas on its
+    fine chords and on its coarse chords, which skip every other sample
+    (the last one spans three on an odd count), and the first and one past
+    the last fine chord of each coarse chord."""
+    x = edge.samples
+    alpha = _half_sq_chords(space, x, apex)
+    fine = _triangle_areas(space, alpha[:-1], alpha[1:],
+                           _half_sq_chords(space, x[:-1], x[1:]))
+    nodes = np.arange(0, len(fine) + 1, 2)
+    nodes[-1] = len(fine)
+    lo, hi = nodes[:-1], nodes[1:]
+    coarse = _triangle_areas(space, alpha[lo], alpha[hi],
+                             _half_sq_chords(space, x[lo], x[hi]))
+    return fine, coarse, lo, hi
+
+
+def _weighted_terms(space, apex, graph):
+    """Every Richardson-weighted triangle area w_i A_i of the graph, built
+    edge by edge, in the order ambient_cone_area adds them: the fine chords
+    of all edges in graph order, then their coarse chords.  A coarse chord
+    spanning j fine chords weighs -1/(j^2 - 1), each of those fine chords
+    1 + 1/(j^2 - 1)."""
+    fine_terms, coarse_terms = [], []
+    for edge in graph.edges:
+        fine, coarse, lo, hi = _edge_triangles(space, apex, edge)
+        step = 1.0 / ((hi - lo) ** 2 - 1)
+        fine_terms.append(fine * (1.0 + np.repeat(step, hi - lo)))
+        coarse_terms.append(coarse * -step)
+    return np.concatenate(fine_terms + coarse_terms)
+
+
 def uncached_cone_area(space, apex, graph):
-    """ambient_cone_area recomputed from scratch: the triangles over each
-    edge's chords and over its coarse chords, then the Richardson step."""
+    """ambient_cone_area recomputed from scratch: each edge's triangles and
+    Richardson weights from its own samples, added by one np.sum in the
+    program's order."""
+    return float(np.sum(_weighted_terms(space, apex, graph)))
+
+
+def richardson_formula_area(space, apex, graph):
+    """The Richardson step in its per-edge closed form,
+    sum_fine A + sum_m (sum_{fine in m} A - A_coarse,m) / (j_m^2 - 1),
+    each edge summed on its own and the edge sums added in graph order."""
     total = 0.0
     for edge in graph.edges:
-        x = edge.samples
-        alpha = _half_sq_chords(space, x, apex)
-        fine = _triangle_areas(space, alpha[:-1], alpha[1:],
-                               _half_sq_chords(space, x[:-1], x[1:]))
-        nodes = np.arange(0, len(fine) + 1, 2)
-        nodes[-1] = len(fine)
-        lo, hi = nodes[:-1], nodes[1:]
-        coarse = _triangle_areas(space, alpha[lo], alpha[hi],
-                                 _half_sq_chords(space, x[lo], x[hi]))
+        fine, coarse, lo, hi = _edge_triangles(space, apex, edge)
         correction = (np.add.reduceat(fine, lo) - coarse) / ((hi - lo) ** 2 - 1)
         total += float(np.sum(fine) + np.sum(correction))
     return total
+
+
+def many_edge_polygon(space):
+    """A regular 256-gon of radius 0.8 with 8 chords per edge, 2,304
+    samples in all."""
+    return shapes.regular_polygon_graph(space, 256, 0.8, samples_per_edge=8)
 
 
 def _off_base_apex(space):
     base = space.base_point()
     return space.exp(base, np.array([0.15, -0.1, 0.35])
                      @ space.tangent_basis(base))
+
+
+# graph builders for the Richardson formula oracle
+FORMULA_CASES = {
+    "cube-odd": lambda: shapes.cube_skeleton_graph(samples_per_edge=31),
+    "cube-even": lambda: shapes.cube_skeleton_graph(samples_per_edge=32),
+    "hyperbolic-256-edges": lambda: many_edge_polygon(HYP1),
+}
+for _space in (FLAT, HYP1, SPH1):
+    FORMULA_CASES[f"mixed-{_space.model.value}"] = \
+        lambda space=_space: mixed_chord_polygon(space)
 
 
 class TestConeAreaCache:
@@ -335,9 +384,13 @@ class TestConeAreaCache:
         assert first == uncached_cone_area(g.space, apex, g)
         assert ambient_cone_area(g.space, apex, g) == first
 
-    @UNIT_MODELS
-    def test_mixed_chord_counts_across_edges(self, space):
-        g = mixed_chord_polygon(space)
+    @pytest.mark.parametrize("build, space", [
+        pytest.param(build, space, id=prefix + space.model.value)
+        for prefix, build in (("", mixed_chord_polygon),
+                              ("256-edges-", many_edge_polygon))
+        for space in (FLAT, HYP1, SPH1)])
+    def test_mixed_chord_counts_across_edges(self, build, space):
+        g = build(space)
         apex = _off_base_apex(space)
         area = ambient_cone_area(space, apex, g)
         assert area == uncached_cone_area(space, apex, g)
@@ -345,8 +398,26 @@ class TestConeAreaCache:
             == float.hex(area)
         dev = develop_cone(space, apex, g)
         assert dev.hat_area == area
-        assert abs(ambient_cone_density(space, apex, g) - dev.hat_density) \
-            <= 1e-12
+        assert ambient_cone_density(space, apex, g) == dev.hat_density
+
+    @pytest.mark.parametrize("name", sorted(FORMULA_CASES))
+    def test_weighted_sum_is_the_richardson_formula(self, name):
+        """The weighted sum and the per-edge closed form add the same N
+        terms w_i A_i, in two orders and groupings.  To first order in the
+        unit roundoff eps, each lies within (N + 3) eps S of the exact sum,
+        S = sum |w_i A_i|: the recursive-summation bound over at most N
+        additions, plus up to three roundings per term for its weight, its
+        product or difference, and the division.  Every partial sum of the
+        closed form is bounded by S too, since its fine and coarse parts
+        regroup the same w_i A_i.  So the two differ by at most
+        2 (N + 3) eps S."""
+        g = FORMULA_CASES[name]()
+        apex = _off_base_apex(g.space)
+        terms = _weighted_terms(g.space, apex, g)
+        bound = 2 * (len(terms) + 3) * np.finfo(float).eps \
+            * float(np.sum(np.abs(terms)))
+        assert abs(ambient_cone_area(g.space, apex, g)
+                   - richardson_formula_area(g.space, apex, g)) <= bound
 
     def test_one_chord_table_per_graph(self, monkeypatch):
         built = []
@@ -715,16 +786,18 @@ def edge_by_edge_development(space, apex, graph):
     """develop_cone computed edge by edge: each edge's radii and swept
     angles from its own half squared chords, and its conormal curvature by
     cone_conormal_curvature on its developed curve, an EdgeCurve of its
-    own with its own stencil.  The area is uncached_cone_area."""
+    own with its own stencil.  The density adds all edges' apex angles,
+    concatenated in graph order, by one np.sum; the area is
+    uncached_cone_area."""
     plane, plane_apex = development_plane(space)
     per_edge = []
-    total = 0.0
+    angles = []
     for e in graph.edges:
         x = e.samples
         alpha = _half_sq_chords(space, x, apex)
-        theta = np.concatenate(([0.0], np.cumsum(_apex_angles(
-            space, alpha[:-1], alpha[1:], _half_sq_chords(space, x[:-1],
-                                                          x[1:])))))
+        angles.append(_apex_angles(space, alpha[:-1], alpha[1:],
+                                   _half_sq_chords(space, x[:-1], x[1:])))
+        theta = np.concatenate(([0.0], np.cumsum(angles[-1])))
         r = space.chord_dist(2.0 * alpha)
         curve = EdgeCurve(id=e.id, endpoints=e.endpoints,
                           samples=developed_points(plane, r, theta), s=e.s)
@@ -732,9 +805,9 @@ def edge_by_edge_development(space, apex, graph):
             edge_id=e.id, s=e.s.copy(), r=r, theta=theta,
             khat_nu=_num.extend_interior(cone_conormal_curvature(
                 plane, plane_apex, curve))))
-        total += float(theta[-1])
     return ConeDevelopment(apex=apex, per_edge=per_edge,
-                           hat_density=total / (2.0 * math.pi),
+                           hat_density=float(np.sum(np.concatenate(angles)))
+                           / (2.0 * math.pi),
                            hat_area=uncached_cone_area(space, apex, graph),
                            plane=plane, plane_apex=plane_apex)
 

@@ -52,6 +52,9 @@ SEARCH_CLEARANCE = 1e-4
 # Iteration cap of the area search's L-BFGS-B refinement.
 REFINE_MAX_ITER = 100
 
+# An apex grid holds at most this many points.
+MAX_GRID_POINTS = 2 ** 20
+
 
 class Verdict(enum.Enum):
     EMBEDDED_OR_Y = "EmbeddedOrY"
@@ -162,6 +165,14 @@ def _halton(d: int, count: int) -> np.ndarray:
     return out
 
 
+def _check_grid_size(grid_n: int) -> None:
+    """ValidationError unless 1 <= grid_n <= MAX_GRID_POINTS."""
+    if grid_n < 1:
+        raise ValidationError("grid size must be >= 1")
+    if grid_n > MAX_GRID_POINTS:
+        raise ValidationError(f"grid size must be <= {MAX_GRID_POINTS}")
+
+
 def _ball_grid(space: SpaceForm, center: np.ndarray, radius: float,
                grid_n: int) -> np.ndarray:
     """Quasi-uniform apex candidates in the geodesic ball: points 1 ..
@@ -169,8 +180,7 @@ def _ball_grid(space: SpaceForm, center: np.ndarray, radius: float,
     first dim coordinates mapped to Gaussian directions by the inverse
     normal CDF and the last to the radius, pushed out by the exponential
     map.  The center itself is always the first candidate."""
-    if grid_n < 1:
-        raise ValidationError("grid size must be >= 1")
+    _check_grid_size(grid_n)
     pts = [center]
     if grid_n > 1:
         from scipy.special import ndtri
@@ -347,10 +357,9 @@ def evaluate_certificates(space: SpaceForm, graph: EmbeddedGraph,
                           grid_n: int = 1000) -> list[Certificate]:
     """Evaluate every applicable threshold and return one certificate row
     per threshold, strongest claim first, whether or not it qualifies
-    (margin >= 0 means it does).  grid_n must be >= 1 in every model and
-    mode, though only heuristic curved runs sample a grid."""
-    if grid_n < 1:
-        raise ValidationError("grid size must be >= 1")
+    (margin >= 0 means it does).  grid_n must pass _check_grid_size in
+    every model and mode, though only heuristic curved runs sample a grid."""
+    _check_grid_size(grid_n)
     if tc is None:
         tc = cone_total_curvature(space, graph)
     spherical = space.model is Model.SPHERICAL

@@ -155,9 +155,8 @@ def _develop_svg(dev) -> str:
     polylines = []
     offset = 0.0
     for ed in dev.per_edge:
-        xy = _plane_xy(dev, ed.r, ed.theta + offset)
+        polylines.append(_plane_xy(dev, ed.r, ed.theta + offset))
         offset += float(ed.theta[-1])
-        polylines.append(xy)
     allxy = np.concatenate(polylines + [np.zeros((1, 2))], axis=0)
     lo = allxy.min(axis=0)
     hi = allxy.max(axis=0)
@@ -165,18 +164,19 @@ def _develop_svg(dev) -> str:
     margin = 0.05 * span
     size = 500.0
 
-    def to_px(p):
-        x = (p[0] - lo[0] + margin) / (span + 2 * margin) * size
-        y = size - (p[1] - lo[1] + margin) / (span + 2 * margin) * size
-        return x, y
+    def to_px(xy):
+        """Pixel coordinates of the rows of xy, as a list of pairs."""
+        unit = (xy - lo + margin) / (span + 2 * margin) * size
+        unit[:, 1] = size - unit[:, 1]
+        return unit.tolist()
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" '
              f'height="{size:.0f}" viewBox="0 0 {size:.0f} {size:.0f}">']
     for xy in polylines:
-        pts = " ".join(f"{to_px(p)[0]:.3f},{to_px(p)[1]:.3f}" for p in xy)
+        pts = " ".join(f"{x:.3f},{y:.3f}" for x, y in to_px(xy))
         parts.append(f'<polyline fill="none" stroke="black" '
                      f'stroke-width="1.5" points="{pts}"/>')
-    ax, ay = to_px(np.zeros(2))
+    [(ax, ay)] = to_px(np.zeros((1, 2)))
     parts.append(f'<circle cx="{ax:.3f}" cy="{ay:.3f}" r="4" fill="red"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

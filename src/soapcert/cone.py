@@ -30,6 +30,7 @@ from .graph import (
     derivative_stencil,
     edge_unit_tangents,
     star_table,
+    unit_tangents,
 )
 from .spaceform import ANTIPODAL_SLACK, Model, SpaceForm
 
@@ -103,13 +104,10 @@ def developed_points(plane: SpaceForm, r: np.ndarray,
     if plane.model is Model.FLAT:
         return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
     k = plane.curv
-    if plane.model is Model.HYPERBOLIC:
-        return np.stack([np.cosh(k * r) / k,
-                         np.sinh(k * r) * np.cos(theta) / k,
-                         np.sinh(k * r) * np.sin(theta) / k], axis=-1)
-    return np.stack([np.cos(k * r) / k,
-                     np.sin(k * r) * np.cos(theta) / k,
-                     np.sin(k * r) * np.sin(theta) / k], axis=-1)
+    sin, cos = (np.sinh, np.cosh) if plane.model is Model.HYPERBOLIC \
+        else (np.sin, np.cos)
+    return np.stack([cos(k * r) / k, sin(k * r) * np.cos(theta) / k,
+                     sin(k * r) * np.sin(theta) / k], axis=-1)
 
 
 def cone_conormal_curvature(space: SpaceForm, apex: np.ndarray,
@@ -149,11 +147,13 @@ def develop_cone(space: SpaceForm, apex: np.ndarray,
     is _richardson_sum on the same triangles, so both equal their ambient
     counterparts bit for bit.  The developed curves are re-embedded in the
     2-D model plane as one array, and their conormal curvature is measured
-    in one pass over it: tangents from the graph's derivative_stencil, then
-    cone_conormal_curvature's row kernel, each row from its sample and two
-    neighbours, so every row inside an edge reads what that edge alone
-    would.  The ambient admission of the apex stands for the plane's: every
-    developed point lies at its sample's distance r from the plane apex."""
+    in one pass over it: unit_tangents by the graph's derivative_stencil,
+    then cone_conormal_curvature's row kernel, each row from its sample and
+    two neighbours, so every row inside an edge reads what that edge alone
+    would; an edge's two end samples take the nearest interior value, by
+    _num.extend_interior as in TC's edge term.  The ambient admission of
+    the apex stands for the plane's: every developed point lies at its
+    sample's distance r from the plane apex."""
     apex = np.asarray(apex, float)
     table, alpha, a, b = _triangles(space, apex, graph, APEX_CLEARANCE)
     plane, plane_apex = development_plane(space)
@@ -164,24 +164,15 @@ def develop_cone(space: SpaceForm, apex: np.ndarray,
     for samples, fine in table.spans:
         np.cumsum(angles[fine], out=theta[samples.start + 1:samples.stop])
     x = developed_points(plane, r, theta)
-    t = plane.tangent_project(
-        x, _num.apply_stencil(derivative_stencil(graph), x))
-    norm = plane.norm(t)
-    if np.any(norm < 1e-12):
-        first = int(np.argmax(norm < 1e-12))
-        edge = next(e for e, (samples, _) in zip(graph.edges, table.spans)
-                    if samples.stop > first)
-        raise ValidationError(f"degenerate tangent on edge {edge.id!r}")
+    t = unit_tangents(plane, x, derivative_stencil(graph), graph.edges)
     # all edges as one curve: the rows at an edge's two ends mix two edges
-    # and are overwritten below, so their floating-point faults are ignored
-    khat = np.empty(len(r))
+    # and are dropped below, so their floating-point faults are ignored
     with np.errstate(all="ignore"):
-        khat[1:-1] = _conormal_rows(plane, plane_apex, x, t / norm[:, None],
-                                    table.s)
+        khat = _conormal_rows(plane, plane_apex, x, t, table.s)
     per_edge = []
     for edge, (samples, _) in zip(graph.edges, table.spans):
-        khat_nu = khat[samples]
-        khat_nu[0], khat_nu[-1] = khat_nu[1], khat_nu[-2]
+        # khat[i] belongs to sample i + 1
+        khat_nu = _num.extend_interior(khat[samples.start:samples.stop - 2])
         per_edge.append(EdgeDevelopment(
             edge_id=edge.id, s=edge.s.copy(), r=r[samples],
             theta=theta[samples], khat_nu=khat_nu))

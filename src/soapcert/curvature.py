@@ -270,9 +270,7 @@ def vertex_tc_grid(space: SpaceForm, graph: EmbeddedGraph, vertex_id,
     best = -math.inf
     block = 262144
     for i in range(0, len(dirs), block):
-        dots = np.clip(dirs[i:i + block] @ T.T, -1.0, 1.0)
-        values = np.sum(math.pi / 2.0 - np.arccos(dots), axis=-1)
-        best = max(best, float(np.max(values)))
+        best = max(best, float(np.max(_star_values(dirs[i:i + block] @ T.T))))
     return best
 
 

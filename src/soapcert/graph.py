@@ -413,19 +413,27 @@ def derivative_stencil(graph: EmbeddedGraph) -> tuple[np.ndarray, np.ndarray]:
     return graph.cached("stencil", build)
 
 
-def edge_unit_tangents(space: SpaceForm, edge: EdgeCurve) -> np.ndarray:
-    """Unit tangent at every sample: finite differences of the samples
-    (one-sided at the ends), projected to the tangent space and normalized.
-    Cached on the edge, as is the difference stencil."""
-    def build():
-        d = _num.apply_stencil(_derivative_stencil(edge), edge.samples)
-        t = space.tangent_project(edge.samples, d)
-        n = space.norm(t)
-        if np.any(n < 1e-12):
-            raise ValidationError(f"degenerate tangent on edge {edge.id!r}")
-        return t / n[:, None]
+def unit_tangents(space: SpaceForm, x: np.ndarray, stencil: tuple,
+                  edges: list[EdgeCurve]) -> np.ndarray:
+    """Unit tangents at the rows of x, the samples of the curves of `edges`
+    stacked edge after edge: the stencil of their parameters applied to x,
+    projected to the tangent space and normalized.  A tangent shorter than
+    1e-12 raises ValidationError naming the edge of the first such row."""
+    t = space.tangent_project(x, _num.apply_stencil(stencil, x))
+    n = space.norm(t)
+    if np.any(n < 1e-12):
+        stops = np.cumsum([len(e.samples) for e in edges])
+        edge = edges[int(np.searchsorted(stops, np.argmax(n < 1e-12),
+                                         side="right"))]
+        raise ValidationError(f"degenerate tangent on edge {edge.id!r}")
+    return t / n[:, None]
 
-    return edge.cached("unit_tangents", build)
+
+def edge_unit_tangents(space: SpaceForm, edge: EdgeCurve) -> np.ndarray:
+    """unit_tangents of the edge's samples by its own stencil, so one-sided
+    at the ends.  Cached on the edge, as is the difference stencil."""
+    return edge.cached("unit_tangents", lambda: unit_tangents(
+        space, edge.samples, _derivative_stencil(edge), [edge]))
 
 
 def vertex_star(graph: EmbeddedGraph, vertex_id) -> list[TangentVector]:

@@ -135,12 +135,10 @@ class SpaceForm:
         return np.sqrt(np.maximum(sq, 0.0))
 
     def manifold_residual(self, x: np.ndarray) -> np.ndarray:
-        """|<x, x> - target| of the defining quadric equation."""
+        """|<x, x> - 1/K| of the defining quadric <x, x> = 1/K; 0 flat."""
         if self.model is Model.FLAT:
             return np.zeros(np.shape(x)[:-1])
-        target = -1.0 / self.curv ** 2 if self.model is Model.HYPERBOLIC \
-            else 1.0 / self.curv ** 2
-        return np.abs(self.mdot(x, x) - target)
+        return np.abs(self.mdot(x, x) - 1.0 / self.sectional_curvature)
 
     def manifold_offset(self, x: np.ndarray) -> np.ndarray:
         """How far ambient coordinates sit off the model manifold along its
@@ -174,18 +172,15 @@ class SpaceForm:
         return x / (self.curv * np.sqrt(m))[..., None]
 
     def tangent_project(self, p: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Project an ambient vector w onto the tangent space at p."""
+        """Project an ambient vector w onto the tangent space at p:
+        w - K <w, p> p, or w itself flat, which keeps its signed zeros."""
         if self.model is Model.FLAT:
             return np.asarray(w, float)
-        coef = self.mdot(w, p) * self.curv ** 2
-        if self.model is Model.HYPERBOLIC:
-            return w + coef[..., None] * p
+        coef = self.mdot(w, p) * self.sectional_curvature
         return w - coef[..., None] * p
 
     def tangency_residual(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
-        if self.model is Model.FLAT:
-            return np.zeros(np.broadcast(
-                np.asarray(p)[..., 0], np.asarray(v)[..., 0]).shape)
+        """|<p, v>| k, which is 0 in the flat model, where k is 0."""
         return np.abs(self.mdot(p, v)) * self.curv
 
     # -- distances, geodesics ----------------------------------------------
@@ -254,9 +249,6 @@ class SpaceForm:
 
     def geodesic_point(self, p: np.ndarray, q: np.ndarray, t) -> np.ndarray:
         """Point at parameter t in [0, 1] on the geodesic from p to q."""
-        if self.model is Model.FLAT:
-            t = np.asarray(t, float)
-            return p + t[..., None] * (q - p) if t.ndim else p + t * (q - p)
         v = self.log(p, q)
         t = np.asarray(t, float)
         return self.exp(p, t[..., None] * v if t.ndim else t * v)
@@ -298,7 +290,8 @@ class SpaceForm:
         with f' and the primitive F(r) = integral_0^r f.
 
         f/fprime give the geodesic-circle curvature f'/f; F is the area
-        density of geodesic sectors.
+        density of geodesic sectors.  Curved, f = sin(kr)/k, f' = cos(kr)
+        and F = (1 - f')/K, with sinh and cosh on the hyperboloid.
         """
         r = np.asarray(r, float)
         if np.any(r < 0.0):
@@ -306,13 +299,13 @@ class SpaceForm:
         k = self.curv
         if self.model is Model.FLAT:
             return ComparisonFns(r + 0.0, np.ones_like(r), r ** 2 / 2.0)
-        if self.model is Model.HYPERBOLIC:
-            return ComparisonFns(np.sinh(k * r) / k, np.cosh(k * r),
-                                 (np.cosh(k * r) - 1.0) / k ** 2)
-        if np.any(k * r >= math.pi):
+        if self.model is Model.SPHERICAL and np.any(k * r >= math.pi):
             raise ConjugatePointError("conjugate point reached")
-        return ComparisonFns(np.sin(k * r) / k, np.cos(k * r),
-                             (1.0 - np.cos(k * r)) / k ** 2)
+        sin, cos = (np.sinh, np.cosh) if self.model is Model.HYPERBOLIC \
+            else (np.sin, np.cos)
+        c = cos(k * r)
+        return ComparisonFns(sin(k * r) / k, c,
+                             (1.0 - c) / self.sectional_curvature)
 
     def circle_curvature(self, r) -> np.ndarray:
         """Geodesic curvature f'(r)/f(r) of the distance circle of radius r."""

@@ -45,6 +45,39 @@ def far_loop_graph():
                make_edge(space, "b", ("v", "v"), np.array(out + back))]))
 
 
+def two_arcs(first=None, second="c1", with_space=True) -> str:
+    """A flat graph file: arcs c0 and `second` from vertex a to vertex b,
+    c0 through `first` when given; without a space block unless
+    with_space."""
+    document = {
+        "space": {"model": "flat", "dim": 3, "curv": 0.0},
+        "vertices": [{"id": "a", "coords": [0, 0, 0]},
+                     {"id": "b", "coords": [1, 0, 0]}],
+        "edges": [{"id": "c0", "endpoints": ["a", "b"],
+                   "samples": first or [[0, 0, 0], [0.5, -0.5, 0], [1, 0, 0]]},
+                  {"id": second, "endpoints": ["a", "b"],
+                   "samples": [[0, 0, 0], [0.5, 0.5, 0], [1, 0, 0]]}],
+    }
+    if not with_space:
+        del document["space"]
+    return json.dumps(document)
+
+
+def turning_loop(y: float) -> str:
+    """A flat graph file with two loop edges at vertex (1, y, 0): a square
+    c0, then e, which runs out along x = 1..5 at height y and straight
+    back, so its tangent vanishes where it turns."""
+    xs = [1, 2, 3, 4, 5, 4, 3, 2, 1]
+    square = [[1, y, 0], [1, y, 1], [1, y + 1, 1], [1, y + 1, 0], [1, y, 0]]
+    return json.dumps({
+        "space": {"model": "flat", "dim": 3},
+        "vertices": [{"id": "v", "coords": [1, y, 0]}],
+        "edges": [{"id": "c0", "endpoints": ["v", "v"], "samples": square},
+                  {"id": "e", "endpoints": ["v", "v"],
+                   "samples": [[x, y, 0] for x in xs]}],
+    })
+
+
 @pytest.fixture()
 def circle_file(tmp_path):
     g = shapes.circle_graph(FLAT, 1.0, 1024)
@@ -577,6 +610,27 @@ class TestExitCodes:
         assert out == ""
         assert err == "validation error: grid size must be >= 1\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["density-map"],
+        ["certify", "--mode", "heuristic"],
+        ["certify", "--mode", "strict"],
+    ], ids=["density-map", "certify-heuristic", "certify-strict"])
+    def test_grid_above_the_cap_is_validation_failure(self, capsys, tmp_path,
+                                                      argv):
+        # 10**13 points are refused before the grid is sized; numpy itself
+        # would refuse an array that large without allocating it
+        path = tmp_path / "circle.json"
+        path.write_text(json.dumps(shapes.graph_document(
+            shapes.circle_graph(SPACES["hyperbolic"], 0.5, 64))))
+        if argv[0] == "density-map":
+            argv = argv + ["--out", str(tmp_path / "map.csv")]
+        code, out, err = run_capture(capsys, argv + [
+            "--grid", str(10 ** 13), str(path)])
+        assert code == 2
+        assert out == ""
+        assert err == "validation error: grid size must be <= 1048576\n"
+        assert not (tmp_path / "map.csv").exists()
+
     @pytest.mark.parametrize("step,shown", [("1e-300", "1e-300"),
                                             ("1e-9", "1e-09")])
     def test_too_fine_resampling_step_is_validation_failure(
@@ -663,6 +717,32 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err == f"validation error: {named}\n"
+
+    @pytest.mark.parametrize("text, argv, message", [
+        ("{", ["tc"], "not valid JSON: Expecting property name enclosed in "
+         "double quotes: line 1 column 2 (char 1)"),
+        ("[]", ["tc"], "graph document must be a mapping"),
+        (two_arcs(with_space=False), ["tc"], "malformed graph document: 'space'"),
+        (two_arcs(second="c0"), ["tc"], "duplicate edge id 'c0'"),
+        (two_arcs(first=[[0, 0, 0]]), ["tc"],
+         "edge 'c0' needs at least two samples"),
+        (two_arcs(first=[[0, 0, 0], [0, 0, 0], [1, 0, 0]]), ["tc"],
+         "edge 'c0' has coincident consecutive samples"),
+        (two_arcs(), ["tc", "--h", "0"], "resampling step must be positive"),
+        (turning_loop(1.0), ["tc"], "degenerate tangent on edge 'e'"),
+        (turning_loop(0.0), ["cone", "--apex", "0,0,0"],
+         "degenerate tangent on edge 'e'"),
+    ], ids=["bad-json", "json-list", "no-space", "duplicate-edge",
+            "one-sample", "coincident-samples", "zero-step",
+            "turning-edge-tangent", "turning-development-tangent"])
+    def test_rejected_inputs_are_validation_failures(self, capsys, tmp_path,
+                                                     text, argv, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code, out, err = run_capture(capsys, argv + [str(bad)])
+        assert code == 2
+        assert out == ""
+        assert err == f"validation error: {message}\n"
 
 
 class TestParserReuse:

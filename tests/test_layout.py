@@ -3,9 +3,11 @@
 A name with a leading underscore belongs to the module that defines it.
 The one exception is ``_num``: it holds the numerical helpers that every
 module shares, so its names may be used anywhere in the package.  Being
-shared is also its only reason to exist, so every function in ``_num``
-must be used by another module, directly or through another ``_num``
-function that is.
+shared is also its only reason to exist, so every top-level name of
+``_num`` must be used by another module, directly or through another
+``_num`` name that is.  Every other module's private top-level functions,
+classes and constants must be reached from its public code, directly or
+through another helper that is.
 
 Likewise a private attribute belongs to its object: only the object's own
 methods write it, through ``self``.
@@ -177,12 +179,25 @@ def test_write_detector_flags_foreign_private_attributes():
     assert foreign_private_writes(clean) == []
 
 
-def _shared_names_used(source: str) -> set[str]:
-    """Names of `source` (another package module) that it reads from _num,
-    as `_num.name` or through `from ._num import name`."""
-    tree = ast.parse(source)
-    aliases = set()
-    used = set()
+def _defined_names(node) -> list[str]:
+    """The names a top-level statement defines: a function's or class's,
+    or the plain names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _shared_scope(tree) -> tuple[set[str], set[str]]:
+    """The local names a module binds to _num itself, and those it
+    imports from _num."""
+    aliases, imported = set(), set()
     for node in ast.walk(tree):
         if not isinstance(node, ast.ImportFrom):
             continue
@@ -191,39 +206,61 @@ def _shared_names_used(source: str) -> set[str]:
             if origin == "" and alias.name == SHARED:
                 aliases.add(alias.asname or alias.name)
             elif origin == SHARED:
-                used.add(alias.name)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
-                and node.value.id in aliases:
-            used.add(node.attr)
-    return used
+                imported.add(alias.asname or alias.name)
+    return aliases, imported
 
 
-def dead_shared_functions(sources: dict[str, str]) -> list[str]:
-    """The top-level functions of _num (`sources` maps each package module
-    to its text) that no other module reaches, directly or through the
-    _num functions it uses."""
-    tree = ast.parse(sources[SHARED])
-    functions = {node.name: node for node in tree.body
-                 if isinstance(node, ast.FunctionDef)}
-    live = set()
+def _references(node, module: str, scope) -> set[tuple[str, str]]:
+    """(module, name) of each name that the code under `node`, in package
+    module `module` with _shared_scope `scope`, reads: its own module's
+    names, and _num's names read as `_num.name` or imported from _num."""
+    aliases, imported = scope
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add((SHARED if sub.id in imported else module, sub.id))
+        elif isinstance(sub, ast.Attribute) and \
+                isinstance(sub.value, ast.Name) and sub.value.id in aliases:
+            found.add((SHARED, sub.attr))
+    return found
+
+
+def dead_helpers(sources: dict[str, str]) -> list[str]:
+    """The helpers of the package (`sources` maps each module to its text)
+    that nothing reaches, as "module.name".  A helper is a top-level
+    function, class or constant with a private name, or any top-level one
+    of _num, which exists to be shared.  The rest of a module's top-level
+    code, _num's excepted, reaches the names it reads, and a helper that
+    is reached reaches the names it reads in turn."""
+    helpers = {}  # (module, name) -> the statement that defines it
+    scopes = {}
+    roots = []
     for module, source in sources.items():
-        if module != SHARED:
-            live |= _shared_names_used(source) & functions.keys()
+        tree = ast.parse(source)
+        scopes[module] = _shared_scope(tree)
+        for node in tree.body:
+            names = _defined_names(node)
+            if names and all(_private(n) or module == SHARED for n in names):
+                helpers.update(((module, n), node) for n in names)
+            elif module != SHARED:
+                roots.append((module, node))
+    live = set()
+    for module, node in roots:
+        live |= _references(node, module, scopes[module]) & helpers.keys()
     pending = list(live)
     while pending:
-        for node in ast.walk(functions[pending.pop()]):
-            if isinstance(node, ast.Name) and node.id in functions \
-                    and node.id not in live:
-                live.add(node.id)
-                pending.append(node.id)
-    return sorted(functions.keys() - live)
+        module, name = pending.pop()
+        for key in _references(helpers[(module, name)], module,
+                               scopes[module]) & helpers.keys() - live:
+            live.add(key)
+            pending.append(key)
+    return sorted(f"{m}.{n}" for m, n in helpers.keys() - live)
 
 
-def test_every_shared_function_is_used():
+def test_every_helper_is_used():
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in PACKAGE.glob("*.py")}
-    assert dead_shared_functions(sources) == []
+    assert dead_helpers(sources) == []
 
 
 def test_dead_helper_detector_follows_shared_calls():
@@ -240,8 +277,19 @@ def test_dead_helper_detector_follows_shared_calls():
         "graph": "from ._num import imported\nimported(1)\n",
         "cli": "from . import cone\ncone._column(1)\n",
     }
-    assert dead_shared_functions(sources) == ["_column", "_dead_inner",
-                                              "dead"]
+    assert dead_helpers(sources) == ["_num._column", "_num._dead_inner",
+                                     "_num.dead"]
+
+
+def test_dead_helper_detector_flags_unused_private_helpers():
+    sources = {"cone": (
+        "_LIMIT = 3\n"
+        "_UNUSED = 4\n"
+        "def _used(x):\n    return x + _LIMIT\n"
+        "def _dead(x):\n    return _used(x) + _dead(x)\n"
+        "def area(x):\n    return _used(x)\n"
+    )}
+    assert dead_helpers(sources) == ["cone._UNUSED", "cone._dead"]
 
 
 SEEDED = "cli"

@@ -90,7 +90,10 @@ def _parse_apex(space: SpaceForm, text: str) -> np.ndarray:
             f"apex needs {space.embedding_dim} comma-separated coordinates")
     if not np.all(np.isfinite(coords)):
         raise ValidationError("apex coordinates must be finite numbers")
-    proj = space.project_point(coords)
+    try:
+        proj = space.project_point(coords)
+    except ValidationError as exc:
+        raise ValidationError(f"apex: {exc}") from None
     if float(space.manifold_offset(coords)) > APEX_TOLERANCE:
         raise ValidationError("apex is off the manifold beyond tolerance")
     return proj

@@ -190,15 +190,19 @@ def _unit_grid(n: int, count: int) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
-def _star_coordinates(space: SpaceForm, graph: EmbeddedGraph, vertex_id):
-    """The vertex point q, an orthonormal basis of its tangent space, and
-    the star's unit tangents in that basis, from the graph's star_table."""
-    q = graph.vertex_point(vertex_id)
+def _star_coordinates(space: SpaceForm, graph: EmbeddedGraph, vertex_ids):
+    """The vertex points q, an orthonormal basis of each tangent space, and
+    each star's unit tangents in its basis: one tangent_basis call over all
+    the points and one mdot over their rows of the graph's star_table."""
+    q = np.array([graph.vertex_point(v) for v in vertex_ids])
     basis = space.tangent_basis(q)
     table = star_table(graph)
-    coords = space.mdot(basis, table.vec[table.rows[vertex_id], None])
-    norms = np.linalg.norm(coords, axis=1, keepdims=True)
-    return q, basis, coords / norms
+    rows = [table.rows[v] for v in vertex_ids]
+    counts = [r.stop - r.start for r in rows]
+    vec = np.concatenate([table.vec[r] for r in rows])
+    coords = space.mdot(np.repeat(basis, counts, axis=0), vec[:, None])
+    coords /= np.linalg.norm(coords, axis=1, keepdims=True)
+    return q, basis, np.split(coords, np.cumsum(counts)[:-1])
 
 
 def _star_starts(T: np.ndarray) -> np.ndarray:
@@ -220,27 +224,20 @@ def _vertex_terms(space: SpaceForm, graph: EmbeddedGraph,
                   vertex_ids) -> list[VertexTC]:
     """The contributions of the given vertices, in their order; see
     vertex_tc.  All valence >= 3 stars go to one _ascent_on_sphere call."""
-    out = [None] * len(vertex_ids)
-    climbs = []
-    for i, vertex_id in enumerate(vertex_ids):
-        q, basis, T = _star_coordinates(space, graph, vertex_id)
-        if len(T) == 2:
-            angle = 2.0 * math.atan2(float(np.linalg.norm(T[0] - T[1])),
-                                     float(np.linalg.norm(T[0] + T[1])))
-            out[i] = VertexTC(vertex_id=vertex_id, tc=math.pi - angle,
-                              argmax_dir=TangentVector(base=q,
-                                                       vec=T[0] @ basis))
-        else:
-            climbs.append((i, q, basis, T))
+    q, bases, stars = _star_coordinates(space, graph, vertex_ids)
+    terms = [(math.pi - 2.0 * math.atan2(float(np.linalg.norm(T[0] - T[1])),
+                                         float(np.linalg.norm(T[0] + T[1]))),
+              T[0]) if len(T) == 2 else None for T in stars]
+    climbs = [i for i, term in enumerate(terms) if term is None]
     if climbs:
-        found = _ascent_on_sphere([_star_starts(T) for *_, T in climbs],
-                                  [T for *_, T in climbs])
-        for (i, q, basis, _), (E, g) in zip(climbs, found):
+        found = _ascent_on_sphere([_star_starts(stars[i]) for i in climbs],
+                                  [stars[i] for i in climbs])
+        for i, (E, g) in zip(climbs, found):
             best = int(np.argmax(g))
-            out[i] = VertexTC(vertex_id=vertex_ids[i], tc=float(g[best]),
-                              argmax_dir=TangentVector(base=q,
-                                                       vec=E[best] @ basis))
-    return out
+            terms[i] = float(g[best]), E[best]
+    return [VertexTC(vertex_id=v, tc=tc,
+                     argmax_dir=TangentVector(base=p, vec=e @ basis))
+            for v, p, basis, (tc, e) in zip(vertex_ids, q, bases, terms)]
 
 
 def vertex_tc(space: SpaceForm, graph: EmbeddedGraph, vertex_id) -> VertexTC:
@@ -265,7 +262,7 @@ def vertex_tc_grid(space: SpaceForm, graph: EmbeddedGraph, vertex_id,
                    n_dirs: int = 1_000_000) -> float:
     """Brute-force sup of the star objective over a dense direction grid.
     Independent of the ascent path; used to certify vertex_tc."""
-    _, _, T = _star_coordinates(space, graph, vertex_id)
+    T = _star_coordinates(space, graph, [vertex_id])[2][0]
     dirs = _unit_grid(T.shape[1], n_dirs)
     best = -math.inf
     block = 262144

@@ -250,7 +250,10 @@ def _take_points(space: SpaceForm, coords, ndim: int, what: str,
     if (x.ndim != ndim or x.shape[-1] != d or not x.size
             or not np.all(np.isfinite(x))):
         raise _coordinate_fault(coords, ndim, d, what)
-    proj = space.project_point(x)
+    try:
+        proj = space.project_point(x)
+    except ValidationError as exc:
+        raise ValidationError(f"{what}: {exc}") from None
     if not np.all(space.manifold_offset(x) <= tol):
         raise ValidationError(f"{what}: point is off the manifold "
                               f"beyond tolerance {tol:g}")

@@ -263,25 +263,22 @@ class SpaceForm:
         return np.arccos(np.clip(c, -1.0, 1.0))
 
     def tangent_basis(self, p: np.ndarray) -> np.ndarray:
-        """Rows form an orthonormal basis of the tangent space at p
-        (orthonormal in the model metric)."""
+        """Rows of shape (..., dim, d), orthonormal in the model metric, that
+        span the tangent space at each p of shape (..., d): the images of
+        e_1..e_dim under the isometry taking the base point to p.  With
+        c = k p_0 and u = k (p_1, ...), row j is e_j + s u_j (1, u/(1 + c)),
+        s = +1 on the hyperboloid and -1 on the sphere, where p_0 < 0 takes
+        the rows of -p (the same tangent space), so 1 + c >= 1.  Flat rows
+        are the identity."""
+        p = np.asarray(p, float)
         d = self.embedding_dim
         if self.model is Model.FLAT:
-            return np.eye(d)
-        basis = []
-        for i in range(d):
-            v = self.tangent_project(p, np.eye(d)[i])
-            for _ in range(2):  # re-orthogonalize to absorb cancellation
-                for b in basis:
-                    v = v - self.mdot(v, b) * b
-            n = self.norm(v)
-            if n > 1e-8:
-                basis.append(v / n)
-            if len(basis) == self.dim:
-                break
-        if len(basis) != self.dim:
-            raise NumericalError("failed to build a tangent basis")
-        return np.stack(basis)
+            return np.broadcast_to(np.eye(d), p.shape[:-1] + (d, d)).copy()
+        q = self.curv * np.where(p[..., :1] < 0.0, -p, p)
+        head = q / (1.0 + q[..., :1])
+        head[..., 0] = 1.0
+        s = 1.0 if self.model is Model.HYPERBOLIC else -1.0
+        return np.eye(d)[1:] + s * q[..., 1:, None] * head[..., None, :]
 
     # -- radial comparison functions ----------------------------------------
 

@@ -1,8 +1,9 @@
 """Shared generators for randomized test instances: smooth random graphs,
 generic apices, random ambient isometries, and plain triangle sums of cone
 areas that serve as independent references.  It also keeps loop-by-loop
-forms of the first-derivative stencil, of the angle-balance vertex term and
-of the vertex ascent, as oracles for their array forms."""
+forms of the first-derivative stencil, of the angle-balance vertex term,
+of the vertex ascent and of the tangent basis, as oracles for their array
+and closed forms."""
 
 from __future__ import annotations
 
@@ -448,7 +449,8 @@ def star_ascent(space, graph, vertex_id):
     """vertex_tc's (tc, argmax direction) with the ascent run for this one
     star alone: the projected-gradient lockstep over its own starts, with
     every dot product taken afresh, until all its steps are below 1e-13."""
-    q, basis, T = curvature._star_coordinates(space, graph, vertex_id)
+    q, basis, T = (a[0] for a in
+                   curvature._star_coordinates(space, graph, [vertex_id]))
     k, n = T.shape
     if k == 2:
         angle = 2.0 * math.atan2(float(np.linalg.norm(T[0] - T[1])),
@@ -491,6 +493,34 @@ def star_ascent(space, graph, vertex_id):
             best = int(np.argmax(g))
             return float(g[best]), E[best] @ basis
     raise IterationError("vertex ascent reached VERTEX_ASCENT_MAX_ITER")
+
+
+def gram_schmidt_basis(space, p):
+    """SpaceForm.tangent_basis as it was first written, point by point: the
+    ambient axes projected to the tangent space at p and orthonormalized
+    in turn, twice against the rows before them, skipping those shorter
+    than 1e-8.  Away from the base point its rows are a rotation of the
+    closed form's; it is kept as a reference for the vertex terms."""
+    p = np.asarray(p, float)
+    d = space.embedding_dim
+    if space.model is Model.FLAT:
+        return np.broadcast_to(np.eye(d), p.shape[:-1] + (d, d)).copy()
+    out = []
+    for x in p.reshape(-1, d):
+        basis = []
+        for i in range(d):
+            v = space.tangent_project(x, np.eye(d)[i])
+            for _ in range(2):
+                for b in basis:
+                    v = v - space.mdot(v, b) * b
+            n = space.norm(v)
+            if n > 1e-8:
+                basis.append(v / n)
+            if len(basis) == space.dim:
+                break
+        assert len(basis) == space.dim
+        out.append(np.stack(basis))
+    return np.array(out).reshape(p.shape[:-1] + (space.dim, d))
 
 
 def refuse_allocation(*args, **kwargs):

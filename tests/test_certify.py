@@ -8,11 +8,13 @@ import pytest
 from soapcert import (
     ApexOnGraphError,
     CROSSING_DENSITY,
+    HullApprox,
     Mode,
     Model,
     NumericalError,
     SpaceForm,
     T_CONE_DENSITY,
+    ValidationError,
     Verdict,
     Y_CONE_DENSITY,
     ambient_cone_area,
@@ -145,6 +147,22 @@ class TestHullApprox:
 
 
 class TestExtremalConeArea:
+    def test_unknown_mode_rejected(self):
+        g = shapes.circle_graph(FLAT, 1.0, 64)
+        hull = hull_approx(FLAT, g, grid_n=1)
+        with pytest.raises(ValidationError,
+                           match="^mode must be 'min' or 'max'$"):
+            extremal_cone_area(FLAT, g, hull, "median")
+
+    def test_grid_without_usable_apex_rejected(self):
+        # every candidate is a graph sample, so none is admitted
+        g = shapes.circle_graph(FLAT, 1.0, 64)
+        hull = HullApprox(center=np.zeros(3), radius=1.0,
+                          grid=g.all_samples()[:8])
+        with pytest.raises(NumericalError, match="^no usable apex candidate "
+                                                 "in the hull grid$"):
+            extremal_cone_area(FLAT, g, hull, "min")
+
     def test_circle_minimum_at_center(self):
         g = shapes.circle_graph(FLAT, 1.0, 256)
         hull = hull_approx(FLAT, g, grid_n=1000)

@@ -180,6 +180,24 @@ class TestCone:
             assert out == ""
             assert err == f"validation error: {named}\n"
 
+    @pytest.mark.parametrize("model, apex, message", [
+        (Model.SPHERICAL, "0,0,0,0",
+         "cannot project the origin onto the sphere"),
+        (Model.HYPERBOLIC, "1,2,0,0",
+         "coordinates are not timelike; cannot project"),
+        (Model.HYPERBOLIC, "-1,0,0,0",
+         "hyperbolic points need a positive time coordinate")])
+    def test_unprojectable_apex_names_the_apex(self, capsys, tmp_path, model,
+                                               apex, message):
+        path = tmp_path / f"{model.value}.json"
+        path.write_text(json.dumps(shapes.graph_document(
+            shapes.circle_graph(SpaceForm(model, 3, 1.0), 0.5, 64))))
+        code, out, err = run_capture(capsys,
+                                     ["cone", f"--apex={apex}", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err == f"validation error: apex: {message}\n"
+
     @pytest.mark.parametrize("model, apex", [
         (Model.FLAT, "nan,0,0"), (Model.FLAT, "inf,0,0"),
         (Model.HYPERBOLIC, "1,nan,0,0"), (Model.SPHERICAL, "nan,0,0,1")])
@@ -403,6 +421,20 @@ class TestDensityMapAndGBCheck:
         for apex in apices:
             assert np.min(g.space.dist(apex, g.all_samples())) \
                 > SEARCH_CLEARANCE
+
+    def test_gb_check_without_room_for_apices(self, capsys, tmp_path):
+        # every apex lands within the hull radius, far inside the 1e-3
+        # clearance of a triangle of side 1e-4
+        corners = 1e-4 * np.array([[0, 0, 0], [1, 0, 0], [0.5, 0.8, 0]])
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(shapes.graph_document(
+            shapes.polygon_graph(FLAT, corners, samples_per_edge=8))))
+        code, out, err = run_capture(capsys, ["gb-check", "--trials", "2",
+                                              str(path)])
+        assert code == 3
+        assert out == ""
+        assert err == ("numerical error: could not place enough apices "
+                       "clear of the graph\n")
 
     def test_gb_check(self, capsys, circle_file):
         code, out, _ = run_capture(capsys, [

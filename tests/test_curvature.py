@@ -7,6 +7,7 @@ from soapcert import (
     IterationError,
     Model,
     SpaceForm,
+    ValidationError,
     cone_total_curvature,
     edge_curvature,
     edge_total_curvature,
@@ -93,6 +94,12 @@ class TestEdgeTotalCurvature:
 
 
 class TestVertexTC:
+    def test_unknown_vertex_rejected(self):
+        g = shapes.square_graph(FLAT, 1.0, samples_per_edge=32)
+        with pytest.raises(ValidationError,
+                           match="^unknown vertex id 'nope'$"):
+            vertex_tc(FLAT, g, "nope")
+
     def test_smooth_through_point_zero(self):
         corners = np.zeros((5, 3))
         corners[:, :2] = [[-0.5, -0.5], [0.0, -0.5], [0.5, -0.5],

@@ -44,6 +44,19 @@ def circle_document(n=64):
     }
 
 
+class TestShapeBuilders:
+    def test_polygon_needs_three_corners(self):
+        with pytest.raises(ValidationError,
+                           match="^a polygon needs at least 3 corners$"):
+            shapes.polygon_graph(FLAT, [[0, 0, 0], [1, 0, 0]])
+
+    def test_theta_graph_is_flat(self):
+        with pytest.raises(ValidationError, match="^the symmetric three-arc "
+                                                  "graph is built in flat "
+                                                  "3-space$"):
+            shapes.theta_graph(SpaceForm(Model.HYPERBOLIC, 3, 1.0))
+
+
 class TestLoad:
     def test_circle_accepted(self):
         g = load_graph(circle_document())
@@ -243,7 +256,20 @@ class TestIngestErrors:
         doc = _long_hyperbolic_document()
         sample = doc["edges"][0]["samples"][2000]
         sample[0] = -sample[0]
-        _single_fault(doc, "hyperbolic points need a positive time coordinate")
+        _single_fault(doc, "edge 'c0' sample: hyperbolic points need a "
+                           "positive time coordinate")
+
+    @pytest.mark.parametrize("model, coords, message", [
+        ("spherical", [0, 0, 0, 0],
+         "cannot project the origin onto the sphere"),
+        ("hyperbolic", [1, 2, 0, 0],
+         "coordinates are not timelike; cannot project")])
+    def test_unprojectable_vertex_names_the_point(self, model, coords,
+                                                  message):
+        space = SpaceForm(Model(model), 3, 1.0)
+        doc = shapes.graph_document(shapes.circle_graph(space, 0.5, 64))
+        doc["vertices"][0]["coords"] = coords
+        _single_fault(doc, f"vertex 'v0': {message}")
 
     @pytest.mark.parametrize("bad", [["x", 0, 0], [None, 0, 0],
                                      [float("nan"), 0, 0], [[0, 0], 0, 0]])
@@ -548,6 +574,17 @@ INCIDENCE_CASES = {
 
 
 class TestVertexStar:
+    def test_isolated_vertex_rejected(self):
+        # validate_graph would refuse this graph, so it is built unvalidated
+        g = shapes.circle_graph(FLAT, 1.0, 16)
+        lonely = EmbeddedGraph(
+            space=FLAT, vertices=g.vertices + [Vertex(id="lonely",
+                                                      point=np.ones(3))],
+            edges=g.edges)
+        with pytest.raises(ValidationError,
+                           match="^vertex 'lonely' has no incident edges$"):
+            vertex_star(lonely, "lonely")
+
     @pytest.mark.parametrize("case", sorted(INCIDENCE_CASES))
     def test_edge_ends_match_a_scan(self, case):
         for g in INCIDENCE_CASES[case]():
@@ -639,6 +676,13 @@ def _check_double_circuit(graph):
 
 
 class TestEulerDoubleCircuit:
+    def test_graph_without_edges_rejected(self):
+        g = EmbeddedGraph(space=FLAT,
+                          vertices=[Vertex(id="v", point=np.zeros(3))],
+                          edges=[])
+        with pytest.raises(ValidationError, match="^graph has no edges$"):
+            euler_double_circuit(g)
+
     def test_single_loop(self):
         g = shapes.circle_graph(FLAT, 1.0, 64)
         _check_double_circuit(g)

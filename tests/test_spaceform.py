@@ -15,11 +15,16 @@ from soapcert import (
     ValidationError,
     angle,
     comparison_fns,
+    cone_total_curvature,
     dist,
     exp_map,
     inner,
     log_map,
 )
+from soapcert import shapes
+
+from builders import (SPACES, carried_graph, gram_schmidt_basis,
+                      random_graph, wedge_graph)
 
 FLAT = SpaceForm(Model.FLAT, 3)
 HYP = SpaceForm(Model.HYPERBOLIC, 2, 1.0)
@@ -253,6 +258,129 @@ class TestSpaceForm:
             gram = np.array([[float(space.mdot(a, b)) for b in basis] for a in basis])
             assert np.allclose(gram, np.eye(space.dim), atol=1e-10)
             assert np.all(space.tangency_residual(p, basis) < 1e-9)
+
+
+def _frame_points(space, rng):
+    """Points at which to test the tangent frame, at distance t from the
+    base point in random directions: four random t, then boosts up to
+    rapidity 12 on the hyperboloid, or on the sphere t near pi/2 (the
+    equator p_0 = 0), the antipode of the base point and t at pi - 1e-12
+    and pi - 1e-8 (near it).  Flat points go out to about 1e6."""
+    if space.model is Model.FLAT:
+        return np.concatenate([rng.standard_normal((4, space.dim)),
+                               1e6 * rng.standard_normal((12, space.dim))])
+    if space.model is Model.HYPERBOLIC:
+        t = np.concatenate([rng.uniform(0.0, 4.0, 4),
+                            [0.1, 3.0, 6.0, 7.5, 9.0, 10.0, 11.0, 11.5, 12.0,
+                             12.0, 12.0, 12.0]])
+        cos, sin = np.cosh, np.sinh
+    else:
+        t = np.concatenate([rng.uniform(0.0, math.pi, 4), math.pi - np.array(
+            [0.0, 1e-12, 1e-12, 1e-8, 1e-8, 1e-6, 0.5, math.pi / 2 - 1e-9,
+             math.pi / 2, math.pi / 2 + 1e-9, 3.0, math.pi])])
+        cos, sin = np.cos, np.sin
+    n = rng.standard_normal((len(t), space.dim))
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    pts = np.concatenate([cos(t)[:, None], sin(t)[:, None] * n], axis=1)
+    if space.model is Model.SPHERICAL:
+        pts[-1] = -space.base_point() * space.curv  # the antipode exactly
+    return pts / space.curv
+
+
+class TestTangentBasis:
+    """The closed-form frame of SpaceForm.tangent_basis."""
+
+    # rounding bound, in units of eps |k p|^2, on the Gram matrix's distance
+    # from the identity and on the rows' tangency residual; the points are
+    # themselves rounded, and the largest reading is about 2.8
+    ULPS = 8.0
+
+    @pytest.mark.parametrize("model", [Model.HYPERBOLIC, Model.SPHERICAL])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("curv", [0.3, 1.0, 2.7])
+    def test_rows_orthonormal_and_tangent(self, model, dim, curv):
+        space = SpaceForm(model, dim, curv)
+        p = _frame_points(space, np.random.default_rng(10 * dim))
+        basis = space.tangent_basis(p)
+        assert basis.shape == (len(p), dim, dim + 1)
+        gram = space.mdot(basis[:, :, None, :], basis[:, None, :, :])
+        off = np.max(np.abs(gram - np.eye(dim)), axis=(1, 2))
+        tangency = np.max(space.tangency_residual(p[:, None, :], basis),
+                          axis=1)
+        bound = self.ULPS * np.finfo(float).eps * np.sum((curv * p) ** 2,
+                                                         axis=1)
+        assert np.all(off <= bound)
+        assert np.all(tangency <= bound)
+
+    @pytest.mark.parametrize("model", list(Model))
+    @pytest.mark.parametrize("curv", [0.3, 0.9, 1.0, 49.0])
+    def test_identity_at_the_base_point(self, model, curv):
+        space = SpaceForm(model, 3, curv)
+        d = space.embedding_dim
+        want = np.eye(d) if model is Model.FLAT else np.eye(d)[1:]
+        got = space.tangent_basis(space.base_point())
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert not np.any(np.signbit(got))
+
+    @pytest.mark.parametrize("space", [FLAT, HYP, HYP3, SPH, SPH3],
+                             ids=lambda s: f"{s.model.value}-{s.dim}")
+    def test_batch_is_point_by_point(self, space):
+        p = _frame_points(space, np.random.default_rng(5))[:15]
+        batch = space.tangent_basis(p.reshape(3, 5, -1))
+        assert batch.shape == (3, 5, space.dim, space.embedding_dim)
+        for i, j in np.ndindex(3, 5):
+            one = space.tangent_basis(p[5 * i + j])
+            assert batch[i, j].tobytes() == one.tobytes()
+
+    def test_vertex_terms_match_gram_schmidt(self, monkeypatch):
+        # criterion 2's instances, the square, the cube and the theta
+        # graph, and the curved square, cube and theta graph
+        graphs = [shapes.theta_graph(samples_per_edge=256),
+                  shapes.cube_skeleton_graph(),
+                  shapes.square_graph(SPACES["flat"], 1.0,
+                                      samples_per_edge=32)]
+        for name in ("hyperbolic", "spherical"):
+            graphs += [carried_graph(g, SPACES[name]) for g in graphs[:2]]
+            graphs.append(shapes.square_graph(SPACES[name], 0.5,
+                                              samples_per_edge=32))
+        rng = np.random.default_rng(100)
+        for _ in range(100):
+            space = list(SPACES.values())[int(rng.integers(3))]
+            ang = rng.uniform(0.15, math.pi - 0.15)
+            t1 = np.zeros(space.dim)
+            t1[0] = 1.0
+            t2 = np.zeros(space.dim)
+            t2[0], t2[1] = math.cos(ang), math.sin(ang)
+            graphs.append(wedge_graph(
+                space, t1, t2,
+                leg=0.5 if space.model is Model.SPHERICAL else 0.7))
+        got = [[v.tc for v in cone_total_curvature(g.space, g).per_vertex]
+               for g in graphs]
+        monkeypatch.setattr(SpaceForm, "tangent_basis", gram_schmidt_basis)
+        for g, terms in zip(graphs, got):
+            want = [v.tc for v in cone_total_curvature(g.space, g).per_vertex]
+            assert np.max(np.abs(np.subtract(terms, want))) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["flat-cube", "hyperbolic-pentagon",
+                                      "spherical-random"])
+    def test_one_call_per_total_curvature(self, monkeypatch, name):
+        g = {"flat-cube": shapes.cube_skeleton_graph,
+             "hyperbolic-pentagon": lambda: shapes.regular_polygon_graph(
+                 HYP3, 5, 0.8, samples_per_edge=32),
+             "spherical-random": lambda: random_graph(
+                 SPACES["spherical"], np.random.default_rng(3),
+                 n_vertices=5, n_extra=4, samples_per_edge=32)}[name]()
+        calls = []
+        basis = SpaceForm.tangent_basis
+
+        def counted(self, p):
+            calls.append(np.shape(p))
+            return basis(self, p)
+
+        monkeypatch.setattr(SpaceForm, "tangent_basis", counted)
+        cone_total_curvature(g.space, g)
+        assert calls == [(len(g.vertices), g.space.embedding_dim)]
 
 
 @settings(max_examples=60, deadline=None)

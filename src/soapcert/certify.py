@@ -127,8 +127,8 @@ def karcher_center(space: SpaceForm, points: np.ndarray) -> np.ndarray:
         away = space.dist(center, points) > 1e-12
         if not np.any(away):
             return center
-        v = np.mean(space.log(np.broadcast_to(center, points.shape)[away],
-                              points[away]), axis=0) * (np.sum(away) / len(points))
+        v = np.mean(space.log(center, points[away]), axis=0) \
+            * (np.sum(away) / len(points))
         step = float(space.norm(v))
         center = space.exp(center, v)
         if step < KARCHER_TOL:

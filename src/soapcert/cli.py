@@ -50,6 +50,9 @@ APEX_TOLERANCE = 1e-6
 # gb-check admits its random apices only this far from every sample.
 GB_CHECK_CLEARANCE = 1e-3
 
+# gb-check runs at most this many trials; each keeps one output line.
+MAX_GB_TRIALS = 2 ** 20
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -257,6 +260,8 @@ def _cmd_certify(args, graph: EmbeddedGraph, seed: int) -> list[str]:
 def _cmd_gb_check(args, graph: EmbeddedGraph, seed: int) -> list[str]:
     if args.trials < 1:
         raise ValidationError("trial count must be >= 1")
+    if args.trials > MAX_GB_TRIALS:
+        raise ValidationError(f"trial count must be <= {MAX_GB_TRIALS}")
     rng = np.random.default_rng(seed)
     space = graph.space
     hull = hull_approx(space, graph, grid_n=1)

@@ -105,7 +105,8 @@ def edge_total_curvature(space: SpaceForm, edge: EdgeCurve) -> float:
 
 def _star_values(dots: np.ndarray) -> np.ndarray:
     """The star objective g(e) = sum_k (pi/2 - angle(T_k, e)) of every row
-    from its dot products with the star's unit tangents."""
+    from its dot products with the star's unit tangents.  The sum runs
+    over the valence, which may pass 8, so it stays np.sum."""
     return np.sum(math.pi / 2.0 - np.arccos(np.clip(dots, -1.0, 1.0)),
                   axis=-1)
 
@@ -128,7 +129,7 @@ def _ascent_on_sphere(starts: list[np.ndarray],
         ids = np.array(ids)
         E = np.stack([starts[i] for i in ids])
         T = np.stack([tangents[i] for i in ids])
-        E /= np.linalg.norm(E, axis=-1, keepdims=True)
+        E /= np.sqrt(_num.rowsum(E * E))[:, :, None]
         # the dot products of the current directions, kept for the gradient
         dots = E @ T.transpose(0, 2, 1)
         g = _star_values(dots)
@@ -138,9 +139,9 @@ def _ascent_on_sphere(starts: list[np.ndarray],
             # the nonsmooth directions e = +-T_k.
             clamped = np.clip(dots, -1.0 + 1e-9, 1.0 - 1e-9)
             grad = (1.0 / np.sqrt(1.0 - clamped ** 2)) @ T
-            grad = grad - np.sum(grad * E, axis=-1, keepdims=True) * E
+            grad = grad - _num.rowsum(grad * E)[:, :, None] * E
             cand = E + step[:, :, None] * grad
-            cand /= np.linalg.norm(cand, axis=-1, keepdims=True)
+            cand /= np.sqrt(_num.rowsum(cand * cand))[:, :, None]
             cand_dots = cand @ T.transpose(0, 2, 1)
             gc = _star_values(cand_dots)
             better = gc > g

@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _num
 from .errors import (
     ConjugatePointError,
     DiameterBoundError,
@@ -121,12 +122,14 @@ class SpaceForm:
     def mdot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Ambient bilinear form along the last axis (Minkowski for the
         hyperbolic model, Euclidean otherwise).  Restricted to a tangent
-        space this is the Riemannian metric."""
-        u = np.asarray(u, float)
-        v = np.asarray(v, float)
-        out = np.sum(u * v, axis=-1)
+        space this is the Riemannian metric.  The coordinate products are
+        added left to right by _num.rowsum, as np.sum adds them below 8
+        coordinates; the hyperboloid then subtracts twice the time
+        product."""
+        prod = np.asarray(u, float) * np.asarray(v, float)
+        out = _num.rowsum(prod)
         if self.model is Model.HYPERBOLIC:
-            out = out - 2.0 * u[..., 0] * v[..., 0]
+            out -= 2.0 * prod[..., 0]
         return out
 
     def norm(self, v: np.ndarray) -> np.ndarray:
@@ -160,10 +163,10 @@ class SpaceForm:
         if self.model is Model.FLAT:
             return x
         if self.model is Model.SPHERICAL:
-            n = np.linalg.norm(x, axis=-1, keepdims=True)
+            n = np.sqrt(_num.rowsum(x * x))
             if np.any(n < 1e-12):
                 raise ValidationError("cannot project the origin onto the sphere")
-            return x / (self.curv * n)
+            return x / (self.curv * n)[..., None]
         if np.any(x[..., 0] <= 0.0):
             raise ValidationError("hyperbolic points need a positive time coordinate")
         m = -self.mdot(x, x)

@@ -761,12 +761,15 @@ class TestExitCodes:
         (two_arcs(first=[[0, 0, 0], [0, 0, 0], [1, 0, 0]]), ["tc"],
          "edge 'c0' has coincident consecutive samples"),
         (two_arcs(), ["tc", "--h", "0"], "resampling step must be positive"),
+        (two_arcs(), ["gb-check", "--trials", str(2 ** 20 + 1)],
+         "trial count must be <= 1048576"),
         (turning_loop(1.0), ["tc"], "degenerate tangent on edge 'e'"),
         (turning_loop(0.0), ["cone", "--apex", "0,0,0"],
          "degenerate tangent on edge 'e'"),
     ], ids=["bad-json", "json-list", "no-space", "duplicate-edge",
             "one-sample", "coincident-samples", "zero-step",
-            "turning-edge-tangent", "turning-development-tangent"])
+            "too-many-trials", "turning-edge-tangent",
+            "turning-development-tangent"])
     def test_rejected_inputs_are_validation_failures(self, capsys, tmp_path,
                                                      text, argv, message):
         bad = tmp_path / "bad.json"

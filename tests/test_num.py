@@ -6,6 +6,7 @@ from soapcert._num import (
     curve_second_derivative_interior,
     extend_interior,
     first_derivative_stencil,
+    rowsum,
     trapezoid,
 )
 
@@ -77,3 +78,33 @@ def test_stencil_equals_loop_oracle_bitwise(n, grid, ndim):
     # a zero coordinate keeps the sign of the oracle's zeros
     zeros = apply_stencil(stencil, np.zeros((n, 3)))
     assert not np.any(np.signbit(zeros))
+
+
+def _bits(a):
+    return np.asarray(a, float).view(np.int64)
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+@pytest.mark.parametrize("lead", [(300,), (), (6, 40)],
+                         ids=["rows", "row", "stacked"])
+def test_rowsum_equals_np_sum_bitwise(d, lead):
+    rng = np.random.default_rng(d)
+    shape = lead + (d,)
+    x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-150, 150, shape)
+    # a quarter of the entries are signed zeros; all-zero rows come next
+    zeros = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+    x = np.where(rng.random(shape) < 0.25, zeros, x)
+    assert np.array_equal(_bits(rowsum(x)), _bits(np.sum(x, axis=-1)))
+    for zero in (0.0, -0.0):
+        row = np.full(d, zero)
+        assert np.array_equal(_bits(rowsum(row)), _bits(np.sum(row)))
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_rowsum_shares_no_memory_with_its_input(d):
+    x = np.arange(5.0 * d).reshape(5, d)
+    out = rowsum(x)
+    assert out.shape == (5,)
+    assert not np.shares_memory(out, x)
+    out[:] = -1.0
+    assert np.array_equal(x, np.arange(5.0 * d).reshape(5, d))

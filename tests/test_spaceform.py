@@ -260,6 +260,34 @@ class TestSpaceForm:
             assert np.all(space.tangency_residual(p, basis) < 1e-9)
 
 
+class TestMdot:
+    @staticmethod
+    def former_mdot(space, u, v):
+        """The ambient form as np.sum computed it."""
+        out = np.sum(u * v, axis=-1)
+        if space.model is Model.HYPERBOLIC:
+            out = out - 2.0 * u[..., 0] * v[..., 0]
+        return out
+
+    @pytest.mark.parametrize("dim", range(2, 7))
+    @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+    def test_equals_the_np_sum_form_bitwise(self, model, dim):
+        space = SpaceForm(model, dim, 0.8)
+        d = space.embedding_dim
+        rng = np.random.default_rng(dim)
+        # the broadcasts the kernels use: rows against one point, and a
+        # stack of tangent bases against one vector per stack
+        for ushape, vshape in [((257, d), (d,)), ((257, d), (257, d)),
+                               ((9, dim, d), (9, 1, d))]:
+            u, v = (rng.standard_normal(shape)
+                    * 10.0 ** rng.uniform(-100, 100, shape)
+                    for shape in (ushape, vshape))
+            got = space.mdot(u, v)
+            want = self.former_mdot(space, u, v)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def _frame_points(space, rng):
     """Points at which to test the tangent frame, at distance t from the
     base point in random directions: four random t, then boosts up to

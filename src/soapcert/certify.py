@@ -110,7 +110,7 @@ def density_bound(space: SpaceForm, apex: np.ndarray, graph: EmbeddedGraph,
     SEARCH_CLEARANCE: ApexOnGraphError when a sample is that close,
     ConjugatePointError when a spherical sample is at the conjugate radius."""
     if space.model is Model.FLAT:
-        check_apex(space, apex, graph.all_samples(), SEARCH_CLEARANCE)
+        check_apex(space, apex, graph.samples, SEARCH_CLEARANCE)
         return tc.total / (2.0 * math.pi)
     area = ambient_cone_area(space, apex, graph, clearance=SEARCH_CLEARANCE)
     return (tc.total + space.sectional_curvature * area) / (2.0 * math.pi)
@@ -197,17 +197,10 @@ def _ball_grid(space: SpaceForm, center: np.ndarray, radius: float,
 
 
 def _hull_samples(graph: EmbeddedGraph) -> np.ndarray:
-    """The graph's samples, edge after edge, with each vertex once: an edge
-    end is dropped when an earlier edge end already gave its vertex."""
-    seen = set()
-    parts = []
-    for e in graph.edges:
-        keep = np.ones(len(e.samples), bool)
-        for end in (0, 1):
-            keep[-end] = e.endpoints[end] not in seen
-            seen.add(e.endpoints[end])
-        parts.append(e.samples[keep])
-    return np.concatenate(parts)
+    """The graph's stacked samples with each vertex once: of the rows of
+    the edge-ends at a vertex, only the first, the earliest's, is kept."""
+    first = graph.end_offsets[:-1][np.diff(graph.end_offsets) > 0]
+    return np.delete(graph.samples, np.delete(graph.end_rows, first), axis=0)
 
 
 def hull_approx(space: SpaceForm, graph: EmbeddedGraph,

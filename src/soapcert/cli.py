@@ -266,7 +266,7 @@ def _cmd_gb_check(args, graph: EmbeddedGraph, seed: int) -> list[str]:
     space = graph.space
     hull = hull_approx(space, graph, grid_n=1)
     basis = space.tangent_basis(hull.center)
-    samples = graph.all_samples()
+    samples = graph.samples
     lines = []
     worst = 0.0
     done = 0

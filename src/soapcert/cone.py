@@ -161,21 +161,22 @@ def develop_cone(space: SpaceForm, apex: np.ndarray,
     n = table.nfine
     angles = _apex_angles(space, a[:n], b[:n], table.gamma[:n])
     theta = np.zeros(len(r))
-    for samples, fine in table.spans:
-        np.cumsum(angles[fine], out=theta[samples.start + 1:samples.stop])
+    bounds = graph.offsets.tolist()
+    for e, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        np.cumsum(angles[lo - e:hi - e - 1], out=theta[lo + 1:hi])
     x = developed_points(plane, r, theta)
-    t = unit_tangents(plane, x, derivative_stencil(graph), graph.edges)
+    t = unit_tangents(plane, x, derivative_stencil(graph), graph)
     # all edges as one curve: the rows at an edge's two ends mix two edges
     # and are dropped below, so their floating-point faults are ignored
     with np.errstate(all="ignore"):
-        khat = _conormal_rows(plane, plane_apex, x, t, table.s)
+        khat = _conormal_rows(plane, plane_apex, x, t, graph.s)
     per_edge = []
-    for edge, (samples, _) in zip(graph.edges, table.spans):
+    for edge, lo, hi in zip(graph.edges, bounds, bounds[1:]):
         # khat[i] belongs to sample i + 1
-        khat_nu = _num.extend_interior(khat[samples.start:samples.stop - 2])
+        khat_nu = _num.extend_interior(khat[lo:hi - 2])
         per_edge.append(EdgeDevelopment(
-            edge_id=edge.id, s=edge.s.copy(), r=r[samples],
-            theta=theta[samples], khat_nu=khat_nu))
+            edge_id=edge.id, s=edge.s.copy(), r=r[lo:hi],
+            theta=theta[lo:hi], khat_nu=khat_nu))
     return ConeDevelopment(apex=apex, per_edge=per_edge,
                            hat_density=_cone_density(angles),
                            hat_area=_richardson_sum(_triangle_areas(
@@ -255,23 +256,19 @@ def _apex_angles(space: SpaceForm, alpha: np.ndarray, beta: np.ndarray,
 @dataclass(eq=False)
 class _ChordTable:
     """The part of the cone quantities over a graph that does not depend on
-    the apex.  samples holds every edge's samples, edge after edge, and s
-    their parameters.  The triangles stand on every edge's fine chords,
-    nfine in all, then on every edge's coarse chords; chord i joins
-    samples tail[i] and head[i], with half squared chord gamma[i].
+    the apex, over the graph's stacked samples.  The triangles stand on
+    every edge's fine chords, nfine in all, edge e's starting at chord
+    graph.offsets[e] - e, then on every edge's coarse chords; chord i joins
+    the stacked rows tail[i] and head[i], with half squared chord gamma[i].
     weight[i] is the factor of triangle i in the Richardson sum: for a
     coarse chord spanning j fine chords, 1 + 1/(j^2 - 1) on each of those
-    fine chords and -1/(j^2 - 1) on the coarse chord.  spans holds each
-    edge's slices of the samples and of the fine chords."""
+    fine chords and -1/(j^2 - 1) on the coarse chord."""
 
-    samples: np.ndarray
-    s: np.ndarray
     tail: np.ndarray
     head: np.ndarray
     gamma: np.ndarray
     nfine: int
     weight: np.ndarray
-    spans: list[tuple[slice, slice]]
 
 
 def _chord_table(graph: EmbeddedGraph) -> _ChordTable:
@@ -279,25 +276,20 @@ def _chord_table(graph: EmbeddedGraph) -> _ChordTable:
     An edge of n chords has n // 2 coarse chords, each spanning j = 2 of
     its fine chords, or j = 3 for the last one when n is odd."""
     def build():
-        n = [len(e.samples) - 1 for e in graph.edges]
-        f = np.cumsum([0] + n)
+        f = graph.offsets - np.arange(len(graph.offsets))  # first fine chords
         lo = np.concatenate([np.arange(a, b - 1, 2) for a, b in zip(f, f[1:])])
         hi = np.append(lo[1:], f[-1])
-        edge = np.repeat(np.arange(len(n)), n)  # the edge of each fine chord
+        edge = np.repeat(np.arange(len(f) - 1), np.diff(f))  # per fine chord
         fine = np.arange(f[-1]) + edge  # the sample each fine chord leaves
         tail = np.concatenate([fine, lo + edge[lo]])
         head = np.concatenate([fine + 1, hi + edge[lo]])
         step = 1.0 / ((hi - lo) ** 2 - 1)
-        samples = graph.all_samples()
-        f = f.tolist()
+        samples = graph.samples
         return _ChordTable(
-            samples=samples, s=np.concatenate([e.s for e in graph.edges]),
             tail=tail, head=head,
             gamma=_half_sq_chords(graph.space, samples[tail], samples[head]),
-            nfine=f[-1],
-            weight=np.concatenate([1.0 + np.repeat(step, hi - lo), -step]),
-            spans=[(slice(f[e] + e, f[e + 1] + e + 1), slice(f[e], f[e + 1]))
-                   for e in range(len(n))])
+            nfine=int(f[-1]),
+            weight=np.concatenate([1.0 + np.repeat(step, hi - lo), -step]))
 
     return graph.cached("chord_table", build)
 
@@ -308,7 +300,7 @@ def _triangles(space: SpaceForm, apex: np.ndarray, graph: EmbeddedGraph,
     alpha to its samples, and a and b to the tails and heads of its
     chords.  The apex must pass check_apex at `clearance`."""
     table = _chord_table(graph)
-    alpha = check_apex(space, apex, table.samples, clearance)
+    alpha = check_apex(space, apex, graph.samples, clearance)
     return table, alpha, alpha[table.tail], alpha[table.head]
 
 
@@ -376,7 +368,7 @@ def cone_area_gradient(space: SpaceForm, apex: np.ndarray,
     c = np.bincount(table.tail, c_tail, minlength=len(alpha)) \
         + np.bincount(table.head, c_head, minlength=len(alpha))
     return (_richardson_sum(_root_areas(space, total, root), table),
-            -c @ (table.samples - apex))
+            -c @ (graph.samples - apex))
 
 
 def gauss_bonnet_residual(space: SpaceForm, apex: np.ndarray,

@@ -26,8 +26,8 @@ from .errors import IterationError
 from .graph import (
     EdgeCurve,
     EmbeddedGraph,
-    derivative_stencil,
     edge_unit_tangents,
+    stacked_unit_tangents,
     star_table,
 )
 from .spaceform import SpaceForm, TangentVector
@@ -275,9 +275,11 @@ def vertex_tc_grid(space: SpaceForm, graph: EmbeddedGraph, vertex_id,
 def cone_total_curvature(space: SpaceForm, graph: EmbeddedGraph) -> TCReport:
     """Assemble the cone total curvature: per-edge curvature integrals over
     the regular part plus the vertex contributions, whose valence >= 3
-    ascents run in one call.  Every edge's stencil comes from the graph's
-    one derivative_stencil build."""
-    derivative_stencil(graph)
+    ascents run in one call.  Each edge is handed its rows of the graph's
+    one stacked_unit_tangents pass before its edge term reads them."""
+    t = stacked_unit_tangents(graph)
+    for e, lo, hi in zip(graph.edges, graph.offsets, graph.offsets[1:]):
+        e.cached("unit_tangents", lambda: t[lo:hi])
     per_edge = [EdgeTC(edge_id=e.id, integral=edge_total_curvature(space, e))
                 for e in graph.edges]
     per_vertex = _vertex_terms(space, graph, [v.id for v in graph.vertices])

@@ -79,10 +79,14 @@ class EdgeCurve(_Cached):
 
 @dataclass(eq=False)
 class EmbeddedGraph(_Cached):
-    """Vertices joined by edges.  The incidence map from vertex id to its
-    (edge, end) pairs is built once here, in graph order with end 0 before
-    end 1.  An edge naming an unknown vertex is filed under that id, so
-    construction succeeds and validate_graph can report it."""
+    """Vertices joined by edges.  One pass over the edges builds the
+    incidence map from vertex id to its (edge, end) pairs, in graph order
+    with end 0 before end 1, and the stacked layout of the graph-wide
+    kernels: samples and s, read-only, hold edge i's samples and parameters
+    at rows offsets[i]:offsets[i + 1], and end_rows[end_offsets[j]:
+    end_offsets[j + 1]] the rows of vertex j's edge-ends in incidence order.
+    An edge naming an unknown vertex is filed under that id, after the
+    vertices, so construction succeeds and validate_graph can report it."""
 
     space: SpaceForm
     vertices: list[Vertex]
@@ -92,10 +96,20 @@ class EmbeddedGraph(_Cached):
 
     def __post_init__(self):
         self._by_id = {v.id: v for v in self.vertices}
-        self._ends = {v.id: [] for v in self.vertices}
-        for e in self.edges:
-            for end in (0, 1):
-                self._ends.setdefault(e.endpoints[end], []).append((e, end))
+        self._ends = {v.id: [] for v in self.vertices}  # (edge, end, row)
+        self.offsets = np.cumsum([0] + [len(e.samples) for e in self.edges])
+        for e, stop in zip(self.edges, self.offsets[1:].tolist()):
+            for end, row in ((0, stop - len(e.samples)), (1, stop - 1)):
+                self._ends.setdefault(e.endpoints[end], []).append(
+                    (e, end, row))
+        ends = list(self._ends.values())
+        self.end_offsets = np.cumsum([0] + [len(group) for group in ends])
+        self.end_rows = np.array([r for group in ends for _, _, r in group],
+                                 dtype=int)
+        empty = [np.empty((0, self.space.embedding_dim))]
+        self.samples = np.concatenate([e.samples for e in self.edges] or empty)
+        self.s = np.concatenate([e.s for e in self.edges] or [np.empty(0)])
+        self.samples.flags.writeable = self.s.flags.writeable = False
 
     def vertex_point(self, vertex_id) -> np.ndarray:
         try:
@@ -106,7 +120,7 @@ class EmbeddedGraph(_Cached):
     def edge_ends_at(self, vertex_id) -> list[tuple[EdgeCurve, int]]:
         """All (edge, end) pairs incident to the vertex; a loop edge
         contributes both of its ends."""
-        return list(self._ends.get(vertex_id, ()))
+        return [(e, end) for e, end, _ in self._ends.get(vertex_id, ())]
 
     def valence(self, vertex_id) -> int:
         return len(self._ends.get(vertex_id, ()))
@@ -116,7 +130,8 @@ class EmbeddedGraph(_Cached):
         return sum(e.length for e in self.edges)
 
     def all_samples(self) -> np.ndarray:
-        return np.concatenate([e.samples for e in self.edges], axis=0)
+        """The stacked samples: the same read-only array on every call."""
+        return self.samples
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +229,7 @@ def validate_graph(graph: EmbeddedGraph) -> EmbeddedGraph:
                 f"vertex {v.id!r} has valence {c} < 2; closed arcs must meet "
                 "in at least two edge-ends everywhere")
     if graph.space.model is Model.SPHERICAL:
-        _check_spherical_diameter(graph.space, graph.all_samples())
+        _check_spherical_diameter(graph.space, graph.samples)
     return graph
 
 
@@ -391,70 +406,54 @@ def resample_arclength(graph: EmbeddedGraph, h: float) -> EmbeddedGraph:
 # ---------------------------------------------------------------------------
 # tangents
 
-def _derivative_stencil(edge: EdgeCurve) -> tuple[np.ndarray, np.ndarray]:
-    """The edge's _num.first_derivative_stencil, cached on the edge: its
-    rows of derivative_stencil when a graph holding it built that first,
-    else its own build."""
-    return edge.cached("stencil",
-                       lambda: _num.first_derivative_stencil(edge.s))
-
-
 def derivative_stencil(graph: EmbeddedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """The first-derivative stencil of all the graph's samples, edge after
-    edge as all_samples stacks them: one _num.first_derivative_stencil
-    build with every window clamped to its own edge, made on first use and
-    cached on the graph.  Each edge's rows are its own stencil bit for bit,
-    so the build caches them on the edge too, for edge_unit_tangents."""
-    def build():
-        bounds = np.cumsum([0] + [len(e.s) for e in graph.edges])
-        start, weights = _num.first_derivative_stencil(
-            np.concatenate([e.s for e in graph.edges]), bounds)
-        for e, lo, hi in zip(graph.edges, bounds[:-1], bounds[1:]):
-            e.cached("stencil", lambda: (start[lo:hi] - lo, weights[lo:hi]))
-        return start, weights
-
-    return graph.cached("stencil", build)
+    """The first-derivative stencil of the graph's stacked samples: one
+    _num.first_derivative_stencil build over graph.s, every window clamped
+    to its own edge by graph.offsets, made on first use and cached on the
+    graph.  Each edge's rows are its own stencil bit for bit."""
+    return graph.cached("stencil", lambda: _num.first_derivative_stencil(
+        graph.s, graph.offsets))
 
 
 def unit_tangents(space: SpaceForm, x: np.ndarray, stencil: tuple,
-                  edges: list[EdgeCurve]) -> np.ndarray:
-    """Unit tangents at the rows of x, the samples of the curves of `edges`
-    stacked edge after edge: the stencil of their parameters applied to x,
-    projected to the tangent space and normalized.  A tangent shorter than
-    1e-12 raises ValidationError naming the edge of the first such row."""
+                  graph: EmbeddedGraph) -> np.ndarray:
+    """Unit tangents at the rows of x, laid out as the graph's stacked
+    samples: the stencil of their parameters applied to x, projected to the
+    tangent space and normalized.  A tangent shorter than 1e-12 raises
+    ValidationError naming the edge of the first such row."""
     t = space.tangent_project(x, _num.apply_stencil(stencil, x))
     n = space.norm(t)
     if np.any(n < 1e-12):
-        stops = np.cumsum([len(e.samples) for e in edges])
-        edge = edges[int(np.searchsorted(stops, np.argmax(n < 1e-12),
-                                         side="right"))]
+        edge = graph.edges[np.searchsorted(
+            graph.offsets, np.argmax(n < 1e-12), side="right") - 1]
         raise ValidationError(f"degenerate tangent on edge {edge.id!r}")
     return t / n[:, None]
 
 
+def stacked_unit_tangents(graph: EmbeddedGraph) -> np.ndarray:
+    """unit_tangents of the graph's stacked samples by its
+    derivative_stencil, one pass made on first use and cached on the graph.
+    Each edge's rows are its edge_unit_tangents bit for bit."""
+    return graph.cached("unit_tangents", lambda: unit_tangents(
+        graph.space, graph.samples, derivative_stencil(graph), graph))
+
+
 def edge_unit_tangents(space: SpaceForm, edge: EdgeCurve) -> np.ndarray:
-    """unit_tangents of the edge's samples by its own stencil, so one-sided
-    at the ends.  Cached on the edge, as is the difference stencil."""
-    return edge.cached("unit_tangents", lambda: unit_tangents(
-        space, edge.samples, _derivative_stencil(edge), [edge]))
+    """The edge's unit tangents by its own stencil, so one-sided at the
+    ends, cached on the edge: its rows of a graph's stacked_unit_tangents
+    when cone_total_curvature handed them over, else those of the edge
+    alone as a one-edge graph."""
+    return edge.cached("unit_tangents", lambda: stacked_unit_tangents(
+        EmbeddedGraph(space=space, vertices=[], edges=[edge])))
 
 
 def vertex_star(graph: EmbeddedGraph, vertex_id) -> list[TangentVector]:
-    """Unit tangents at a vertex pointing into each incident edge-end,
-    estimated by one-sided differences of the samples nearest the end."""
-    ends = graph.edge_ends_at(vertex_id)
-    if not ends:
-        raise ValidationError(f"vertex {vertex_id!r} has no incident edges")
+    """Unit tangents at a vertex pointing into each incident edge-end: a
+    view of the vertex's rows of the graph's star_table."""
     q = graph.vertex_point(vertex_id)
-    out = []
-    for edge, end in ends:
-        pair = edge.samples[:2] if end == 0 else edge.samples[-2:]
-        if float(graph.space.dist(pair[0], pair[1])) < 1e-12:
-            raise ValidationError(f"edge {edge.id!r} is degenerate at {vertex_id!r}")
-        tangents = edge_unit_tangents(graph.space, edge)
-        vec = tangents[0] if end == 0 else -tangents[-1]
-        out.append(TangentVector(base=q, vec=vec))
-    return out
+    table = star_table(graph)
+    return [TangentVector(base=q, vec=vec)
+            for vec in table.vec[table.rows[vertex_id]]]
 
 
 @dataclass(eq=False)
@@ -470,16 +469,30 @@ class StarTable:
 
 def star_table(graph: EmbeddedGraph) -> StarTable:
     """The graph's StarTable, built on first use and cached on the graph.
-    Its edge tangents use the graph's one derivative_stencil."""
+    A vertex with no edge-end, then an edge-end whose sample coincides with
+    its neighbour, fails one test each before any stencil is built.  The
+    rows are graph.end_rows of stacked_unit_tangents, negated at heads."""
     def build():
-        derivative_stencil(graph)
-        stars, rows = [], {}
-        for v in graph.vertices:
-            star = vertex_star(graph, v.id)
-            rows[v.id] = slice(len(stars), len(stars) + len(star))
-            stars += star
-        return StarTable(base=np.array([tv.base for tv in stars]),
-                         vec=np.array([tv.vec for tv in stars]), rows=rows)
+        bounds = graph.end_offsets[:len(graph.vertices) + 1]
+        if not np.all(np.diff(bounds)):
+            v = graph.vertices[int(np.argmin(np.diff(bounds)))]
+            raise ValidationError(f"vertex {v.id!r} has no incident edges")
+        rows = graph.end_rows[:bounds[-1]]
+        head = np.isin(rows + 1, graph.offsets)  # the next row starts an edge
+        near = graph.space.dist(graph.samples[rows], graph.samples[
+            np.where(head, rows - 1, rows + 1)]) < 1e-12
+        if near.any():
+            j = int(np.argmax(near))
+            v = graph.vertices[np.searchsorted(bounds, j, side="right") - 1]
+            e = graph.edges[np.searchsorted(graph.offsets, rows[j] + 1) - 1]
+            raise ValidationError(f"edge {e.id!r} is degenerate at {v.id!r}")
+        t = stacked_unit_tangents(graph)[rows]
+        q = np.array([graph.vertex_point(v.id) for v in graph.vertices])
+        return StarTable(
+            base=np.repeat(q, np.diff(bounds), axis=0),
+            vec=np.where(head[:, None], -t, t),
+            rows={v.id: slice(lo, hi) for v, lo, hi in zip(
+                graph.vertices, bounds.tolist(), bounds[1:].tolist())})
 
     return graph.cached("star_table", build)
 

@@ -3,7 +3,7 @@ generic apices, random ambient isometries, and plain triangle sums of cone
 areas that serve as independent references.  It also keeps loop-by-loop
 forms of the first-derivative stencil, of the angle-balance vertex term,
 of the vertex ascent and of the tangent basis, as oracles for their array
-and closed forms."""
+and closed forms, and the vertex stars built edge by edge."""
 
 from __future__ import annotations
 
@@ -12,11 +12,12 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from soapcert import (IterationError, Model, SpaceForm, check_apex,
-                      develop_cone, edge_unit_tangents, karcher_center,
-                      resample_arclength, shapes, vertex_star)
+from soapcert import (IterationError, Model, SpaceForm, TangentVector,
+                      ValidationError, check_apex, develop_cone,
+                      edge_unit_tangents, karcher_center, resample_arclength,
+                      shapes, vertex_star)
 from soapcert import curvature
-from soapcert._num import trapezoid
+from soapcert._num import apply_stencil, first_derivative_stencil, trapezoid
 from soapcert.cone import _half_sq_chords, _triangle_areas, developed_points
 from soapcert.graph import EmbeddedGraph, Vertex, make_edge, validate_graph
 
@@ -443,6 +444,36 @@ def loop_gauss_bonnet_residual(space, apex, graph, dev=None):
             ang = float(space.angle_between(tv.vec, toward_apex))
             total -= math.pi / 2.0 - ang
     return abs(total)
+
+
+def edge_own_tangents(space, edge):
+    """The edge's unit tangents from a fresh build of its own
+    _num.first_derivative_stencil: the stencil applied to its samples,
+    projected to the tangent space and normalized."""
+    x = edge.samples
+    t = space.tangent_project(
+        x, apply_stencil(first_derivative_stencil(edge.s), x))
+    return t / space.norm(t)[:, None]
+
+
+def edge_by_edge_star(graph, vertex_id):
+    """vertex_star built edge-end by edge-end, without the star table: each
+    incident edge's tangents by edge_own_tangents, the first one at a tail
+    end and the last one negated at a head end."""
+    ends = graph.edge_ends_at(vertex_id)
+    if not ends:
+        raise ValidationError(f"vertex {vertex_id!r} has no incident edges")
+    q = graph.vertex_point(vertex_id)
+    out = []
+    for edge, end in ends:
+        pair = edge.samples[:2] if end == 0 else edge.samples[-2:]
+        if float(graph.space.dist(pair[0], pair[1])) < 1e-12:
+            raise ValidationError(
+                f"edge {edge.id!r} is degenerate at {vertex_id!r}")
+        tangents = edge_own_tangents(graph.space, edge)
+        vec = tangents[0] if end == 0 else -tangents[-1]
+        out.append(TangentVector(base=q, vec=vec))
+    return out
 
 
 def star_ascent(space, graph, vertex_id):

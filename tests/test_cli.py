@@ -482,7 +482,10 @@ class TestOneBuildPerGraph:
 
     @pytest.mark.parametrize("argv", [
         ["tc"], ["cone", "--apex=0.11,-0.07,0.21"],
-        ["gb-check", "--trials", "3"]], ids=["tc", "cone", "gb-check"])
+        ["gb-check", "--trials", "3"],
+        ["density-map", "--grid", "8", "--out", os.devnull],
+        ["certify", "--mode", "heuristic", "--grid", "8"]],
+        ids=["tc", "cone", "gb-check", "density-map", "certify-heuristic"])
     def test_one_stencil_and_one_star_table(self, capsys, monkeypatch,
                                             cube_file, argv):
         graph_mod = importlib.import_module("soapcert.graph")
@@ -502,6 +505,42 @@ class TestOneBuildPerGraph:
         code, _, _ = run_capture(capsys, argv + [cube_file])
         assert code == 0
         assert (len(stencils), len(tables)) == (1, 1)
+
+    @pytest.mark.parametrize("argv", [
+        ["tc"], ["cone"], ["gb-check", "--trials", "3"]],
+        ids=["tc", "cone", "gb-check"])
+    @pytest.mark.parametrize("name", ["cube", "hyperbolic-pentagon"])
+    def test_one_tangent_pass_over_all_samples(self, capsys, monkeypatch,
+                                               tmp_path, name, argv):
+        # the cube's 12 edges of 33 samples make one call over 396 rows,
+        # not one call per edge
+        if name == "cube":
+            g, apex = shapes.cube_skeleton_graph(), [0.11, -0.07, 0.21]
+        else:
+            space = SpaceForm(Model.HYPERBOLIC, 3, 1.0)
+            g = shapes.regular_polygon_graph(space, 5, 0.8,
+                                             samples_per_edge=32)
+            apex = space.exp(space.base_point(), 0.3 * space.tangent_basis(
+                space.base_point())[2])
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(shapes.graph_document(g)))
+        if argv == ["cone"]:
+            argv = ["cone", "--apex=" + ",".join(repr(float(c))
+                                                 for c in apex)]
+        graph_mod = importlib.import_module("soapcert.graph")
+        rows = []
+        tangents = graph_mod.unit_tangents
+
+        def counted(space, x, stencil, graph):
+            rows.append(len(x))
+            return tangents(space, x, stencil, graph)
+
+        monkeypatch.setattr(graph_mod, "unit_tangents", counted)
+        code, _, _ = run_capture(capsys, argv + [str(path)])
+        assert code == 0
+        assert rows == [len(g.all_samples())]
+        if name == "cube":
+            assert rows == [396]
 
 
 _SCIPY_PROBE = """

@@ -17,9 +17,12 @@ from soapcert import (
     vertex_tc_grid,
 )
 from soapcert import curvature, shapes
-from soapcert.graph import make_edge
+from soapcert.graph import (EdgeCurve, edge_unit_tangents, make_edge,
+                            stacked_unit_tangents, star_table)
 
-from builders import (SPACES, four_leg_star_graph, random_graph, random_isometry,
+from builders import (SPACES, carried_graph, edge_by_edge_star,
+                      edge_own_tangents, figure_eight_graph,
+                      four_leg_star_graph, random_graph, random_isometry,
                       star_ascent, transform_graph, wedge_graph)
 
 FLAT = SPACES["flat"]
@@ -315,6 +318,68 @@ class TestLockstepAscent:
             vertex_tc(g.space, g, corner)
         with pytest.raises(IterationError):
             cone_total_curvature(g.space, g)
+
+
+def _star_cases():
+    """The cube, theta, four-leg star, circle and figure-eight loops in
+    every model (the flat shapes carried into the curved ones by
+    carried_graph), and TestLockstepAscent's random graphs."""
+    cases = {name: build for name, build in LOCKSTEP_CASES.items()
+             if name.startswith(("random-", "dense-"))}
+    flat = {"cube": shapes.cube_skeleton_graph,
+            "theta": lambda: shapes.theta_graph(samples_per_edge=32),
+            "four-leg-star": four_leg_star_graph}
+    for model, space in SPACES.items():
+        for shape, build in flat.items():
+            cases[f"{shape}-{model}"] = (
+                lambda build=build, space=space: build()
+                if space.model is Model.FLAT else carried_graph(build(), space))
+        cases[f"circle-{model}"] = (
+            lambda space=space: shapes.circle_graph(space, 0.5, 64))
+        cases[f"figure-eight-{model}"] = (
+            lambda space=space: figure_eight_graph(space))
+    return cases
+
+
+STAR_CASES = _star_cases()
+
+
+class TestStarTableIsEdgeByEdge:
+    """The star table gathers every edge-end's row of the graph's one
+    tangent pass, and each row is bit for bit the tangent of that edge's
+    own stencil build."""
+
+    @pytest.mark.parametrize("name", sorted(STAR_CASES))
+    def test_stars_and_table_rows_match_the_edge_builds(self, name):
+        g = STAR_CASES[name]()
+        table = star_table(g)
+        for v in g.vertices:
+            oracle = edge_by_edge_star(g, v.id)
+            rows = table.rows[v.id]
+            assert rows.stop - rows.start == len(oracle)
+            assert np.array_equal(table.vec[rows],
+                                  [tv.vec for tv in oracle])
+            assert np.array_equal(table.base[rows],
+                                  [tv.base for tv in oracle])
+            star = vertex_star(g, v.id)
+            assert np.array_equal([tv.vec for tv in star],
+                                  [tv.vec for tv in oracle])
+            assert all(np.array_equal(tv.base, v.point) for tv in star)
+
+    @pytest.mark.parametrize("name", sorted(STAR_CASES))
+    def test_tc_hands_each_edge_its_rows(self, name):
+        g = STAR_CASES[name]()
+        cone_total_curvature(g.space, g)
+        stacked = stacked_unit_tangents(g)
+        for e in g.edges:
+            fresh = EdgeCurve(id=e.id, endpoints=e.endpoints,
+                              samples=e.samples.copy(), s=e.s.copy())
+            own = edge_unit_tangents(g.space, fresh)
+            t = edge_unit_tangents(g.space, e)
+            assert np.array_equal(t, own)
+            assert np.array_equal(t, edge_own_tangents(g.space, e))
+            assert np.shares_memory(t, stacked)
+            assert not np.shares_memory(own, stacked)
 
 
 class TestConeTotalCurvature:

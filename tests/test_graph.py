@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -13,17 +14,19 @@ from soapcert import (
     Model,
     SpaceForm,
     ValidationError,
+    cone_total_curvature,
     euler_double_circuit,
     load_graph,
     Vertex,
     resample_arclength,
     vertex_star,
 )
-from soapcert import graph as graph_mod, shapes
+from soapcert import _num, graph as graph_mod, shapes
 from soapcert.graph import (
     _check_spherical_diameter,
     arclength_params,
     connected_components,
+    star_table,
 )
 from soapcert.spaceform import ANTIPODAL_SLACK
 
@@ -659,6 +662,94 @@ class TestVertexStar:
                           edges=edges)
         with pytest.raises(ValidationError, match="'bad' is degenerate at 'b'"):
             vertex_star(g, "b")
+
+
+def two_arc_loop(bad_end):
+    """A flat two-arc loop from a to b, built unvalidated, whose arc "bad"
+    repeats its first sample (bad_end 0) or its last (bad_end 1), so that
+    end has no direction and its parameters repeat a value."""
+    t = np.linspace(0.0, math.pi, 17)
+    upper = np.stack([-np.cos(t), np.sin(t), np.zeros_like(t)], axis=1)
+    lower = upper * np.array([1.0, -1.0, 1.0])
+    bad = np.insert(lower, 0 if bad_end == 0 else len(lower),
+                    lower[-bad_end], axis=0)
+    edges = [EdgeCurve(id=eid, endpoints=("a", "b"), samples=pts,
+                       s=arclength_params(FLAT, pts))
+             for eid, pts in (("good", upper), ("bad", bad))]
+    return EmbeddedGraph(space=FLAT, edges=edges, vertices=[
+        Vertex("a", upper[0]), Vertex("b", upper[-1])])
+
+
+class TestStarTableRejections:
+    """The star table checks every vertex before it builds any stencil, and
+    its rejections read as vertex_star's always did."""
+
+    @pytest.mark.parametrize("end,vertex", [(0, "a"), (1, "b")])
+    def test_degenerate_end_rejected_before_any_stencil(self, monkeypatch,
+                                                        end, vertex):
+        built = []
+        build = _num.first_derivative_stencil
+
+        def counted(s, bounds=None):
+            built.append(s)
+            return build(s, bounds)
+
+        monkeypatch.setattr(_num, "first_derivative_stencil", counted)
+        message = f"^edge 'bad' is degenerate at '{vertex}'$"
+        with warnings.catch_warnings():
+            # a stencil over the repeated parameter would divide by zero
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValidationError, match=message):
+                star_table(two_arc_loop(end))
+            with pytest.raises(ValidationError, match=message):
+                vertex_star(two_arc_loop(end), vertex)
+        assert built == []
+
+    def test_isolated_vertex_rejected_by_table_and_tc(self):
+        g = shapes.circle_graph(FLAT, 1.0, 16)
+        lonely = EmbeddedGraph(
+            space=FLAT, vertices=g.vertices + [Vertex(id="lonely",
+                                                      point=np.ones(3))],
+            edges=g.edges)
+        message = "^vertex 'lonely' has no incident edges$"
+        with pytest.raises(ValidationError, match=message):
+            star_table(lonely)
+        with pytest.raises(ValidationError, match=message):
+            cone_total_curvature(FLAT, lonely)
+
+
+class TestStackedLayout:
+    def test_graph_without_edges_reaches_validation(self):
+        document = circle_document()
+        document["edges"] = []
+        with pytest.raises(ValidationError,
+                           match="^a graph needs at least one closed arc$"):
+            load_graph(document)
+
+    def test_all_samples_is_one_read_only_array(self):
+        g = shapes.cube_skeleton_graph()
+        samples = g.all_samples()
+        assert g.all_samples() is samples
+        assert np.array_equal(samples,
+                              np.concatenate([e.samples for e in g.edges]))
+        with pytest.raises(ValueError):
+            samples[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            g.s[0] = 1.0
+
+    @pytest.mark.parametrize("case", sorted(INCIDENCE_CASES))
+    def test_layout_matches_a_scan(self, case):
+        for g in INCIDENCE_CASES[case]():
+            sizes = [len(e.samples) for e in g.edges]
+            starts = np.cumsum([0] + sizes)
+            assert np.array_equal(g.offsets, starts)
+            assert np.array_equal(g.s, np.concatenate([e.s for e in g.edges]))
+            for j, v in enumerate(g.vertices):
+                scan = [starts[i] + end * (sizes[i] - 1)
+                        for i, e in enumerate(g.edges) for end in (0, 1)
+                        if e.endpoints[end] == v.id]
+                rows = g.end_rows[g.end_offsets[j]:g.end_offsets[j + 1]]
+                assert rows.tolist() == scan
 
 
 def _check_double_circuit(graph):

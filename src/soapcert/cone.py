@@ -143,17 +143,17 @@ def develop_cone(space: SpaceForm, apex: np.ndarray,
                  graph: EmbeddedGraph) -> ConeDevelopment:
     """Unroll the cone edge by edge.  Over each chord the swept angle grows
     by the apex angle of the chord's geodesic triangle, starting at zero on
-    each edge.  hat_density is _cone_density of the same angles and hat_area
-    is _richardson_sum on the same triangles, so both equal their ambient
-    counterparts bit for bit.  The developed curves are re-embedded in the
-    2-D model plane as one array, and their conormal curvature is measured
-    in one pass over it: unit_tangents by the graph's derivative_stencil,
-    then cone_conormal_curvature's row kernel, each row from its sample and
-    two neighbours, so every row inside an edge reads what that edge alone
-    would; an edge's two end samples take the nearest interior value, by
-    _num.extend_interior as in TC's edge term.  The ambient admission of
-    the apex stands for the plane's: every developed point lies at its
-    sample's distance r from the plane apex."""
+    each edge; an edge's s is a read-only view of graph.s.  hat_density is
+    _cone_density of the same angles and hat_area is _richardson_sum on the
+    same triangles, so both equal their ambient counterparts bit for bit.
+    The developed curves, re-embedded in the 2-D model plane as one array,
+    have their conormal curvature measured in one pass: unit_tangents by the
+    graph's derivative_stencil, then cone_conormal_curvature's row kernel,
+    each row from its sample and two neighbours, so every row inside an edge
+    reads what that edge alone would; an edge's two end samples take the
+    nearest interior value, by _num.extend_interior as in TC's edge term.
+    The ambient admission of the apex stands for the plane's: every
+    developed point lies at its sample's distance r from the plane apex."""
     apex = np.asarray(apex, float)
     table, alpha, a, b = _triangles(space, apex, graph, APEX_CLEARANCE)
     plane, plane_apex = development_plane(space)
@@ -170,13 +170,10 @@ def develop_cone(space: SpaceForm, apex: np.ndarray,
     # and are dropped below, so their floating-point faults are ignored
     with np.errstate(all="ignore"):
         khat = _conormal_rows(plane, plane_apex, x, t, graph.s)
-    per_edge = []
-    for edge, lo, hi in zip(graph.edges, bounds, bounds[1:]):
-        # khat[i] belongs to sample i + 1
-        khat_nu = _num.extend_interior(khat[lo:hi - 2])
-        per_edge.append(EdgeDevelopment(
-            edge_id=edge.id, s=edge.s.copy(), r=r[lo:hi],
-            theta=theta[lo:hi], khat_nu=khat_nu))
+    per_edge = [EdgeDevelopment(  # khat[i] belongs to sample i + 1
+        edge_id=edge.id, s=graph.s[lo:hi], r=r[lo:hi], theta=theta[lo:hi],
+        khat_nu=_num.extend_interior(khat[lo:hi - 2]))
+        for edge, lo, hi in zip(graph.edges, bounds, bounds[1:])]
     return ConeDevelopment(apex=apex, per_edge=per_edge,
                            hat_density=_cone_density(angles),
                            hat_area=_richardson_sum(_triangle_areas(
@@ -381,11 +378,11 @@ def gauss_bonnet_residual(space: SpaceForm, apex: np.ndarray,
 
     with K the model's sectional curvature.  Zero in exact arithmetic; the
     numerical value shrinks at second order under sample refinement.  A
-    given `dev` must be develop_cone's for this apex and graph: same apex,
-    same edge ids and parameters in graph order, or ValidationError.  The
-    vertex term measures every edge-end's angle of the graph's star_table
-    in one pass and subtracts them in graph order.
-    """
+    given `dev` must be develop_cone's for this apex and graph (same apex,
+    edge ids and parameters), or ValidationError.  Each edge adds its slice
+    of one pass of np.trapezoid's terms over graph.s, which is np.trapezoid
+    bit for bit; each edge-end's angle of the star_table is taken in one
+    pass.  Both terms are added in graph order."""
     apex = np.asarray(apex, float)
     if dev is None:
         dev = develop_cone(space, apex, graph)
@@ -393,9 +390,10 @@ def gauss_bonnet_residual(space: SpaceForm, apex: np.ndarray,
         _check_development(apex, graph, dev)
     k_ambient = space.sectional_curvature
     total = 2.0 * math.pi * dev.hat_density - k_ambient * dev.hat_area
-    for ed in dev.per_edge:
-        vals = np.nan_to_num(ed.khat_nu, nan=0.0)
-        total += _num.trapezoid(vals, ed.s)
+    y = np.nan_to_num(np.concatenate([ed.khat_nu for ed in dev.per_edge]))
+    terms = np.diff(graph.s) * (y[1:] + y[:-1]) / 2.0
+    for lo, hi in zip(graph.offsets.tolist(), graph.offsets[1:].tolist()):
+        total += float(terms[lo:hi - 1].sum())
     stars = star_table(graph)
     angles = space.angle_between(stars.vec, space.log(stars.base, apex))
     for ang in angles.tolist():
@@ -409,7 +407,6 @@ def _check_development(apex: np.ndarray, graph: EmbeddedGraph,
     this graph's edges."""
     if not np.array_equal(dev.apex, apex):
         raise ValidationError("the development was made at another apex")
-    if len(dev.per_edge) != len(graph.edges) or any(
-            ed.edge_id != e.id or not np.array_equal(ed.s, e.s)
-            for ed, e in zip(dev.per_edge, graph.edges)):
+    if [ed.edge_id for ed in dev.per_edge] != [e.id for e in graph.edges] or not \
+            np.array_equal(np.concatenate([ed.s for ed in dev.per_edge]), graph.s):
         raise ValidationError("the development was made over another graph")

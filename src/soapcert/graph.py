@@ -208,28 +208,38 @@ def _check_spherical_diameter(space: SpaceForm, points: np.ndarray):
 
 
 def validate_graph(graph: EmbeddedGraph) -> EmbeddedGraph:
-    """Check valence, endpoint coincidence and the spherical diameter bound."""
+    """Check vertex ids, endpoint coincidence, valence and the spherical
+    diameter bound.  One space.dist judges the ends at graph.end_rows; one at
+    an unknown vertex, or spherically a chord over 1/b off it, fails.  The
+    smallest failing row is an edge-by-edge scan's first failing end."""
+    if len(graph._by_id) < len(graph.vertices):
+        seen = set()
+        vid = next(v.id for v in graph.vertices if v.id in seen or seen.add(v.id))
+        raise ValidationError(f"duplicate vertex id {vid!r}")
     if not graph.edges:
         raise ValidationError("a graph needs at least one closed arc")
-    for e in graph.edges:
-        for end in (0, 1):
-            vid = e.endpoints[end]
-            if vid not in graph._by_id:
-                raise ValidationError(
-                    f"edge {e.id!r} references unknown vertex {vid!r}")
-            endpoint = e.samples[0] if end == 0 else e.samples[-1]
-            gap = float(graph.space.dist(endpoint, graph.vertex_point(vid)))
-            if gap > ENDPOINT_TOL:
-                raise ValidationError(
-                    f"edge {e.id!r} end {end} misses vertex {vid!r} by {gap:.3g}")
-    for v in graph.vertices:
-        c = graph.valence(v.id)
+    n, rows, space = len(graph.vertices), graph.end_rows, graph.space
+    valence, known = np.diff(graph.end_offsets[:n + 1]), graph.end_offsets[n]
+    points = np.reshape([v.point for v in graph.vertices], (n, space.embedding_dim))
+    ends, points = graph.samples[rows[:known]], np.repeat(points, valence, axis=0)
+    far = space.norm(points - ends) > space.max_radius / math.pi  # 1/b spherically
+    gap = np.full(len(rows), np.inf)
+    gap[:known][~far] = space.dist(ends[~far], points[~far])
+    if np.any(gap > ENDPOINT_TOL):
+        j = int(np.argmin(np.where(gap > ENDPOINT_TOL, rows, len(graph.samples))))
+        i = np.searchsorted(graph.offsets, rows[j], side="right") - 1
+        e, end = graph.edges[i], int(rows[j] > graph.offsets[i])
+        # its own space.dist, which raises for a far end just as a scan's would
+        raise ValidationError(
+            f"edge {e.id!r} references unknown vertex {e.endpoints[end]!r}"
+            if j >= known else f"edge {e.id!r} end {end} misses vertex "
+            f"{e.endpoints[end]!r} by {float(space.dist(ends[j], points[j])):.3g}")
+    for v, c in zip(graph.vertices, valence.tolist()):
         if c < 2:
-            raise ValidationError(
-                f"vertex {v.id!r} has valence {c} < 2; closed arcs must meet "
-                "in at least two edge-ends everywhere")
-    if graph.space.model is Model.SPHERICAL:
-        _check_spherical_diameter(graph.space, graph.samples)
+            raise ValidationError(f"vertex {v.id!r} has valence {c} < 2; closed arcs "
+                                  "must meet in at least two edge-ends everywhere")
+    if space.model is Model.SPHERICAL:
+        _check_spherical_diameter(space, graph.samples)
     return graph
 
 

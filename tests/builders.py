@@ -2,8 +2,9 @@
 generic apices, random ambient isometries, and plain triangle sums of cone
 areas that serve as independent references.  It also keeps loop-by-loop
 forms of the first-derivative stencil, of the angle-balance vertex term,
-of the vertex ascent and of the tangent basis, as oracles for their array
-and closed forms, and the vertex stars built edge by edge."""
+of the vertex ascent, of the tangent basis and of validation's edge-end
+and valence checks, as oracles for their array and closed forms, and the
+vertex stars built edge by edge."""
 
 from __future__ import annotations
 
@@ -19,7 +20,8 @@ from soapcert import (IterationError, Model, SpaceForm, TangentVector,
 from soapcert import curvature
 from soapcert._num import apply_stencil, first_derivative_stencil, trapezoid
 from soapcert.cone import _half_sq_chords, _triangle_areas, developed_points
-from soapcert.graph import EmbeddedGraph, Vertex, make_edge, validate_graph
+from soapcert.graph import (ENDPOINT_TOL, EmbeddedGraph, Vertex, make_edge,
+                            validate_graph)
 
 SPACES = {
     "flat": SpaceForm(Model.FLAT, 3),
@@ -444,6 +446,30 @@ def loop_gauss_bonnet_residual(space, apex, graph, dev=None):
             ang = float(space.angle_between(tv.vec, toward_apex))
             total -= math.pi / 2.0 - ang
     return abs(total)
+
+
+def loop_validate_message(graph):
+    """The message of validate_graph's first failing check among the edge
+    count, the edge-ends and the valences, taken edge-end by edge-end and
+    vertex by vertex, one space.dist per end; None when all of them pass."""
+    if not graph.edges:
+        return "a graph needs at least one closed arc"
+    for e in graph.edges:
+        for end in (0, 1):
+            vid = e.endpoints[end]
+            if vid not in [v.id for v in graph.vertices]:
+                return f"edge {e.id!r} references unknown vertex {vid!r}"
+            endpoint = e.samples[0] if end == 0 else e.samples[-1]
+            gap = float(graph.space.dist(endpoint, graph.vertex_point(vid)))
+            if gap > ENDPOINT_TOL:
+                return (f"edge {e.id!r} end {end} misses vertex {vid!r} "
+                        f"by {gap:.3g}")
+    for v in graph.vertices:
+        c = graph.valence(v.id)
+        if c < 2:
+            return (f"vertex {v.id!r} has valence {c} < 2; closed arcs must "
+                    "meet in at least two edge-ends everywhere")
+    return None
 
 
 def edge_own_tangents(space, edge):

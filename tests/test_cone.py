@@ -36,7 +36,8 @@ from soapcert.cone import (
     developed_points,
     development_plane,
 )
-from soapcert.graph import EdgeCurve, derivative_stencil, make_edge
+from soapcert.graph import (EdgeCurve, EmbeddedGraph, Vertex, derivative_stencil,
+                            make_edge, validate_graph)
 
 from builders import (
     SPACES,
@@ -345,6 +346,10 @@ def many_edge_polygon(space):
     """A regular 256-gon of radius 0.8 with 8 chords per edge, 2,304
     samples in all."""
     return shapes.regular_polygon_graph(space, 256, 0.8, samples_per_edge=8)
+
+
+def refuse_trapezoid(*args, **kwargs):
+    raise AssertionError("np.trapezoid was called")
 
 
 def _off_base_apex(space):
@@ -730,6 +735,64 @@ class TestDevelopmentCheck:
         dev = develop_cone(FLAT, self.APEX, resample_arclength(g, 0.02))
         with pytest.raises(ValidationError, match="another graph"):
             gauss_bonnet_residual(FLAT, self.APEX, g, dev=dev)
+
+    def test_parameters_one_ulp_off_rejected(self):
+        g = shapes.theta_graph(samples_per_edge=128)
+        dev = develop_cone(FLAT, self.APEX, g)
+        ed = dev.per_edge[1]
+        ed.s = ed.s.copy()
+        ed.s[40] = np.nextafter(ed.s[40], np.inf)
+        with pytest.raises(ValidationError, match="another graph"):
+            gauss_bonnet_residual(FLAT, self.APEX, g, dev=dev)
+
+    def test_edges_in_another_order_rejected(self):
+        g = shapes.theta_graph(samples_per_edge=128)
+        dev = develop_cone(FLAT, self.APEX, g)
+        dev.per_edge = dev.per_edge[1:] + dev.per_edge[:1]
+        with pytest.raises(ValidationError, match="another graph"):
+            gauss_bonnet_residual(FLAT, self.APEX, g, dev=dev)
+
+    def test_parameters_are_read_only_views_of_the_graph(self):
+        g = shapes.theta_graph(samples_per_edge=128)
+        dev = develop_cone(FLAT, self.APEX, g)
+        for ed, lo in zip(dev.per_edge, g.offsets.tolist()):
+            assert ed.s.base is g.s and np.shares_memory(ed.s, g.s[lo:])
+        with pytest.raises(ValueError):
+            dev.per_edge[0].s[0] = 1.0
+
+
+def radial_run_graph():
+    """radial_segment_edge closed by a two-leg return through a point off
+    its line, with the apex it runs radially from."""
+    apex, edge = radial_segment_edge(FLAT)
+    x, y = edge.samples[0], edge.samples[-1]
+    lam = np.linspace(0.0, 1.0, 33)[:, None]
+    z = np.array([1.0, 0.8, 0.0])
+    back = np.concatenate([y + lam * (z - y), (z + lam * (x - z))[1:]])
+    return apex, validate_graph(EmbeddedGraph(
+        space=FLAT, vertices=[Vertex("x", x), Vertex("y", y)],
+        edges=[edge, make_edge(FLAT, "back", ("y", "x"), back)]))
+
+
+class TestResidualEdgeTerm:
+    """The residual's edge term is one pass of trapezoid terms over the
+    stacked parameters, summed edge by edge without np.trapezoid, and it
+    equals the per-edge trapezoids of the loop oracle bit for bit."""
+
+    CASES = {
+        "hyperbolic-256-edges": lambda: (many_edge_polygon(HYP1),
+                                         _off_base_apex(HYP1)),
+        "radial-run": lambda: radial_run_graph()[::-1],
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_equals_loop_oracle_without_np_trapezoid(self, name, monkeypatch):
+        g, apex = self.CASES[name]()
+        dev = develop_cone(g.space, apex, g)
+        want = loop_gauss_bonnet_residual(g.space, apex, g, dev=dev)
+        assert np.isnan(dev.per_edge[0].khat_nu).all() == (name == "radial-run")
+        monkeypatch.setattr(np, "trapezoid", refuse_trapezoid)
+        assert gauss_bonnet_residual(g.space, apex, g, dev=dev) == want
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soapcert import (
+    DiameterBoundError,
     EdgeCurve,
     EmbeddedGraph,
     Model,
@@ -27,10 +28,12 @@ from soapcert.graph import (
     arclength_params,
     connected_components,
     star_table,
+    validate_graph,
 )
 from soapcert.spaceform import ANTIPODAL_SLACK
 
-from builders import figure_eight_graph, random_graph, refuse_allocation
+from builders import (SPACES, figure_eight_graph, loop_validate_message,
+                      random_graph, refuse_allocation)
 
 FLAT = SpaceForm(Model.FLAT, 3)
 
@@ -566,6 +569,16 @@ class TestResample:
             resample_arclength(g, g.total_length / 99.5)
 
 
+class CountedEdges(list):
+    """An edge list that counts the loops over it."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
 INCIDENCE_CASES = {
     "random": lambda: [random_graph(FLAT, np.random.default_rng(seed),
                                     n_vertices=4, n_extra=3,
@@ -600,13 +613,6 @@ class TestVertexStar:
                 assert g.valence(v.id) == len(scan)
 
     def test_stars_do_not_rescan_edges(self):
-        class CountedEdges(list):
-            iterations = 0
-
-            def __iter__(self):
-                self.iterations += 1
-                return super().__iter__()
-
         g = shapes.regular_polygon_graph(FLAT, 2000, 1.0, samples_per_edge=8)
         g.edges = CountedEdges(g.edges)
         stars = [vertex_star(g, v.id) for v in g.vertices]
@@ -750,6 +756,130 @@ class TestStackedLayout:
                         if e.endpoints[end] == v.id]
                 rows = g.end_rows[g.end_offsets[j]:g.end_offsets[j + 1]]
                 assert rows.tolist() == scan
+
+
+# base graphs of the validation oracle: a polygon and a circle in each
+# model, and the cube and theta graphs in the flat one
+VALIDATION_CASES = {
+    "cube": lambda: shapes.cube_skeleton_graph(samples_per_edge=8),
+    "theta": lambda: shapes.theta_graph(samples_per_edge=16),
+    **{f"polygon-{name}": lambda space=space: shapes.regular_polygon_graph(
+        space, 5, 0.8, samples_per_edge=8) for name, space in SPACES.items()},
+    **{f"circle-{name}": lambda space=space: shapes.circle_graph(space, 0.6, 32)
+       for name, space in SPACES.items()},
+}
+
+
+def corrupted_graph(g, rng):
+    """g, unvalidated, after one to three random faults: an endpoint renamed
+    to an unknown id, an end moved off its vertex along the manifold by
+    1e-10 to 1e-1, an edge dropped, an isolated vertex added."""
+    space, vertices, edges = g.space, list(g.vertices), list(g.edges)
+    for fault in rng.integers(0, 4, size=rng.integers(1, 4)):
+        if fault == 3:
+            vertices.append(Vertex(id=f"lonely{len(vertices)}",
+                                   point=space.base_point()))
+            continue
+        if not edges:
+            continue
+        i, end = int(rng.integers(len(edges))), int(rng.integers(2))
+        e = edges[i]
+        if fault == 0:
+            endpoints = list(e.endpoints)
+            endpoints[end] = f"ghost{i}"
+            edges[i] = EdgeCurve(id=e.id, endpoints=tuple(endpoints),
+                                 samples=e.samples, s=e.s)
+        elif fault == 1:
+            samples = e.samples.copy()
+            p = samples[-end]
+            step = rng.normal(size=space.dim) @ space.tangent_basis(p)
+            samples[-end] = space.exp(p, step * 10.0 ** rng.uniform(-10, -1)
+                                      / space.norm(step))
+            edges[i] = EdgeCurve(id=e.id, endpoints=e.endpoints,
+                                 samples=samples, s=e.s)
+        else:
+            del edges[i]
+    return EmbeddedGraph(space=space, vertices=vertices, edges=edges)
+
+
+class TestValidation:
+    """validate_graph judges all edge-ends in one array test and reports
+    what an edge-end by edge-end scan reports."""
+
+    @pytest.mark.parametrize("case", sorted(VALIDATION_CASES))
+    def test_messages_match_the_loop_oracle(self, case):
+        g = VALIDATION_CASES[case]()
+        rng = np.random.default_rng(sorted(VALIDATION_CASES).index(case))
+        faults = 0
+        for _ in range(40):
+            bad = corrupted_graph(g, rng)
+            want = loop_validate_message(bad)
+            if want is None:
+                assert validate_graph(bad) is bad
+                continue
+            faults += 1
+            with pytest.raises(ValidationError) as exc:
+                validate_graph(bad)
+            assert str(exc.value) == want
+        assert faults >= 30
+
+    def test_far_spherical_ends_match_the_loop_oracle(self):
+        # a spherical end far from its vertex fails on its own distance,
+        # which raises near the antipode, but only where a scan reaches it
+        space = SPACES["spherical"]
+        g = shapes.regular_polygon_graph(space, 5, 0.8, samples_per_edge=8)
+
+        def moved(e, end, point=None, endpoints=None):
+            samples = e.samples.copy()
+            if point is not None:
+                samples[-end] = point
+            return EdgeCurve(id=e.id, endpoints=endpoints or e.endpoints,
+                             samples=samples, s=e.s)
+
+        quarter = space.exp(g.vertex_point("v4"), 0.5 * math.pi / space.curv
+                            * space.tangent_basis(g.vertex_point("v4"))[2])
+        antipode = -g.vertex_point("v4")
+        ghost = moved(g.edges[0], 0, endpoints=("ghost", "v1"))
+        cases = [({3: moved(g.edges[3], 1, quarter)}, ValidationError),
+                 ({3: moved(g.edges[3], 1, antipode)}, DiameterBoundError),
+                 ({0: ghost, 3: moved(g.edges[3], 1, antipode)},
+                  ValidationError)]
+        for swaps, error in cases:
+            bad = EmbeddedGraph(space=space, vertices=g.vertices, edges=[
+                swaps.get(i, e) for i, e in enumerate(g.edges)])
+            with pytest.raises(error) as exc:
+                validate_graph(bad)
+            if error is ValidationError:
+                assert str(exc.value) == loop_validate_message(bad)
+
+    @pytest.mark.parametrize("moved", [False, True])
+    def test_repeated_vertex_id_rejected(self, moved):
+        g = shapes.regular_polygon_graph(FLAT, 5, 1.0, samples_per_edge=8)
+        point = g.vertices[0].point + (1.0 if moved else 0.0)
+        twin = EmbeddedGraph(space=FLAT, edges=g.edges, vertices=g.vertices
+                             + [Vertex(id="v0", point=point)])
+        with pytest.raises(ValidationError,
+                           match="^duplicate vertex id 'v0'$"):
+            validate_graph(twin)
+
+    def test_edges_are_not_iterated(self):
+        g = shapes.regular_polygon_graph(FLAT, 2000, 1.0, samples_per_edge=8)
+        g.edges = CountedEdges(g.edges)
+        assert validate_graph(g) is g
+        assert g.edges.iterations == 0
+
+    def test_one_endpoint_distance_call(self, monkeypatch):
+        g = shapes.regular_polygon_graph(FLAT, 64, 1.0, samples_per_edge=8)
+        calls = []
+        dist = SpaceForm.dist
+
+        def counted(self, p, q):
+            calls.append(len(p))
+            return dist(self, p, q)
+
+        monkeypatch.setattr(SpaceForm, "dist", counted)
+        validate_graph(g)
+        assert calls == [128]
 
 
 def _check_double_circuit(graph):

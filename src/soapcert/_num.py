@@ -104,7 +104,7 @@ def apply_stencil(stencil: tuple[np.ndarray, np.ndarray],
     x = np.asarray(x, float)
     d = np.zeros_like(x)
     for j in range(_WINDOW):
-        d += _column(weights[:, j], x.ndim) * x[start + j]
+        d += _column(weights[:, j], x.ndim) * x.take(start + j, axis=0)
     return d
 
 

@@ -133,10 +133,9 @@ def _conormal_rows(space: SpaceForm, apex: np.ndarray, x: np.ndarray,
     u = u / space.norm(u)[:, None]
     nu = u - space.mdot(u, t)[:, None] * t
     norms = space.norm(nu)
-    out = np.full(len(norms), np.nan)
-    ok = norms >= 1e-8
-    out[ok] = space.mdot(kvec[ok], nu[ok] / norms[ok][:, None])
-    return out
+    with np.errstate(all="ignore"):  # rows under 1e-8 are dropped as NaN
+        vals = space.mdot(kvec, nu / norms[:, None])
+    return np.where(norms >= 1e-8, vals, np.nan)
 
 
 def develop_cone(space: SpaceForm, apex: np.ndarray,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _num
-from .errors import ValidationError
+from .errors import SoapcertError, ValidationError
 from .spaceform import ANTIPODAL_SLACK, Model, SpaceForm, TangentVector
 
 MIN_EDGE_SAMPLES = 8
@@ -56,7 +56,7 @@ class EdgeCurve(_Cached):
     ``s`` holds cumulative geodesic chord lengths, so consecutive chord
     lengths equal the parameter increments by construction.  Every edge
     has at least MIN_EDGE_SAMPLES samples, one parameter per sample; the
-    stencils in ``_num`` rely on that.
+    stencils in ``_num`` rely on that.  In a graph both are read-only views.
     """
 
     id: object
@@ -82,11 +82,13 @@ class EmbeddedGraph(_Cached):
     """Vertices joined by edges.  One pass over the edges builds the
     incidence map from vertex id to its (edge, end) pairs, in graph order
     with end 0 before end 1, and the stacked layout of the graph-wide
-    kernels: samples and s, read-only, hold edge i's samples and parameters
-    at rows offsets[i]:offsets[i + 1], and end_rows[end_offsets[j]:
-    end_offsets[j + 1]] the rows of vertex j's edge-ends in incidence order.
-    An edge naming an unknown vertex is filed under that id, after the
-    vertices, so construction succeeds and validate_graph can report it."""
+    kernels: samples, s and end_points, read-only, hold edge i's samples and
+    parameters at rows offsets[i]:offsets[i + 1], and end_rows[end_offsets[j]:
+    end_offsets[j + 1]] the rows of vertex j's edge-ends in incidence order,
+    end_points their vertex points.  An edge no graph holds yet (its arrays
+    writeable) gets read-only views of its rows as samples and s.  An edge
+    naming an unknown vertex is filed under that id, after the vertices, so
+    construction succeeds and validate_graph can report it."""
 
     space: SpaceForm
     vertices: list[Vertex]
@@ -100,16 +102,20 @@ class EmbeddedGraph(_Cached):
         self.offsets = np.cumsum([0] + [len(e.samples) for e in self.edges])
         for e, stop in zip(self.edges, self.offsets[1:].tolist()):
             for end, row in ((0, stop - len(e.samples)), (1, stop - 1)):
-                self._ends.setdefault(e.endpoints[end], []).append(
-                    (e, end, row))
+                self._ends.setdefault(e.endpoints[end], []).append((e, end, row))
         ends = list(self._ends.values())
         self.end_offsets = np.cumsum([0] + [len(group) for group in ends])
-        self.end_rows = np.array([r for group in ends for _, _, r in group],
-                                 dtype=int)
-        empty = [np.empty((0, self.space.embedding_dim))]
-        self.samples = np.concatenate([e.samples for e in self.edges] or empty)
+        self.end_rows = np.array([r for group in ends for _, _, r in group], dtype=int)
+        d, known = self.space.embedding_dim, len(self._by_id)
+        points = np.reshape([v.point for v in self._by_id.values()], (known, d))
+        self.end_points = np.repeat(points, np.diff(self.end_offsets[:known + 1]), 0)
+        self.samples = np.concatenate([e.samples for e in self.edges] or [points[:0]])
         self.s = np.concatenate([e.s for e in self.edges] or [np.empty(0)])
-        self.samples.flags.writeable = self.s.flags.writeable = False
+        for a in (self.samples, self.s, self.end_points):
+            a.flags.writeable = False
+        for e, lo, stop in zip(self.edges, self.offsets.tolist(), self.offsets[1:]):
+            if e.samples.flags.writeable and e.s.flags.writeable:
+                e.samples, e.s = self.samples[lo:stop], self.s[lo:stop]
 
     def vertex_point(self, vertex_id) -> np.ndarray:
         try:
@@ -137,43 +143,49 @@ class EmbeddedGraph(_Cached):
 # ---------------------------------------------------------------------------
 # construction helpers
 
-def _cumulative_length(chords: np.ndarray) -> np.ndarray:
-    """Arclength parameters of a polyline from its chord lengths."""
-    s = np.empty(len(chords) + 1)
-    s[0] = 0.0
-    np.cumsum(chords, out=s[1:])
-    return s
-
-
 def arclength_params(space: SpaceForm, samples: np.ndarray) -> np.ndarray:
-    return _cumulative_length(space.dist(samples[:-1], samples[1:]))
-
-
-def _subdivide_to_minimum(space: SpaceForm, samples: np.ndarray) -> np.ndarray:
-    """Insert geodesic chord midpoints until the minimum sample count holds;
-    the polyline's geometry is unchanged."""
-    while len(samples) < MIN_EDGE_SAMPLES:
-        mids = space.geodesic_point(samples[:-1], samples[1:],
-                                    np.full(len(samples) - 1, 0.5))
-        merged = np.empty((2 * len(samples) - 1, samples.shape[1]))
-        merged[0::2] = samples
-        merged[1::2] = mids
-        samples = merged
-    return samples
+    return np.concatenate(([0.0], np.cumsum(space.dist(samples[:-1], samples[1:]))))
 
 
 def make_edge(space: SpaceForm, edge_id, endpoints, samples) -> EdgeCurve:
     """Validate and build one edge from raw on-manifold samples."""
     samples = np.asarray(samples, float)
-    if samples.ndim != 2 or len(samples) < 2:
+    if samples.ndim != 2:
         raise ValidationError(f"edge {edge_id!r} needs at least two samples")
-    chords = space.dist(samples[:-1], samples[1:])
+    return _edges(space, samples, [len(samples)], [edge_id], [tuple(endpoints)])[0]
+
+
+def _edges(space: SpaceForm, samples: np.ndarray, counts, ids, endpoints,
+           targets=None) -> list[EdgeCurve]:
+    """make_edge of edges stacked one after another, counts[i] samples of
+    edge ids[i], in one pass.  Given targets (two rows per edge, NaN for
+    none), each end within ENDPOINT_TOL of its own is first snapped onto it.
+    Short edges get geodesic chord midpoints up to MIN_EDGE_SAMPLES."""
+    counts = np.asarray(counts, dtype=int)
+    stop = np.cumsum(counts)
+    if targets is not None:
+        rows = np.stack([stop - counts, stop - 1], axis=1).ravel()
+        near = space.dist(samples[rows], targets) <= ENDPOINT_TOL
+        samples[rows[near]] = targets[near]
+    if np.any(counts < 2):
+        raise ValidationError(f"edge {ids[np.argmax(counts < 2)]!r} needs at "
+                              "least two samples")
+    step = np.diff(samples, axis=0)  # space.dist's q - p, bit for bit
+    step[stop[:-1] - 1] = 0.0  # no chord from one edge to the next
+    chords = np.delete(space.chord_dist(space.mdot(step, step)), stop[:-1] - 1)
     if np.any(chords < 1e-12):
-        raise ValidationError(f"edge {edge_id!r} has coincident consecutive samples")
-    full = _subdivide_to_minimum(space, samples)
-    s = (_cumulative_length(chords) if len(full) == len(samples)
-         else arclength_params(space, full))
-    return EdgeCurve(id=edge_id, endpoints=tuple(endpoints), samples=full, s=s)
+        i = np.repeat(np.arange(len(counts)), counts - 1)[np.argmax(chords < 1e-12)]
+        raise ValidationError(f"edge {ids[i]!r} has coincident consecutive samples")
+    edges = []
+    for i, (eid, pair, lo, hi) in enumerate(zip(
+            ids, endpoints, (stop - counts).tolist(), stop.tolist())):
+        x, c = samples[lo:hi], chords[lo - i:hi - i - 1]
+        while len(x) < MIN_EDGE_SAMPLES:
+            mids = space.geodesic_point(x[:-1], x[1:], np.full(len(x) - 1, 0.5))
+            x = np.insert(mids, np.arange(len(x)), x, axis=0)
+            c = space.dist(x[:-1], x[1:])
+        edges.append(EdgeCurve(eid, pair, x, np.concatenate(([0.0], np.cumsum(c)))))
+    return edges
 
 
 def _check_spherical_diameter(space: SpaceForm, points: np.ndarray):
@@ -220,8 +232,7 @@ def validate_graph(graph: EmbeddedGraph) -> EmbeddedGraph:
         raise ValidationError("a graph needs at least one closed arc")
     n, rows, space = len(graph.vertices), graph.end_rows, graph.space
     valence, known = np.diff(graph.end_offsets[:n + 1]), graph.end_offsets[n]
-    points = np.reshape([v.point for v in graph.vertices], (n, space.embedding_dim))
-    ends, points = graph.samples[rows[:known]], np.repeat(points, valence, axis=0)
+    ends, points = graph.samples[rows[:known]], graph.end_points
     far = space.norm(points - ends) > space.max_radius / math.pi  # 1/b spherically
     gap = np.full(len(rows), np.inf)
     gap[:known][~far] = space.dist(ends[~far], points[~far])
@@ -243,38 +254,32 @@ def validate_graph(graph: EmbeddedGraph) -> EmbeddedGraph:
     return graph
 
 
-def _coordinate_fault(coords, ndim: int, d: int, what: str) -> ValidationError:
-    """The error for raw coordinates that do not form a finite array of
-    shape (d,) or (n, d).  Points are judged one by one, so a ragged list
-    whose points are all numbers reads as a wrongly sized point."""
-    try:
-        items = list(coords) if ndim == 2 else [coords]
-    except TypeError:
-        items = [coords]
-    for c in items:
-        try:
-            finite = bool(np.all(np.isfinite(np.asarray(c, float))))
-        except (TypeError, ValueError):
-            finite = False
-        if not finite:
-            return ValidationError(f"{what}: coordinates must be finite numbers")
-    return ValidationError(f"{what}: expected {d} coordinates")
-
-
-def _take_points(space: SpaceForm, coords, ndim: int, what: str,
-                 tol: float) -> np.ndarray:
-    """Project raw coordinates onto the model manifold as one array: a
-    single point when ndim is 1, a list of points when it is 2.  Each
-    point may sit at most tol off the manifold, by SpaceForm.manifold_offset,
-    which does not depend on where on the manifold it sits."""
+def _parsed(space: SpaceForm, coords, ndim: int, what: str) -> np.ndarray:
+    """Raw coordinates as one float array of shape (d,) when ndim is 1 or
+    (n, d) when it is 2; _placed checks that they are finite.  Otherwise
+    points are judged one by one, so a ragged list whose points are all
+    numbers reads as a wrongly sized point."""
     d = space.embedding_dim
     try:
         x = np.array(coords, float)
+        if x.ndim == ndim and x.shape[-1] == d and x.size:
+            return x
     except (TypeError, ValueError):
-        raise _coordinate_fault(coords, ndim, d, what) from None
-    if (x.ndim != ndim or x.shape[-1] != d or not x.size
-            or not np.all(np.isfinite(x))):
-        raise _coordinate_fault(coords, ndim, d, what)
+        pass
+    items = coords if ndim == 2 and isinstance(coords, (list, tuple)) else [coords]
+    try:
+        finite = all(np.all(np.isfinite(np.asarray(c, float))) for c in items)
+    except (TypeError, ValueError):
+        finite = False
+    raise ValidationError(f"{what}: expected {d} coordinates" if finite
+                          else f"{what}: coordinates must be finite numbers")
+
+
+def _placed(space: SpaceForm, x: np.ndarray, what: str, tol: float) -> np.ndarray:
+    """Finite raw points x projected onto the model manifold; each may sit
+    at most tol off it by SpaceForm.manifold_offset, wherever it sits."""
+    if not np.all(np.isfinite(x)):
+        raise ValidationError(f"{what}: coordinates must be finite numbers")
     try:
         proj = space.project_point(x)
     except ValidationError as exc:
@@ -306,9 +311,9 @@ def _block_id(block, what: str):
 
 def load_graph(document: dict) -> EmbeddedGraph:
     """Build a validated graph from a parsed document (see the file format
-    in the CLI module).  Points are projected onto the model manifold;
-    they may start at most the document's tolerance off it, measured by
-    SpaceForm.manifold_offset."""
+    in the CLI module).  Each block is parsed on its own, then all points
+    are checked, projected (see _placed) and snapped as one array.  A
+    failure reports the first block to fail when checked one by one."""
     if not isinstance(document, dict):
         raise ValidationError("graph document must be a mapping")
     try:
@@ -325,44 +330,57 @@ def load_graph(document: dict) -> EmbeddedGraph:
     except (TypeError, ValueError):
         raise ValidationError("malformed graph document: tolerance must be "
                               "a number") from None
+    if not 0.0 <= tol < math.inf:
+        raise ValidationError("malformed graph document: tolerance must be "
+                              "finite and nonnegative")
 
-    vertices = []
-    seen = set()
-    for i, vb in enumerate(vertex_blocks):
-        vid = _block_id(vb, f"vertex block {i}")
-        if vid in seen:
-            raise ValidationError(f"duplicate vertex id {vid!r}")
-        seen.add(vid)
-        what = f"vertex {vid!r}"
-        vertices.append(Vertex(id=vid, point=_take_points(
-            space, _entry(vb, "coords", what), 1, what, tol)))
+    d = space.embedding_dim
+    names, raw, vertex_ids, ends_by_id, fault = [], [], [], {}, None
+    try:
+        for i, vb in enumerate(vertex_blocks):
+            vid = _block_id(vb, f"vertex block {i}")
+            what = f"vertex {vid!r}"
+            raw.append(_parsed(space, _entry(vb, "coords", what), 1, what)[None])
+            names.append(what)
+            vertex_ids.append(vid)
+        for i, eb in enumerate(edge_blocks):
+            eid = _block_id(eb, f"edge block {i}")
+            if eid in ends_by_id:
+                raise ValidationError(f"duplicate edge id {eid!r}")
+            what = f"edge {eid!r}"
+            ends = _entry(eb, "endpoints", what)
+            if not isinstance(ends, (list, tuple)) or len(ends) != 2 \
+                    or any(isinstance(v, (list, dict)) for v in ends):
+                raise ValidationError(f"{what} needs a list of two endpoint ids")
+            names.append(f"{what} sample")  # read only for blocks in raw
+            raw.append(_parsed(space, _entry(eb, "samples", what), 2, names[-1]))
+            ends_by_id[eid] = tuple(ends)
+    except ValidationError as exc:
+        fault = exc  # raised once every block before it has passed
 
-    vpoints = {v.id: v.point for v in vertices}
-    edges = []
-    seen = set()
-    for i, eb in enumerate(edge_blocks):
-        eid = _block_id(eb, f"edge block {i}")
-        if eid in seen:
-            raise ValidationError(f"duplicate edge id {eid!r}")
-        seen.add(eid)
-        what = f"edge {eid!r}"
-        endpoints = _entry(eb, "endpoints", what)
-        if not isinstance(endpoints, (list, tuple)) or len(endpoints) != 2 \
-                or any(isinstance(v, (list, dict)) for v in endpoints):
-            raise ValidationError(f"{what} needs a list of two endpoint ids")
-        endpoints = tuple(endpoints)
-        samples = _take_points(space, _entry(eb, "samples", what), 2,
-                               f"{what} sample", tol)
-        # snap edge ends onto their vertices when within tolerance
-        for end, idx in ((0, 0), (1, -1)):
-            vid = endpoints[end]
-            if vid in vpoints:
-                gap = float(space.dist(samples[idx], vpoints[vid]))
-                if gap <= ENDPOINT_TOL:
-                    samples[idx] = vpoints[vid]
-        edges.append(make_edge(space, eid, endpoints, samples))
-
-    return validate_graph(EmbeddedGraph(space=space, vertices=vertices, edges=edges))
+    edge_ids, endpoints = list(ends_by_id), list(ends_by_id.values())
+    nv, sizes = len(vertex_ids), [len(x) for x in raw]
+    raw = np.concatenate([np.empty((0, d))] + raw)  # the parsed blocks are freed
+    index = {vid: i for i, vid in enumerate(vertex_ids)}
+    at = [index.get(v, -1) for pair in endpoints for v in pair]  # -1: the NaN row
+    try:
+        x = _placed(space, raw, "graph", tol)  # raw itself when flat
+        points = np.concatenate([x[:nv], np.full((1, d), np.nan)])
+        edges = _edges(space, x[nv:], sizes[nv:], edge_ids, endpoints, points[at])
+    except SoapcertError:  # the first failing block raises; raw may hold flat
+        # ends snapped above, and snapping them again changes nothing
+        blocks = np.split(raw, np.cumsum(sizes)[:-1])
+        points = np.concatenate([_placed(space, x, what, tol) for what, x in zip(
+            names, blocks[:nv])] + [np.full((1, d), np.nan)])
+        for j, x in enumerate(blocks[nv:]):
+            _edges(space, _placed(space, x, names[nv + j], tol), [len(x)],
+                   edge_ids[j:], endpoints[j:], points[at[2 * j:2 * j + 2]])
+        raise
+    if fault is not None:
+        raise fault
+    vertices = [Vertex(id=vid, point=p) for vid, p in zip(vertex_ids, points)]
+    return validate_graph(EmbeddedGraph(space=space, vertices=vertices,
+                                        edges=edges))
 
 
 def load_graph_file(path) -> EmbeddedGraph:
@@ -469,8 +487,8 @@ def vertex_star(graph: EmbeddedGraph, vertex_id) -> list[TangentVector]:
 @dataclass(eq=False)
 class StarTable:
     """Every vertex's vertex_star, vertex after vertex in graph order, one
-    row per edge-end: base holds the vertex points and vec the unit
-    tangents.  rows maps each vertex id to its slice of them."""
+    row per edge-end: base holds the vertex points (the graph's end_points)
+    and vec the unit tangents.  rows maps each vertex id to its slice."""
 
     base: np.ndarray
     vec: np.ndarray
@@ -497,10 +515,8 @@ def star_table(graph: EmbeddedGraph) -> StarTable:
             e = graph.edges[np.searchsorted(graph.offsets, rows[j] + 1) - 1]
             raise ValidationError(f"edge {e.id!r} is degenerate at {v.id!r}")
         t = stacked_unit_tangents(graph)[rows]
-        q = np.array([graph.vertex_point(v.id) for v in graph.vertices])
         return StarTable(
-            base=np.repeat(q, np.diff(bounds), axis=0),
-            vec=np.where(head[:, None], -t, t),
+            base=graph.end_points, vec=np.where(head[:, None], -t, t),
             rows={v.id: slice(lo, hi) for v, lo, hi in zip(
                 graph.vertices, bounds.tolist(), bounds[1:].tolist())})
 

@@ -33,7 +33,7 @@ def tangent_curve_graph(space: SpaceForm, coords, center=None,
     pts = space.exp(np.broadcast_to(center, (len(coords), len(center))),
                     coords @ basis)
     pts = np.concatenate([pts, pts[:1]], axis=0)
-    vertices = [Vertex(id="v0", point=pts[0])]
+    vertices = [Vertex(id="v0", point=pts[0].copy())]
     edges = [make_edge(space, graph_id, ("v0", "v0"), pts)]
     return validate_graph(EmbeddedGraph(space=space, vertices=vertices,
                                         edges=edges))

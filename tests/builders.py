@@ -2,9 +2,9 @@
 generic apices, random ambient isometries, and plain triangle sums of cone
 areas that serve as independent references.  It also keeps loop-by-loop
 forms of the first-derivative stencil, of the angle-balance vertex term,
-of the vertex ascent, of the tangent basis and of validation's edge-end
-and valence checks, as oracles for their array and closed forms, and the
-vertex stars built edge by edge."""
+of the vertex ascent, of the tangent basis, of validation's edge-end
+and valence checks and of the loader, as oracles for their array and
+closed forms, and the vertex stars built edge by edge."""
 
 from __future__ import annotations
 
@@ -20,8 +20,9 @@ from soapcert import (IterationError, Model, SpaceForm, TangentVector,
 from soapcert import curvature
 from soapcert._num import apply_stencil, first_derivative_stencil, trapezoid
 from soapcert.cone import _half_sq_chords, _triangle_areas, developed_points
-from soapcert.graph import (ENDPOINT_TOL, EmbeddedGraph, Vertex, make_edge,
-                            validate_graph)
+from soapcert.graph import (ENDPOINT_TOL, MIN_EDGE_SAMPLES, EdgeCurve,
+                            EmbeddedGraph, Vertex, _block_id, _entry,
+                            make_edge, validate_graph)
 
 SPACES = {
     "flat": SpaceForm(Model.FLAT, 3),
@@ -470,6 +471,118 @@ def loop_validate_message(graph):
             return (f"vertex {v.id!r} has valence {c} < 2; closed arcs must "
                     "meet in at least two edge-ends everywhere")
     return None
+
+
+def _coordinate_fault(coords, ndim, d, what):
+    """The error for coordinates that are no finite array of shape (d,) or
+    (n, d), judged point by point."""
+    try:
+        items = list(coords) if ndim == 2 else [coords]
+    except TypeError:
+        items = [coords]
+    for c in items:
+        try:
+            finite = bool(np.all(np.isfinite(np.asarray(c, float))))
+        except (TypeError, ValueError):
+            finite = False
+        if not finite:
+            return ValidationError(f"{what}: coordinates must be finite numbers")
+    return ValidationError(f"{what}: expected {d} coordinates")
+
+
+def _take_points(space, coords, ndim, what, tol):
+    """One vertex's point (ndim 1) or one edge's samples (ndim 2), parsed,
+    projected and tolerance-checked on their own."""
+    d = space.embedding_dim
+    try:
+        x = np.array(coords, float)
+    except (TypeError, ValueError):
+        raise _coordinate_fault(coords, ndim, d, what) from None
+    if (x.ndim != ndim or x.shape[-1] != d or not x.size
+            or not np.all(np.isfinite(x))):
+        raise _coordinate_fault(coords, ndim, d, what)
+    try:
+        proj = space.project_point(x)
+    except ValidationError as exc:
+        raise ValidationError(f"{what}: {exc}") from None
+    if not np.all(space.manifold_offset(x) <= tol):
+        raise ValidationError(f"{what}: point is off the manifold "
+                              f"beyond tolerance {tol:g}")
+    return proj
+
+
+def edge_by_edge_load(document):
+    """load_graph as it was written block by block: each vertex, then each
+    edge, is parsed, projected and tolerance-checked on its own; each edge
+    end is snapped by its own space.dist, and each edge's chords are
+    measured and summed on their own before the next block is read.  It
+    rejects a repeated vertex id in its vertex loop, before any later
+    block's coordinates are read."""
+    if not isinstance(document, dict):
+        raise ValidationError("graph document must be a mapping")
+    try:
+        space_block = document["space"]
+        model = Model(str(space_block["model"]).lower())
+        space = SpaceForm(model=model, dim=int(space_block["dim"]),
+                          curv=float(space_block.get("curv", 0.0)))
+        vertex_blocks = list(document["vertices"])
+        edge_blocks = list(document["edges"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed graph document: {exc}") from exc
+    tol = float(document.get("tolerance", 1e-6))
+
+    vertices, seen = [], set()
+    for i, vb in enumerate(vertex_blocks):
+        vid = _block_id(vb, f"vertex block {i}")
+        if vid in seen:
+            raise ValidationError(f"duplicate vertex id {vid!r}")
+        seen.add(vid)
+        what = f"vertex {vid!r}"
+        vertices.append(Vertex(id=vid, point=_take_points(
+            space, _entry(vb, "coords", what), 1, what, tol)))
+
+    vpoints = {v.id: v.point for v in vertices}
+    edges, seen = [], set()
+    for i, eb in enumerate(edge_blocks):
+        eid = _block_id(eb, f"edge block {i}")
+        if eid in seen:
+            raise ValidationError(f"duplicate edge id {eid!r}")
+        seen.add(eid)
+        what = f"edge {eid!r}"
+        endpoints = _entry(eb, "endpoints", what)
+        if not isinstance(endpoints, (list, tuple)) or len(endpoints) != 2 \
+                or any(isinstance(v, (list, dict)) for v in endpoints):
+            raise ValidationError(f"{what} needs a list of two endpoint ids")
+        samples = _take_points(space, _entry(eb, "samples", what), 2,
+                               f"{what} sample", tol)
+        for end, idx in ((0, 0), (1, -1)):
+            vid = endpoints[end]
+            if vid in vpoints:
+                gap = float(space.dist(samples[idx], vpoints[vid]))
+                if gap <= ENDPOINT_TOL:
+                    samples[idx] = vpoints[vid]
+        if len(samples) < 2:
+            raise ValidationError(f"edge {eid!r} needs at least two samples")
+        chords = space.dist(samples[:-1], samples[1:])
+        if np.any(chords < 1e-12):
+            raise ValidationError(f"edge {eid!r} has coincident consecutive "
+                                  "samples")
+        full = samples
+        while len(full) < MIN_EDGE_SAMPLES:
+            merged = np.empty((2 * len(full) - 1, full.shape[1]))
+            merged[0::2] = full
+            merged[1::2] = space.geodesic_point(full[:-1], full[1:],
+                                                np.full(len(full) - 1, 0.5))
+            full = merged
+        if len(full) > len(samples):
+            chords = space.dist(full[:-1], full[1:])
+        s = np.empty(len(full))
+        s[0] = 0.0
+        np.cumsum(chords, out=s[1:])
+        edges.append(EdgeCurve(id=eid, endpoints=tuple(endpoints),
+                               samples=full, s=s))
+    return validate_graph(EmbeddedGraph(space=space, vertices=vertices,
+                                        edges=edges))
 
 
 def edge_own_tangents(space, edge):

@@ -768,8 +768,12 @@ class TestExitCodes:
          "vertex block 0: id must be a string or a number"),
         (lambda d: d.__setitem__("tolerance", "tight"),
          "malformed graph document: tolerance must be a number"),
+        *[(lambda d, t=t: d.__setitem__("tolerance", t),
+           "malformed graph document: tolerance must be finite and "
+           "nonnegative") for t in (-1.0, math.nan, math.inf)],
     ], ids=["edge-without-samples", "vertex-without-id", "vertex-as-list",
-            "numeric-endpoints", "list-valued-id", "word-tolerance"])
+            "numeric-endpoints", "list-valued-id", "word-tolerance",
+            "negative-tolerance", "nan-tolerance", "infinite-tolerance"])
     def test_malformed_blocks_are_validation_failures(
             self, capsys, tmp_path, edit, named):
         document = {

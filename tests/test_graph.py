@@ -1,3 +1,4 @@
+import copy
 import math
 import re
 import warnings
@@ -16,6 +17,7 @@ from soapcert import (
     SpaceForm,
     ValidationError,
     cone_total_curvature,
+    edge_unit_tangents,
     euler_double_circuit,
     load_graph,
     Vertex,
@@ -32,8 +34,8 @@ from soapcert.graph import (
 )
 from soapcert.spaceform import ANTIPODAL_SLACK
 
-from builders import (SPACES, figure_eight_graph, loop_validate_message,
-                      random_graph, refuse_allocation)
+from builders import (SPACES, edge_by_edge_load, figure_eight_graph,
+                      loop_validate_message, random_graph, refuse_allocation)
 
 FLAT = SpaceForm(Model.FLAT, 3)
 
@@ -337,6 +339,192 @@ class TestIngestErrors:
         samples = sum(len(e.samples) for e in g.edges)
         assert samples == 4097
         assert sum(rows) <= samples + 4 * len(g.edges)
+
+
+def _noisy_document(g, rng, sparse=False):
+    """g's document with every point scaled off the manifold by about 1e-9
+    and every edge end moved about 1e-10 further, so projection and end
+    snapping both act.  sparse keeps every fourth sample of each edge (and
+    both ends), which leaves short edges for the loader to subdivide."""
+    doc = shapes.graph_document(g)
+    for block in doc["vertices"]:
+        block["coords"] = (np.array(block["coords"])
+                           * (1.0 + 1e-9 * rng.standard_normal())).tolist()
+    for block in doc["edges"]:
+        x = np.array(block["samples"])
+        if sparse:
+            x = x[::4] if (len(x) - 1) % 4 == 0 else x[[0, len(x) // 2, -1]]
+        x *= 1.0 + 1e-9 * rng.standard_normal((len(x), 1))
+        x[[0, -1]] += 1e-10 * rng.standard_normal((2, x.shape[1]))
+        block["samples"] = x.tolist()
+    return doc
+
+
+def _valid_documents():
+    """(name, document) pairs in all three models: circles, polygons,
+    random graphs with extra chords, and sparse copies to subdivide."""
+    rng = np.random.default_rng(26)
+    out = []
+    for name, space in SPACES.items():
+        graphs = [shapes.circle_graph(space, 0.6, 64),
+                  shapes.regular_polygon_graph(space, 7, 0.8,
+                                               samples_per_edge=8),
+                  random_graph(space, rng, n_vertices=4, n_extra=2,
+                               samples_per_edge=16)]
+        for k, g in enumerate(graphs):
+            out.append((f"{name}-{k}", _noisy_document(g, rng)))
+            out.append((f"{name}-{k}-sparse",
+                        _noisy_document(g, rng, sparse=True)))
+    return out
+
+
+VALID_DOCUMENTS = _valid_documents()
+
+
+def _outcome(load, doc):
+    """The graph load(doc) returns, or the type and text of what it raises."""
+    try:
+        return load(doc)
+    except (ValidationError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def _corrupted_document(doc, space, rng):
+    """A copy of doc with one to three faults in random blocks: a sample
+    off the manifold, a point with a coordinate too few, a non-finite
+    coordinate, a repeated sample, an edge end off its vertex, an unknown
+    endpoint, an end at the antipode of its vertex (spherical), an edge
+    cut to one sample, or a vertex point mirrored through the origin."""
+    doc = copy.deepcopy(doc)
+    for fault in rng.integers(0, 9, size=rng.integers(1, 4)):
+        eb = doc["edges"][int(rng.integers(len(doc["edges"])))]
+        vb = doc["vertices"][int(rng.integers(len(doc["vertices"])))]
+        x = eb["samples"]
+        r = int(rng.integers(len(x)))
+        end = int(rng.integers(2))
+        if fault == 0:
+            x[r] = [1.01 * c for c in x[r]]
+        elif fault == 1:
+            (vb["coords"] if rng.integers(2) else x[r]).pop()
+        elif fault == 2:
+            x[r][int(rng.integers(len(x[r])))] = [math.nan, math.inf][end]
+        elif fault == 3:
+            x.insert(r, list(x[r]))
+        elif fault == 4 and len(x) > 2:  # the end takes its neighbour's neighbour
+            x[-end] = list(x[-3] if end else x[2])
+        elif fault == 5:
+            eb["endpoints"][end] = "ghost"
+        elif fault == 6 and space.model is Model.SPHERICAL:
+            x[-end] = [-c for c in x[-end]]
+        elif fault == 7:
+            del x[1:]
+        elif fault == 8:
+            vb["coords"] = [-c for c in vb["coords"]]
+    return doc
+
+
+def _assert_same_graph(g, want):
+    assert g.space == want.space
+    assert [(v.id, v.point.tobytes()) for v in g.vertices] == \
+        [(v.id, v.point.tobytes()) for v in want.vertices]
+    assert [(e.id, e.endpoints) for e in g.edges] == \
+        [(e.id, e.endpoints) for e in want.edges]
+    assert g.samples.tobytes() == want.samples.tobytes()
+    assert g.s.tobytes() == want.s.tobytes()
+    assert np.array_equal(g.offsets, want.offsets)
+
+
+class TestGraphWideLoad:
+    """load_graph checks, projects and snaps all points as one array and
+    gives what the block-by-block loader of builders gives: the same bits
+    on valid documents, and the same first error on faulty ones."""
+
+    @pytest.mark.parametrize("name, doc", VALID_DOCUMENTS,
+                             ids=[name for name, _ in VALID_DOCUMENTS])
+    def test_valid_documents_match_the_block_oracle(self, name, doc):
+        _assert_same_graph(load_graph(doc), edge_by_edge_load(doc))
+
+    @pytest.mark.parametrize("model", sorted(SPACES))
+    def test_faulty_documents_match_the_block_oracle(self, model):
+        space = SPACES[model]
+        rng = np.random.default_rng(sorted(SPACES).index(model))
+        docs = [_noisy_document(g, rng) for g in (
+            shapes.regular_polygon_graph(space, 6, 0.8, samples_per_edge=8),
+            random_graph(space, rng, n_vertices=4, n_extra=2,
+                         samples_per_edge=12))]
+        faults = 0
+        for _ in range(60):
+            bad = _corrupted_document(docs[int(rng.integers(2))], space, rng)
+            got, want = _outcome(load_graph, bad), \
+                _outcome(edge_by_edge_load, bad)
+            if isinstance(want, tuple):
+                faults += 1
+                assert got == want
+            else:
+                _assert_same_graph(got, want)
+        assert faults >= 40
+
+    def test_edges_are_read_only_views_of_the_graph(self):
+        graphs = [load_graph(doc) for _, doc in VALID_DOCUMENTS[::3]]
+        graphs += [shapes.cube_skeleton_graph(), shapes.theta_graph(),
+                   resample_arclength(graphs[0], 0.05)]
+        for g in graphs:
+            for e in g.edges:
+                assert np.shares_memory(e.samples, g.samples)
+                assert np.shares_memory(e.s, g.s)
+                with pytest.raises(ValueError):
+                    e.samples[0, 0] = 0.0
+                with pytest.raises(ValueError):
+                    e.s[-1] = 0.0
+            with pytest.raises(ValueError):
+                g.samples[0, 0] = 0.0
+            with pytest.raises(ValueError):
+                g.end_points[0, 0] = 0.0
+
+    def test_no_graph_rebinds_an_edge_it_does_not_own(self):
+        g = load_graph(_long_hyperbolic_document(n=64))
+        twin = EmbeddedGraph(space=g.space, vertices=g.vertices, edges=g.edges)
+        edge_unit_tangents(g.space, g.edges[0])  # through a one-edge graph
+        for e in g.edges:
+            assert np.shares_memory(e.samples, g.samples)
+            assert not np.shares_memory(e.samples, twin.samples)
+        assert twin.samples.tobytes() == g.samples.tobytes()
+
+    def test_kernel_calls_do_not_grow_with_the_edge_count(self, monkeypatch):
+        space = SpaceForm(Model.HYPERBOLIC, 3, 1.0)
+        docs = [shapes.graph_document(shapes.regular_polygon_graph(
+            space, m, 0.8, samples_per_edge=8)) for m in (4, 256)]
+        calls = Counter()
+        for name in ("project_point", "manifold_offset", "dist"):
+            def counted(self, *args, _name=name, _f=getattr(SpaceForm, name)):
+                calls[_name] += 1
+                return _f(self, *args)
+            monkeypatch.setattr(SpaceForm, name, counted)
+        seen = []
+        for doc in docs:
+            calls.clear()
+            load_graph(doc)
+            seen.append(dict(calls))
+        assert seen[0] == seen[1]
+        assert seen[0]["project_point"] == 1
+
+    def test_repeated_vertex_id_is_judged_after_the_blocks(self):
+        # validate_graph alone rejects a repeated vertex id, so a fault in
+        # any block, even a later one, is reported first
+        doc = circle_document()
+        doc["vertices"].append(dict(doc["vertices"][0]))
+        _single_fault(copy.deepcopy(doc), "duplicate vertex id 'v0'")
+        doc["edges"][0]["samples"][5] = [math.nan, 0.0, 0.0]
+        _single_fault(doc, "edge 'e0' sample: coordinates must be finite "
+                           "numbers")
+
+    @pytest.mark.parametrize("tolerance", [-1.0, math.nan, math.inf,
+                                           -math.inf])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tolerance):
+        doc = circle_document()
+        doc["tolerance"] = tolerance
+        _single_fault(doc, "malformed graph document: tolerance must be "
+                           "finite and nonnegative")
 
 
 def _document_round_trips(g):

@@ -117,18 +117,28 @@ def density_bound(space: SpaceForm, apex: np.ndarray, graph: EmbeddedGraph,
 
 
 def karcher_center(space: SpaceForm, points: np.ndarray) -> np.ndarray:
-    """Intrinsic mean by fixed-point iteration on tangent-space averages."""
+    """Intrinsic mean by fixed-point iteration on tangent-space averages.
+    Each iteration makes one chord pass: the chords from the center to the
+    points and their distances serve both the test for points away from
+    the center and the log map of those points (SpaceForm.chord_log).  The
+    mean of the log map is its sum over the away points divided by their
+    count, np.mean's own two steps."""
     try:
         center = space.project_point(np.mean(points, axis=0))
     except ValidationError as exc:
         # fully symmetric spreads have no usable extrinsic mean
         raise IterationError(f"intrinsic mean is ill-posed: {exc}") from exc
     for _ in range(KARCHER_MAX_ITER):
-        away = space.dist(center, points) > 1e-12
-        if not np.any(away):
+        w = points - center
+        d = space.chord_dist(space.mdot(w, w))
+        away = d > 1e-12
+        n = int(away.sum())
+        if n == 0:
             return center
-        v = np.mean(space.log(center, points[away]), axis=0) \
-            * (np.sum(away) / len(points))
+        if n < len(points):
+            w, d = w[away], d[away]
+        v = space.chord_log(center, w, d).sum(axis=0) / n \
+            * (n / len(points))
         step = float(space.norm(v))
         center = space.exp(center, v)
         if step < KARCHER_TOL:

@@ -234,7 +234,7 @@ def _cmd_density_map(args, graph: EmbeddedGraph, seed: int) -> list[str]:
     header = ",".join(f"x{i}" for i in range(graph.space.embedding_dim))
     out_lines = [header + ",bound"]
     for apex, bound in rows:
-        coords = ",".join(f"{c:.12e}" for c in apex)
+        coords = ",".join(f"{c:.12e}" for c in apex.tolist())
         out_lines.append(f"{coords},{bound:.12e}")
     _write_files([(args.out, "\n".join(out_lines) + "\n")])
     return [f"density map written: {args.out} ({len(rows)} apices)"]

@@ -79,12 +79,12 @@ def check_apex(space: SpaceForm, apex: np.ndarray, samples: np.ndarray,
     squared chords grow with distance, so these are the distance tests,
     without arcsin or arcsinh per sample."""
     alpha = _half_sq_chords(space, samples, apex)
-    if np.min(alpha) <= _half_sq_chord(space, clearance):
+    if alpha.min() <= _half_sq_chord(space, clearance):
         raise ApexOnGraphError("apex lies on the graph")
     if space.model is Model.SPHERICAL:
         limit = min(space.max_radius - 1e-6,
                     (math.pi - ANTIPODAL_SLACK) / space.curv)
-        if np.max(alpha) >= _half_sq_chord(space, limit):
+        if alpha.max() >= _half_sq_chord(space, limit):
             raise ConjugatePointError(
                 "apex sees a graph point at or beyond the conjugate radius pi/b")
     return alpha
@@ -195,7 +195,7 @@ def ambient_cone_density(space: SpaceForm, apex: np.ndarray,
 
 def _cone_density(angles: np.ndarray) -> float:
     """The apex density: all fine chords' apex angles, summed over 2 pi."""
-    return float(np.sum(angles)) / (2.0 * math.pi)
+    return float(angles.sum()) / (2.0 * math.pi)
 
 
 def _half_sq_chords(space: SpaceForm, a: np.ndarray,
@@ -203,38 +203,66 @@ def _half_sq_chords(space: SpaceForm, a: np.ndarray,
     """Half the squared ambient chord between points: d^2/2 flat,
     (1 - cos bd)/b^2 on the sphere, (cosh kd - 1)/k^2 on the hyperboloid."""
     w = a - b
-    return 0.5 * space.mdot(w, w)
+    out = space.mdot(w, w)
+    out *= 0.5
+    return out
 
 
 def _gram_root(space: SpaceForm, alpha: np.ndarray, beta: np.ndarray,
                gamma: np.ndarray) -> np.ndarray:
     """sqrt(g) for geodesic triangles given by half squared chords: alpha
-    and beta from the apex to the other two corners, gamma between those.
-    g is the corners' Gram determinant, 1 + 2xyz - x^2 - y^2 - z^2 over
-    their unit-scaled products, divided by k^2 and arranged so that thin
+    and beta from the apex to the other two corners, gamma between those,
+    arrays of one shape (or scalars, which give a 0-d array).  g is the
+    corners' Gram determinant, 1 + 2xyz - x^2 - y^2 - z^2 over their
+    unit-scaled products, divided by k^2 and arranged so that thin
     triangles keep their digits.  It also equals |w1|^2 |w2|^2 - (w1.w2)^2
-    for the chords w1, w2 from the apex projected onto its tangent space."""
-    g = 4.0 * alpha * gamma - (beta - alpha - gamma) ** 2 \
-        - 2.0 * space.sectional_curvature * alpha * beta * gamma
-    return np.sqrt(np.maximum(g, 0.0))
+    for the chords w1, w2 from the apex projected onto its tangent space.
+
+    The Gram kernels are in-place chains: each quantity is allocated once
+    and written over, in the order the expressions state.  Here that is
+    (4 alpha) gamma, less t t with t = (beta - alpha) - gamma, less
+    ((2K alpha) beta) gamma.  The last term is +0 flat, for the nonnegative
+    half squared chords, and subtracting +0 changes no bit, so it is not
+    computed there."""
+    g = np.asarray(4.0 * alpha)  # 0-d for scalars, so it can be written
+    g *= gamma
+    t = beta - alpha
+    t -= gamma
+    t *= t
+    g -= t
+    k = space.sectional_curvature
+    if k != 0.0:
+        t = 2.0 * k * alpha
+        t *= beta
+        t *= gamma
+        g -= t
+    np.maximum(g, 0.0, out=g)
+    return np.sqrt(g, out=g)
 
 
 def _triangle_areas(space: SpaceForm, alpha: np.ndarray, beta: np.ndarray,
                     gamma: np.ndarray) -> np.ndarray:
     """Areas of the geodesic triangles of _gram_root."""
-    return _root_areas(space, alpha + beta + gamma,
-                       _gram_root(space, alpha, beta, gamma))
+    total = alpha + beta
+    total += gamma
+    return _root_areas(space, total, _gram_root(space, alpha, beta, gamma))
 
 
 def _root_areas(space: SpaceForm, total: np.ndarray,
                 root: np.ndarray) -> np.ndarray:
     """_triangle_areas from the triangles' _gram_root and the sums
     alpha + beta + gamma of their half squared chords: root/2 flat, else
-    (2/|K|) atan2(|K| root, 4 - K total)."""
+    (2/|K|) atan2(|K| root, 4 - K total), with 4 - K total taken as
+    (-K total) + 4, the same bits."""
     k = space.sectional_curvature
     if k == 0.0:
         return 0.5 * root
-    return 2.0 / abs(k) * np.arctan2(abs(k) * root, 4.0 - k * total)
+    out = np.asarray(abs(k) * root)
+    den = total * -k
+    den += 4.0
+    np.arctan2(out, den, out=out)
+    out *= 2.0 / abs(k)
+    return out
 
 
 def _apex_angles(space: SpaceForm, alpha: np.ndarray, beta: np.ndarray,
@@ -243,10 +271,16 @@ def _apex_angles(space: SpaceForm, alpha: np.ndarray, beta: np.ndarray,
     law of cosines: alpha + beta - gamma - K alpha beta is w1.w2, the dot
     product at the apex of the projected chords, and _gram_root is
     |w1| |w2| times the sine of their angle, so atan2 keeps its digits for
-    thin triangles."""
-    return np.arctan2(_gram_root(space, alpha, beta, gamma),
-                      alpha + beta - gamma
-                      - space.sectional_curvature * alpha * beta)
+    thin triangles.  The K term is skipped flat, as in _gram_root."""
+    out = _gram_root(space, alpha, beta, gamma)
+    dot = alpha + beta
+    dot -= gamma
+    k = space.sectional_curvature
+    if k != 0.0:
+        t = k * alpha
+        t *= beta
+        dot -= t
+    return np.arctan2(out, dot, out=out)
 
 
 @dataclass(eq=False)
@@ -258,13 +292,20 @@ class _ChordTable:
     the stacked rows tail[i] and head[i], with half squared chord gamma[i].
     weight[i] is the factor of triangle i in the Richardson sum: for a
     coarse chord spanning j fine chords, 1 + 1/(j^2 - 1) on each of those
-    fine chords and -1/(j^2 - 1) on the coarse chord."""
+    fine chords and -1/(j^2 - 1) on the coarse chord.  columns holds
+    graph.samples in column-major order: the chords from an apex to it
+    take the same values, but numpy's loops then run down each coordinate
+    column, not across the three or four coordinates of each sample.  The
+    arrays are read-only, as the graph's layout is, so a kernel that wrote
+    one would raise rather than change the cached table for every later
+    apex."""
 
     tail: np.ndarray
     head: np.ndarray
     gamma: np.ndarray
     nfine: int
     weight: np.ndarray
+    columns: np.ndarray
 
 
 def _chord_table(graph: EmbeddedGraph) -> _ChordTable:
@@ -281,11 +322,16 @@ def _chord_table(graph: EmbeddedGraph) -> _ChordTable:
         head = np.concatenate([fine + 1, hi + edge[lo]])
         step = 1.0 / ((hi - lo) ** 2 - 1)
         samples = graph.samples
-        return _ChordTable(
+        table = _ChordTable(
             tail=tail, head=head,
             gamma=_half_sq_chords(graph.space, samples[tail], samples[head]),
             nfine=int(f[-1]),
-            weight=np.concatenate([1.0 + np.repeat(step, hi - lo), -step]))
+            weight=np.concatenate([1.0 + np.repeat(step, hi - lo), -step]),
+            columns=np.asfortranarray(samples))
+        for a in (table.tail, table.head, table.gamma, table.weight,
+                  table.columns):
+            a.flags.writeable = False
+        return table
 
     return graph.cached("chord_table", build)
 
@@ -296,7 +342,7 @@ def _triangles(space: SpaceForm, apex: np.ndarray, graph: EmbeddedGraph,
     alpha to its samples, and a and b to the tails and heads of its
     chords.  The apex must pass check_apex at `clearance`."""
     table = _chord_table(graph)
-    alpha = check_apex(space, apex, graph.samples, clearance)
+    alpha = check_apex(space, apex, table.columns, clearance)
     return table, alpha, alpha[table.tail], alpha[table.head]
 
 
@@ -307,8 +353,9 @@ def _richardson_sum(areas: np.ndarray, table: _ChordTable) -> float:
     cone over its arc by c H^3 to leading order for a chord of length H,
     so adding (fine - coarse) / (j^2 - 1) per coarse chord, a Richardson
     step, cancels that term; the weights are that step, expanded.
-    Straight edges stay exact."""
-    return float(np.sum(areas * table.weight))
+    Straight edges stay exact.  The fresh `areas` are weighted in place."""
+    areas *= table.weight
+    return float(areas.sum())
 
 
 def ambient_cone_area(space: SpaceForm, apex: np.ndarray,
@@ -357,10 +404,9 @@ def cone_area_gradient(space: SpaceForm, apex: np.ndarray,
     fold = root == 0.0
     scale = table.weight / np.where(fold, 1.0, root * (k * k * g + d * d))
     scale[fold] = 0.0
-    c_tail = scale * (d * (2.0 * (b + gamma - a) - 2.0 * k * b * gamma)
-                      + 2.0 * k * g)
-    c_head = scale * (d * (2.0 * (a + gamma - b) - 2.0 * k * a * gamma)
-                      + 2.0 * k * g)
+    kg = 2.0 * k * g
+    c_tail = scale * (d * (2.0 * (b + gamma - a) - 2.0 * k * b * gamma) + kg)
+    c_head = scale * (d * (2.0 * (a + gamma - b) - 2.0 * k * a * gamma) + kg)
     c = np.bincount(table.tail, c_tail, minlength=len(alpha)) \
         + np.bincount(table.head, c_head, minlength=len(alpha))
     return (_richardson_sum(_root_areas(space, total, root), table),

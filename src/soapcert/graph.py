@@ -9,6 +9,7 @@ operations here are read-only.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -254,21 +255,30 @@ def validate_graph(graph: EmbeddedGraph) -> EmbeddedGraph:
     return graph
 
 
+def _numeric(x: np.ndarray) -> bool:
+    """Whether numpy read x as numbers: an integer or float dtype.  Strings,
+    which a float conversion would parse, read as a string dtype; null,
+    huge integers and mixed entries as object; booleans as bool."""
+    return x.dtype.kind in "fiu"
+
+
 def _parsed(space: SpaceForm, coords, ndim: int, what: str) -> np.ndarray:
     """Raw coordinates as one float array of shape (d,) when ndim is 1 or
-    (n, d) when it is 2; _placed checks that they are finite.  Otherwise
-    points are judged one by one, so a ragged list whose points are all
-    numbers reads as a wrongly sized point."""
+    (n, d) when it is 2; _placed checks that they are finite.  Entries that
+    numpy does not read as numbers (_numeric) are not coordinates.
+    Otherwise points are judged one by one, so a ragged list whose points
+    are all numbers reads as a wrongly sized point."""
     d = space.embedding_dim
     try:
-        x = np.array(coords, float)
-        if x.ndim == ndim and x.shape[-1] == d and x.size:
-            return x
+        x = np.array(coords)
+        if _numeric(x) and x.ndim == ndim and x.shape[-1] == d and x.size:
+            return x.astype(float, copy=False)
     except (TypeError, ValueError):
         pass
     items = coords if ndim == 2 and isinstance(coords, (list, tuple)) else [coords]
     try:
-        finite = all(np.all(np.isfinite(np.asarray(c, float))) for c in items)
+        finite = all(_numeric(c) and np.all(np.isfinite(c))
+                     for c in map(np.asarray, items))
     except (TypeError, ValueError):
         finite = False
     raise ValidationError(f"{what}: expected {d} coordinates" if finite
@@ -309,6 +319,17 @@ def _block_id(block, what: str):
     return bid
 
 
+def _scalar(value, what: str, integral: bool = False):
+    """A number of the document's space block or its tolerance, as an int
+    when integral, else as a float.  Strings and booleans, which int() and
+    float() would read, and non-integral dims raise TypeError."""
+    kind = numbers.Integral if integral else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"{what} must be "
+                        + ("an integer" if integral else "a number"))
+    return int(value) if integral else float(value)
+
+
 def load_graph(document: dict) -> EmbeddedGraph:
     """Build a validated graph from a parsed document (see the file format
     in the CLI module).  Each block is parsed on its own, then all points
@@ -319,17 +340,17 @@ def load_graph(document: dict) -> EmbeddedGraph:
     try:
         space_block = document["space"]
         model = Model(str(space_block["model"]).lower())
-        space = SpaceForm(model=model, dim=int(space_block["dim"]),
-                          curv=float(space_block.get("curv", 0.0)))
+        space = SpaceForm(model=model,
+                          dim=_scalar(space_block["dim"], "dim", integral=True),
+                          curv=_scalar(space_block.get("curv", 0.0), "curv"))
         vertex_blocks = list(document["vertices"])
         edge_blocks = list(document["edges"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed graph document: {exc}") from exc
     try:
-        tol = float(document.get("tolerance", 1e-6))
-    except (TypeError, ValueError):
-        raise ValidationError("malformed graph document: tolerance must be "
-                              "a number") from None
+        tol = _scalar(document.get("tolerance", 1e-6), "tolerance")
+    except TypeError as exc:
+        raise ValidationError(f"malformed graph document: {exc}") from None
     if not 0.0 <= tol < math.inf:
         raise ValidationError("malformed graph document: tolerance must be "
                               "finite and nonnegative")

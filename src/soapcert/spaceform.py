@@ -16,6 +16,7 @@ arguments, safe for concurrent use.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -94,9 +95,10 @@ class SpaceForm:
     def embedding_dim(self) -> int:
         return self.dim if self.model is Model.FLAT else self.dim + 1
 
-    @property
+    @functools.cached_property
     def sectional_curvature(self) -> float:
-        """Signed constant sectional curvature: -kappa^2, 0 or +b^2."""
+        """Signed constant sectional curvature: -kappa^2, 0 or +b^2, worked
+        out on first use and then read as a plain attribute."""
         if self.model is Model.HYPERBOLIC:
             return -self.curv ** 2
         if self.model is Model.SPHERICAL:
@@ -226,8 +228,8 @@ class SpaceForm:
         kt = k * t
         if self.model is Model.HYPERBOLIC:
             c = np.cosh(kt)
-            s = np.where(kt < 1e-8, 1.0 + kt ** 2 / 6.0,
-                         np.sinh(np.maximum(kt, 1e-300)) / np.maximum(kt, 1e-300))
+            m = np.maximum(kt, 1e-300)
+            s = np.where(kt < 1e-8, 1.0 + kt ** 2 / 6.0, np.sinh(m) / m)
         else:
             c = np.cos(kt)
             s = np.sinc(kt / math.pi)
@@ -238,13 +240,22 @@ class SpaceForm:
     def log(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Initial velocity of the geodesic from p reaching q at unit time."""
         p = np.asarray(p, float)
-        q = np.asarray(q, float)
+        w = np.asarray(q, float) - p
         if self.model is Model.FLAT:
-            return q - p
-        d = self.dist(p, q)
+            return w
+        return self.chord_log(p, w, self.dist(p, q))
+
+    def chord_log(self, p: np.ndarray, w: np.ndarray,
+                  d: np.ndarray) -> np.ndarray:
+        """log(p, q) from the chords w = q - p and the distances d = dist(p,
+        q) already measured, for callers that read them anyway: w itself
+        flat, else w projected to the tangent space at p and scaled to
+        length d.  Curved, (nearly) coincident points raise."""
+        if self.model is Model.FLAT:
+            return w
         if np.any(d < 1e-13):
             raise NumericalError("log map of (nearly) coincident points")
-        w = self.tangent_project(p, q - p)
+        w = self.tangent_project(p, w)
         wn = self.norm(w)
         if np.any(wn < 1e-300):
             raise NumericalError("log map direction is degenerate")

@@ -4,7 +4,9 @@ areas that serve as independent references.  It also keeps loop-by-loop
 forms of the first-derivative stencil, of the angle-balance vertex term,
 of the vertex ascent, of the tangent basis, of validation's edge-end
 and valence checks and of the loader, as oracles for their array and
-closed forms, and the vertex stars built edge by edge."""
+closed forms, and the vertex stars built edge by edge.  The Gram kernels
+of the cone module and the Karcher iteration are kept in the expression
+forms they had before they became in-place chains, as bitwise oracles."""
 
 from __future__ import annotations
 
@@ -19,7 +21,9 @@ from soapcert import (IterationError, Model, SpaceForm, TangentVector,
                       shapes, vertex_star)
 from soapcert import curvature
 from soapcert._num import apply_stencil, first_derivative_stencil, trapezoid
-from soapcert.cone import _half_sq_chords, _triangle_areas, developed_points
+from soapcert.certify import KARCHER_MAX_ITER, KARCHER_TOL
+from soapcert.cone import (_chord_table, _half_sq_chords, _triangle_areas,
+                           developed_points)
 from soapcert.graph import (ENDPOINT_TOL, MIN_EDGE_SAMPLES, EdgeCurve,
                             EmbeddedGraph, Vertex, _block_id, _entry,
                             make_edge, validate_graph)
@@ -474,15 +478,16 @@ def loop_validate_message(graph):
 
 
 def _coordinate_fault(coords, ndim, d, what):
-    """The error for coordinates that are no finite array of shape (d,) or
-    (n, d), judged point by point."""
+    """The error for coordinates that are no finite array of numbers of
+    shape (d,) or (n, d), judged point by point."""
     try:
         items = list(coords) if ndim == 2 else [coords]
     except TypeError:
         items = [coords]
     for c in items:
         try:
-            finite = bool(np.all(np.isfinite(np.asarray(c, float))))
+            c = np.asarray(c)
+            finite = c.dtype.kind in "fiu" and bool(np.all(np.isfinite(c)))
         except (TypeError, ValueError):
             finite = False
         if not finite:
@@ -495,12 +500,13 @@ def _take_points(space, coords, ndim, what, tol):
     projected and tolerance-checked on their own."""
     d = space.embedding_dim
     try:
-        x = np.array(coords, float)
+        x = np.array(coords)
     except (TypeError, ValueError):
         raise _coordinate_fault(coords, ndim, d, what) from None
-    if (x.ndim != ndim or x.shape[-1] != d or not x.size
-            or not np.all(np.isfinite(x))):
+    if (x.dtype.kind not in "fiu" or x.ndim != ndim or x.shape[-1] != d
+            or not x.size or not np.all(np.isfinite(x))):
         raise _coordinate_fault(coords, ndim, d, what)
+    x = x.astype(float)
     try:
         proj = space.project_point(x)
     except ValidationError as exc:
@@ -697,3 +703,82 @@ def refuse_allocation(*args, **kwargs):
     """A stand-in for np.linspace where a resampling step must be refused
     before any array is sized by it."""
     raise AssertionError("an array was sized by a step that must be refused")
+
+
+# ---------------------------------------------------------------------------
+# expression forms of the Gram kernels and the two-pass Karcher iteration
+
+def expression_gram_root(space, alpha, beta, gamma):
+    """cone._gram_root as one expression."""
+    g = 4.0 * alpha * gamma - (beta - alpha - gamma) ** 2 \
+        - 2.0 * space.sectional_curvature * alpha * beta * gamma
+    return np.sqrt(np.maximum(g, 0.0))
+
+
+def expression_root_areas(space, total, root):
+    """cone._root_areas as one expression."""
+    k = space.sectional_curvature
+    if k == 0.0:
+        return 0.5 * root
+    return 2.0 / abs(k) * np.arctan2(abs(k) * root, 4.0 - k * total)
+
+
+def expression_triangle_areas(space, alpha, beta, gamma):
+    """cone._triangle_areas as one expression."""
+    return expression_root_areas(space, alpha + beta + gamma,
+                                 expression_gram_root(space, alpha, beta, gamma))
+
+
+def expression_apex_angles(space, alpha, beta, gamma):
+    """cone._apex_angles as one expression."""
+    return np.arctan2(expression_gram_root(space, alpha, beta, gamma),
+                      alpha + beta - gamma
+                      - space.sectional_curvature * alpha * beta)
+
+
+def expression_richardson_sum(areas, table):
+    """cone._richardson_sum with a weighted copy and np.sum."""
+    return float(np.sum(areas * table.weight))
+
+
+def expression_cone_area_gradient(space, apex, graph, clearance):
+    """cone.cone_area_gradient with 2K g written in both partials."""
+    apex = np.asarray(apex, float)
+    table = _chord_table(graph)
+    alpha = check_apex(space, apex, graph.samples, clearance)
+    a, b, gamma = alpha[table.tail], alpha[table.head], table.gamma
+    k = space.sectional_curvature
+    total = a + b + gamma
+    root = expression_gram_root(space, a, b, gamma)
+    d = 4.0 - k * total
+    g = root * root
+    fold = root == 0.0
+    scale = table.weight / np.where(fold, 1.0, root * (k * k * g + d * d))
+    scale[fold] = 0.0
+    c_tail = scale * (d * (2.0 * (b + gamma - a) - 2.0 * k * b * gamma)
+                      + 2.0 * k * g)
+    c_head = scale * (d * (2.0 * (a + gamma - b) - 2.0 * k * a * gamma)
+                      + 2.0 * k * g)
+    c = np.bincount(table.tail, c_tail, minlength=len(alpha)) \
+        + np.bincount(table.head, c_head, minlength=len(alpha))
+    return (expression_richardson_sum(
+        expression_root_areas(space, total, root), table),
+        -c @ (graph.samples - apex))
+
+
+def two_pass_karcher_center(space, points):
+    """certify.karcher_center as it measured each point twice per
+    iteration: space.dist for the points away from the center, then
+    space.log of those points, averaged by np.mean."""
+    center = space.project_point(np.mean(points, axis=0))
+    for _ in range(KARCHER_MAX_ITER):
+        away = space.dist(center, points) > 1e-12
+        if not np.any(away):
+            return center
+        v = np.mean(space.log(center, points[away]), axis=0) \
+            * (np.sum(away) / len(points))
+        step = float(space.norm(v))
+        center = space.exp(center, v)
+        if step < KARCHER_TOL:
+            return center
+    raise IterationError("intrinsic mean iteration did not converge")

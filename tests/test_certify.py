@@ -32,6 +32,7 @@ from soapcert.certify import SEARCH_CLEARANCE, _halton
 from builders import (
     SPACES,
     figure_eight_graph,
+    two_pass_karcher_center,
     mixed_chord_polygon,
     random_graph,
     random_isometry,
@@ -144,6 +145,60 @@ class TestHullApprox:
         g = wide_spherical_triangle(space, polar_angle=0.45 * math.pi)
         with pytest.warns(UserWarning, match="diameter"):
             hull_approx(space, g, grid_n=4)
+
+
+class TestKarcherCenter:
+    """One chord pass per iteration gives the center of the two-pass
+    iteration (builders) bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_matches_the_two_pass_iteration(self, name):
+        space = SPACES[name]
+        rng = np.random.default_rng(12)
+        for _ in range(4):
+            points = random_graph(space, rng, samples_per_edge=32).samples
+            assert karcher_center(space, points).tobytes() == \
+                two_pass_karcher_center(space, points).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_points_at_the_center_take_the_away_branch(self, name):
+        # points symmetric about the base point, with the base point itself
+        # among them twice: the projected mean is that point, so the first
+        # iteration leaves two points out of its log map
+        space = SpaceForm(SPACES[name].model, 3, 1.0)
+        base = space.base_point()
+        v = 0.3 * space.tangent_basis(base)
+        points = np.concatenate([[base, base], space.exp(
+            np.broadcast_to(base, (6, len(base))), np.concatenate([v, -v]))])
+        mean = space.project_point(np.mean(points, axis=0))
+        assert np.any(np.all(points == mean, axis=1))
+        center = karcher_center(space, points)
+        assert center.tobytes() == two_pass_karcher_center(space, points).tobytes()
+        # and a spread off the base point, which takes more iterations
+        points = np.concatenate([points, space.exp(base, 0.2 * v[0])[None]])
+        assert karcher_center(space, points).tobytes() == \
+            two_pass_karcher_center(space, points).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_one_chord_pass_per_iteration(self, name, monkeypatch):
+        # every iteration that steps makes one exp call; each iteration
+        # measures its chords once, by chord_dist, and never calls dist or
+        # log, which would measure them again
+        space = SPACES[name]
+        points = random_graph(space, np.random.default_rng(13),
+                              samples_per_edge=32).samples
+        calls = {"chord_dist": 0, "dist": 0, "log": 0, "exp": 0}
+        for method in calls:
+            def counted(self, *args, _method=method,
+                        _f=getattr(SpaceForm, method)):
+                calls[_method] += 1
+                return _f(self, *args)
+            monkeypatch.setattr(SpaceForm, method, counted)
+        karcher_center(space, points)
+        # the flat mean is reached in one step, the curved ones take more
+        assert calls["exp"] >= (1 if space.model is Model.FLAT else 2)
+        assert calls["chord_dist"] == calls["exp"]
+        assert calls["dist"] == calls["log"] == 0
 
 
 class TestExtremalConeArea:

@@ -737,6 +737,8 @@ class TestExitCodes:
          "edge 'e' sample: coordinates must be finite numbers"),
         ([[0, 0, 0], [0.5, 0], [1, 0, 0]],
          "edge 'e' sample: expected 3 coordinates"),
+        ([[0, 0, 0], ["0.5", "-0.5", "0"], [1, 0, 0]],
+         "edge 'e' sample: coordinates must be finite numbers"),
     ])
     def test_malformed_coordinates_are_validation_failures(
             self, capsys, tmp_path, samples, named):
@@ -768,11 +770,27 @@ class TestExitCodes:
          "vertex block 0: id must be a string or a number"),
         (lambda d: d.__setitem__("tolerance", "tight"),
          "malformed graph document: tolerance must be a number"),
+        (lambda d: d.__setitem__("tolerance", "1e-6"),
+         "malformed graph document: tolerance must be a number"),
+        (lambda d: d.__setitem__("tolerance", True),
+         "malformed graph document: tolerance must be a number"),
+        (lambda d: d["space"].__setitem__("dim", 3.7),
+         "malformed graph document: dim must be an integer"),
+        (lambda d: d["space"].__setitem__("dim", "3"),
+         "malformed graph document: dim must be an integer"),
+        (lambda d: d["space"].__setitem__("curv", "1.0"),
+         "malformed graph document: curv must be a number"),
+        (lambda d: d["space"].__setitem__("curv", True),
+         "malformed graph document: curv must be a number"),
+        (lambda d: d["vertices"][0].__setitem__("coords", ["1.0", "0", "0"]),
+         "vertex 'a': coordinates must be finite numbers"),
         *[(lambda d, t=t: d.__setitem__("tolerance", t),
            "malformed graph document: tolerance must be finite and "
            "nonnegative") for t in (-1.0, math.nan, math.inf)],
     ], ids=["edge-without-samples", "vertex-without-id", "vertex-as-list",
             "numeric-endpoints", "list-valued-id", "word-tolerance",
+            "string-tolerance", "boolean-tolerance", "fractional-dim",
+            "string-dim", "string-curv", "boolean-curv", "string-coords",
             "negative-tolerance", "nan-tolerance", "infinite-tolerance"])
     def test_malformed_blocks_are_validation_failures(
             self, capsys, tmp_path, edit, named):

@@ -30,8 +30,12 @@ from soapcert.cone import (
     ConeDevelopment,
     EdgeDevelopment,
     _apex_angles,
+    _chord_table,
+    _cone_density,
     _gram_root,
     _half_sq_chords,
+    _richardson_sum,
+    _root_areas,
     _triangle_areas,
     developed_points,
     development_plane,
@@ -43,6 +47,12 @@ from builders import (
     SPACES,
     carried_graph,
     developed_plain_area,
+    expression_apex_angles,
+    expression_cone_area_gradient,
+    expression_gram_root,
+    expression_richardson_sum,
+    expression_root_areas,
+    expression_triangle_areas,
     figure_eight_graph,
     four_leg_star_graph,
     loop_gauss_bonnet_residual,
@@ -928,3 +938,175 @@ def test_vertex_term_equals_loop_oracle_bitwise(name):
     want = loop_gauss_bonnet_residual(g.space, apex, g, dev=dev)
     assert gauss_bonnet_residual(g.space, apex, g, dev=dev) == want
     assert gauss_bonnet_residual(g.space, apex, g) == want
+
+
+def _same_bits(got, want):
+    """Equal shapes and equal bytes, so signed zeros and NaN payloads
+    count."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype \
+        and got.tobytes() == want.tobytes()
+
+
+def _thin_triangles(space, rng, m=200):
+    """Half squared chords (alpha, beta, gamma) of triangles with an apex
+    off the base point and corners 0.9 from it, at chords from 0.5 down
+    to 1e-9."""
+    apex = _off_base_apex(space)
+    basis = space.tangent_basis(apex)
+    out = []
+    for chord in (0.5, 1e-3, 1e-7, 1e-9):
+        z = rng.standard_normal((m, 3))
+        x1 = space.exp(np.broadcast_to(apex, (m, len(apex))),
+                       0.9 * z / np.linalg.norm(z, axis=1)[:, None] @ basis)
+        step = space.tangent_project(x1, rng.standard_normal((m, len(apex))))
+        x2 = space.exp(x1, chord * step / space.norm(step)[:, None])
+        out.append((_half_sq_chords(space, x1, apex),
+                    _half_sq_chords(space, x2, apex),
+                    _half_sq_chords(space, x1, x2)))
+    return [np.concatenate(parts) for parts in zip(*out)]
+
+
+def _fold_triangles(space):
+    """Half squared chords of triangles whose apex lies on the geodesic
+    through the other two corners, before, between and beyond them."""
+    base = space.base_point()
+    u = np.array([0.6, 0.0, 0.8]) @ space.tangent_basis(base)
+    t = np.array([-1.1, -0.6, -0.25, 0.05, 0.4, 0.75, 1.3, 2.0])
+    apex = space.exp(np.broadcast_to(base, (len(t), len(base))),
+                     t[:, None] * u)
+    x1, x2 = (space.exp(base, s * u) for s in (0.1, 0.3))
+    return (_half_sq_chords(space, x1, apex), _half_sq_chords(space, x2, apex),
+            np.full(len(t), _half_sq_chords(space, x1, x2)))
+
+
+MODELS = pytest.mark.parametrize("name", sorted(SPACES))
+
+
+class TestInPlaceKernels:
+    """The Gram kernels are in-place chains that keep the evaluation order
+    of their expression forms (kept in builders), so they give the same
+    bits, signed zeros included, in every model."""
+
+    KERNELS = [(_gram_root, expression_gram_root),
+               (_triangle_areas, expression_triangle_areas),
+               (_apex_angles, expression_apex_angles)]
+
+    def _check(self, space, alpha, beta, gamma):
+        for new, old in self.KERNELS:
+            assert _same_bits(new(space, alpha, beta, gamma),
+                              old(space, alpha, beta, gamma)), new.__name__
+        total = alpha + beta + gamma
+        root = expression_gram_root(space, alpha, beta, gamma)
+        assert _same_bits(_root_areas(space, total, root),
+                          expression_root_areas(space, total, root))
+
+    @MODELS
+    def test_thin_triangles(self, name):
+        space = SPACES[name]
+        self._check(space, *_thin_triangles(space, np.random.default_rng(5)))
+
+    @MODELS
+    def test_folds(self, name):
+        space = SPACES[name]
+        alpha, beta, gamma = _fold_triangles(space)
+        # most of them round to g <= 0, where the root is 0
+        assert np.sum(_gram_root(space, alpha, beta, gamma) == 0.0) >= 3
+        self._check(space, alpha, beta, gamma)
+
+    @MODELS
+    def test_zero_dimensional_inputs(self, name):
+        space = SPACES[name]
+        for triple in zip(*_thin_triangles(space, np.random.default_rng(6),
+                                           m=4), *_fold_triangles(space)):
+            for alpha, beta, gamma in (triple[:3], triple[3:]):
+                self._check(space, alpha, beta, gamma)
+                self._check(space, float(alpha), float(beta), float(gamma))
+                self._check(space, np.asarray(alpha), np.asarray(beta),
+                            np.asarray(gamma))
+
+    def test_flat_curvature_term_is_plus_zero(self):
+        # K = 0: the skipped term 0 alpha beta gamma is +0 on the
+        # nonnegative half squared chords, apex on a sample included
+        alpha = np.array([0.0, 0.0, 0.5, 2.0, 1e-300])
+        beta = np.array([0.5, 0.0, 2.0, 0.5, 1e-300])
+        gamma = np.array([0.5, 0.0, 0.5, 0.5, 0.0])
+        self._check(FLAT, alpha, beta, gamma)
+        assert np.all(np.signbit(0.0 * alpha * beta * gamma) == 0)
+
+    @MODELS
+    def test_cone_quantities_on_random_graphs(self, name):
+        space = SPACES[name]
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            g, apex = random_instance(space, rng, samples_per_edge=48)
+            table = _chord_table(g)
+            alpha = check_apex(space, apex, g.samples)
+            a, b = alpha[table.tail], alpha[table.head]
+            n = table.nfine
+            areas = expression_triangle_areas(space, a, b, table.gamma)
+            assert ambient_cone_area(space, apex, g) \
+                == expression_richardson_sum(areas, table)
+            assert _richardson_sum(areas.copy(), table) \
+                == expression_richardson_sum(areas, table)
+            assert ambient_cone_density(space, apex, g) == float(np.sum(
+                expression_apex_angles(space, a[:n], b[:n], table.gamma[:n]))
+            ) / (2.0 * math.pi)
+            got = cone_area_gradient(space, apex, g)
+            want = expression_cone_area_gradient(space, apex, g, APEX_CLEARANCE)
+            assert got[0] == want[0]
+            assert _same_bits(got[1], want[1])
+
+    def test_gradient_at_folds(self):
+        # apices on the geodesic through two consecutive samples, where the
+        # triangle's partials are set to 0
+        g = shapes.wavy_closed_curve_graph(HYP1, n=256)
+        x = g.samples
+        for i in range(0, 256, 32):
+            apex = HYP1.geodesic_point(x[i], x[i + 1], -40.0)
+            got = cone_area_gradient(HYP1, apex, g)
+            want = expression_cone_area_gradient(HYP1, apex, g, APEX_CLEARANCE)
+            assert got[0] == want[0]
+            assert _same_bits(got[1], want[1])
+
+
+class TestReadOnlyChordTable:
+    @pytest.mark.parametrize("space", [FLAT, HYP1, SPH1],
+                             ids=lambda s: s.model.value)
+    def test_table_arrays_cannot_be_written(self, space):
+        g = mixed_chord_polygon(space)
+        table = _chord_table(g)
+        for a in (table.tail, table.head, table.gamma, table.weight,
+                  table.columns):
+            with pytest.raises(ValueError):
+                a[0] = 0
+        # the column-major copy holds the samples' own values
+        assert np.array_equal(table.columns, g.samples)
+        assert table.columns.flags.f_contiguous
+
+    @MODELS
+    def test_kernels_leave_their_inputs_unchanged(self, name):
+        space = SPACES[name]
+        inputs = _thin_triangles(space, np.random.default_rng(8), m=16)
+        before = [x.copy() for x in inputs]
+        total = inputs[0] + inputs[1] + inputs[2]
+        root = _gram_root(space, *inputs)
+        kept = total.copy(), root.copy()
+        _gram_root(space, *inputs)
+        _triangle_areas(space, *inputs)
+        _apex_angles(space, *inputs)
+        _root_areas(space, total, root)
+        _cone_density(root)
+        for x, y in zip(inputs + [total, root], before + list(kept)):
+            assert _same_bits(x, y)
+        # on the cached table's read-only arrays a write would raise
+        g = mixed_chord_polygon(space)
+        table = _chord_table(g)
+        gamma = table.gamma.copy()
+        apex = _off_base_apex(space)
+        ambient_cone_area(space, apex, g)
+        ambient_cone_density(space, apex, g)
+        cone_area_gradient(space, apex, g)
+        develop_cone(space, apex, g)
+        assert _same_bits(table.gamma, gamma)
+        assert _chord_table(g) is table

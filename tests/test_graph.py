@@ -280,7 +280,8 @@ class TestIngestErrors:
         _single_fault(doc, f"vertex 'v0': {message}")
 
     @pytest.mark.parametrize("bad", [["x", 0, 0], [None, 0, 0],
-                                     [float("nan"), 0, 0], [[0, 0], 0, 0]])
+                                     [float("nan"), 0, 0], [[0, 0], 0, 0],
+                                     ["1.0", "0", "0"]])
     def test_non_numeric_coordinates_name_the_point(self, bad):
         doc = circle_document()
         doc["edges"][0]["samples"][5] = bad
@@ -288,6 +289,20 @@ class TestIngestErrors:
         doc = circle_document()
         doc["vertices"][0]["coords"] = bad
         _single_fault(doc, "vertex 'v0': coordinates must be finite numbers")
+
+    def test_boolean_coordinates_are_not_numbers(self):
+        # a block of booleans only; among numbers a boolean reads as 0 or 1
+        doc = circle_document()
+        doc["vertices"][0]["coords"] = [True, False, False]
+        _single_fault(doc, "vertex 'v0': coordinates must be finite numbers")
+
+    def test_integer_coordinates_still_load(self):
+        doc = circle_document()
+        doc["vertices"][0]["coords"] = [1, 0, 0]
+        doc["edges"][0]["samples"][0] = [1, 0, 0]
+        g = load_graph(doc)
+        assert g.vertices[0].point.dtype == float
+        assert g.vertices[0].point.tolist() == [1.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("empty", [[], np.empty((0, 3))])
     def test_empty_sample_list(self, empty):

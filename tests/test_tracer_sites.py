@@ -1,10 +1,10 @@
 """The benchmark's tracer replaces functions at the sites the program calls
 them from (``bench/tracer.py``, ``SPANS``).  Every such site must exist, so
 that deleting or renaming a traced name fails here and not only when the
-benchmark runs.  The cone and curvature sites must also be reached by the
-commands that use them, or their per-layer metrics would read 0.  The
-tracer is loaded from its file, without writing its bytecode cache; it is
-installed only while those commands run, and then removed."""
+benchmark runs.  The cone, curvature and area-search sites must also be
+reached by the commands that use them, or their per-layer metrics would
+read 0.  The tracer is loaded from its file, without writing its bytecode
+cache; it is installed only while those commands run, and then removed."""
 
 import importlib
 import importlib.util
@@ -44,11 +44,16 @@ def test_traced_site_resolves(module, attr):
 
 
 # the spans each command must reach, gb-check's development through
-# gauss_bonnet_residual
+# gauss_bonnet_residual; the area search's spans through heuristic certify
+# and density-map
 REACHED = {
     "cone": {"cone.develop", "cone.gb_residual", "cone.area", "cone.density"},
     "gb-check": {"cone.develop", "cone.gb_residual"},
     "tc": {"curvature.edge"},
+    "certify": {"certify.search", "cone.area", "certify.refine",
+                "certify.karcher", "certify.hull"},
+    "density-map": {"certify.density_bound", "cone.area", "certify.karcher",
+                    "certify.hull"},
 }
 
 
@@ -65,7 +70,10 @@ def test_cone_and_curvature_spans_are_reached(tmp_path, capsys):
     try:
         for argv in (["cone", "--apex=" + ",".join(repr(float(c))
                                                    for c in apex)],
-                     ["gb-check", "--trials", "2"], ["tc"]):
+                     ["gb-check", "--trials", "2"], ["tc"],
+                     ["certify", "--mode", "heuristic", "--grid", "8"],
+                     ["density-map", "--grid", "8",
+                      "--out", str(tmp_path / "map.csv")]):
             first = len(tracer.spans)
             assert cli.run(argv + [str(path)]) == 0
             reached[argv[0]] = {span[0] for span in tracer.spans[first:]}

@@ -105,10 +105,15 @@ def edge_total_curvature(space: SpaceForm, edge: EdgeCurve) -> float:
 
 def _star_values(dots: np.ndarray) -> np.ndarray:
     """The star objective g(e) = sum_k (pi/2 - angle(T_k, e)) of every row
-    from its dot products with the star's unit tangents.  The sum runs
-    over the valence, which may pass 8, so it stays np.sum."""
-    return np.sum(math.pi / 2.0 - np.arccos(np.clip(dots, -1.0, 1.0)),
-                  axis=-1)
+    from its dot products with the star's unit tangents, which it leaves
+    unchanged: the clamp makes the one copy, finished in place.  The sum
+    runs over the valence, which may pass 8, so it is np.add.reduce, the
+    reduction np.sum calls."""
+    a = np.maximum(dots, -1.0)
+    np.minimum(a, 1.0, out=a)
+    np.arccos(a, out=a)
+    np.subtract(math.pi / 2.0, a, out=a)
+    return np.add.reduce(a, axis=-1)
 
 
 def _ascent_on_sphere(starts: list[np.ndarray],
@@ -129,20 +134,27 @@ def _ascent_on_sphere(starts: list[np.ndarray],
         ids = np.array(ids)
         E = np.stack([starts[i] for i in ids])
         T = np.stack([tangents[i] for i in ids])
+        Tt = np.ascontiguousarray(T.transpose(0, 2, 1))
         E /= np.sqrt(_num.rowsum(E * E))[:, :, None]
         # the dot products of the current directions, kept for the gradient
-        dots = E @ T.transpose(0, 2, 1)
+        dots = E @ Tt
         g = _star_values(dots)
         step = np.full(g.shape, 0.25)
         for _ in range(VERTEX_ASCENT_MAX_ITER):
-            # d/de of -arccos(<T, e>); the clamp keeps the slope finite at
-            # the nonsmooth directions e = +-T_k.
-            clamped = np.clip(dots, -1.0 + 1e-9, 1.0 - 1e-9)
-            grad = (1.0 / np.sqrt(1.0 - clamped ** 2)) @ T
-            grad = grad - _num.rowsum(grad * E)[:, :, None] * E
-            cand = E + step[:, :, None] * grad
+            # d/de of -arccos(<T, e>), 1/sqrt(1 - c^2) in place; the clamp
+            # keeps the slope finite at the nonsmooth directions e = +-T_k.
+            c = np.maximum(dots, -1.0 + 1e-9)
+            np.minimum(c, 1.0 - 1e-9, out=c)
+            np.square(c, out=c)
+            np.subtract(1.0, c, out=c)
+            np.sqrt(c, out=c)
+            np.divide(1.0, c, out=c)
+            grad = c @ T
+            grad -= _num.rowsum(grad * E)[:, :, None] * E
+            grad *= step[:, :, None]
+            cand = np.add(E, grad, out=grad)
             cand /= np.sqrt(_num.rowsum(cand * cand))[:, :, None]
-            cand_dots = cand @ T.transpose(0, 2, 1)
+            cand_dots = cand @ Tt
             gc = _star_values(cand_dots)
             better = gc > g
             np.copyto(E, cand, where=better[:, :, None])
@@ -150,13 +162,13 @@ def _ascent_on_sphere(starts: list[np.ndarray],
             np.copyto(g, gc, where=better)
             step *= np.where(better, 1.4, 0.5)
             stopped = (step < 1e-13).all(axis=1)
-            for j in np.flatnonzero(stopped):
-                out[ids[j]] = (E[j], g[j])
-            if stopped.all():
-                break
             if stopped.any():
+                for j in np.flatnonzero(stopped):
+                    out[ids[j]] = (E[j], g[j])
+                if stopped.all():
+                    break
                 keep = ~stopped
-                E, T, dots = E[keep], T[keep], dots[keep]
+                E, T, Tt, dots = E[keep], T[keep], Tt[keep], dots[keep]
                 g, step, ids = g[keep], step[keep], ids[keep]
         else:
             raise IterationError("vertex ascent reached VERTEX_ASCENT_MAX_ITER")

@@ -8,6 +8,7 @@ operations here are read-only.
 
 from __future__ import annotations
 
+import gc
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -23,6 +24,8 @@ MIN_EDGE_SAMPLES = 8
 # Edge endpoints must land on their vertex point this closely (they are
 # snapped to it exactly when they do).
 ENDPOINT_TOL = 1e-8
+
+NO_ARC = "a graph needs at least one closed arc"
 
 # resample_arclength makes at most this many samples over a whole graph.
 MAX_RESAMPLED_SAMPLES = 2 ** 20
@@ -230,7 +233,7 @@ def validate_graph(graph: EmbeddedGraph) -> EmbeddedGraph:
         vid = next(v.id for v in graph.vertices if v.id in seen or seen.add(v.id))
         raise ValidationError(f"duplicate vertex id {vid!r}")
     if not graph.edges:
-        raise ValidationError("a graph needs at least one closed arc")
+        raise ValidationError(NO_ARC)
     n, rows, space = len(graph.vertices), graph.end_rows, graph.space
     valence, known = np.diff(graph.end_offsets[:n + 1]), graph.end_offsets[n]
     ends, points = graph.samples[rows[:known]], graph.end_points
@@ -378,10 +381,12 @@ def load_graph(document: dict) -> EmbeddedGraph:
             ends_by_id[eid] = tuple(ends)
     except ValidationError as exc:
         fault = exc  # raised once every block before it has passed
+    if not raw:  # the first block failed, or there is none: build no array
+        raise fault or ValidationError(NO_ARC)
 
     edge_ids, endpoints = list(ends_by_id), list(ends_by_id.values())
     nv, sizes = len(vertex_ids), [len(x) for x in raw]
-    raw = np.concatenate([np.empty((0, d))] + raw)  # the parsed blocks are freed
+    raw = np.concatenate(raw)  # the parsed blocks are freed
     index = {vid: i for i, vid in enumerate(vertex_ids)}
     at = [index.get(v, -1) for pair in endpoints for v in pair]  # -1: the NaN row
     try:
@@ -404,15 +409,35 @@ def load_graph(document: dict) -> EmbeddedGraph:
                                         edges=edges))
 
 
-def load_graph_file(path) -> EmbeddedGraph:
+def _decoded_graph(path) -> EmbeddedGraph:
+    """load_graph of the JSON document in the file.  The document lives in
+    this frame alone, so it is freed when the frame returns.  Text that is
+    not UTF-8, and nesting deeper than the decoder's recursion limit, are
+    not valid JSON either."""
     import json
 
     with open(path, "r", encoding="utf-8") as fh:
         try:
             document = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ValidationError(f"not valid JSON: {exc}") from exc
     return load_graph(document)
+
+
+def load_graph_file(path) -> EmbeddedGraph:
+    """load_graph of the JSON file at path, decoded and built with the
+    cyclic collector paused.  A decoded document is a tree of lists and
+    mappings, so its tens of thousands of containers form no reference
+    cycle: a collection would traverse the whole heap and free nothing,
+    and reference counting frees the document once _decoded_graph returns,
+    before the collector resumes.  It resumes only if it ran before."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _decoded_graph(path)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

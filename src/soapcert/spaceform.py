@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -74,6 +75,9 @@ class SpaceForm:
 
     ``curv`` is kappa > 0 for the hyperbolic model (sectional curvature
     -kappa^2), b > 0 for the spherical model (+b^2), and ignored for flat.
+    A curved model needs curv^2 to be a normal float, so that the
+    curvature and its inverse are finite and nonzero, and every model an
+    embedding dimension that an array axis can hold.
     """
 
     model: Model
@@ -83,11 +87,17 @@ class SpaceForm:
     def __post_init__(self):
         if self.dim < 2:
             raise ValidationError(f"manifold dimension must be >= 2, got {self.dim}")
+        if self.dim >= np.iinfo(np.intp).max:
+            raise ValidationError(f"manifold dimension {self.dim} is too large")
         if self.model is Model.FLAT:
             object.__setattr__(self, "curv", 0.0)
         elif not self.curv > 0.0:
             raise ValidationError(
                 f"{self.model.value} model needs a positive curvature scale")
+        elif not sys.float_info.min <= self.curv * self.curv < math.inf:
+            raise ValidationError(f"{self.model.value} curvature scale "
+                                  f"{self.curv:g} is out of range: its square "
+                                  "is not a normal float")
 
     # -- basic structure ---------------------------------------------------
 

@@ -840,6 +840,41 @@ class TestExitCodes:
         assert out == ""
         assert err == f"validation error: {message}\n"
 
+    @pytest.mark.parametrize("content, message", [
+        (b"\xff\xfe{}", "not valid JSON: 'utf-8' codec can't decode byte "
+         "0xff in position 0: invalid start byte"),
+        (b"[" * 100_000 + b"\n", "not valid JSON: maximum recursion depth "
+         "exceeded while decoding a JSON array from a unicode string"),
+        (b'{"space": {"model": "hyperbolic", "dim": 2, "curv": 1e-300}}',
+         "malformed graph document: hyperbolic curvature scale 1e-300 is out "
+         "of range: its square is not a normal float"),
+        (b'{"space": {"model": "spherical", "dim": 2, "curv": 1e300}}',
+         "malformed graph document: spherical curvature scale 1e+300 is out "
+         "of range: its square is not a normal float"),
+        (b'{"space": {"model": "spherical", "dim": 2, "curv": 1e400}, '
+         b'"vertices": [{"id": "v0", "coords": [1, 0, 0]}], "edges": []}',
+         "malformed graph document: spherical curvature scale inf is out of "
+         "range: its square is not a normal float"),
+        (b'{"space": {"model": "flat", "dim": 1000000000000000000000000000000}'
+         b', "vertices": [{"id": "v0", "coords": [1, 0, 0]}], "edges": []}',
+         "malformed graph document: manifold dimension "
+         "1000000000000000000000000000000 is too large"),
+    ], ids=["not-utf-8", "too-deep", "tiny-curv", "huge-curv",
+            "overflowing-curv", "huge-dim"])
+    def test_unloadable_files_exit_2_in_a_fresh_interpreter(
+            self, tmp_path, content, message):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        src = Path(soapcert.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "soapcert.cli", "tc", str(bad)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+            text=True, timeout=120)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == f"validation error: {message}\n"
+        assert "Traceback" not in done.stderr
+
 
 class TestParserReuse:
     """run builds its argument parser once per process and reuses it."""

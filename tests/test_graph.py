@@ -1,6 +1,9 @@
 import copy
+import gc
+import json
 import math
 import re
+import types
 import warnings
 from collections import Counter
 
@@ -540,6 +543,130 @@ class TestGraphWideLoad:
         doc["tolerance"] = tolerance
         _single_fault(doc, "malformed graph document: tolerance must be "
                            "finite and nonnegative")
+
+    @pytest.mark.parametrize("model, curv, message", [
+        ("hyperbolic", 1e-300, "hyperbolic curvature scale 1e-300 is out of "
+         "range: its square is not a normal float"),
+        ("spherical", 1e-160, "spherical curvature scale 1e-160 is out of "
+         "range: its square is not a normal float"),
+        ("spherical", 1e300, "spherical curvature scale 1e+300 is out of "
+         "range: its square is not a normal float"),
+        ("hyperbolic", math.inf, "hyperbolic curvature scale inf is out of "
+         "range: its square is not a normal float"),
+        ("hyperbolic", math.nan, "hyperbolic model needs a positive "
+         "curvature scale"),
+    ])
+    def test_curvature_scale_the_models_cannot_hold(self, model, curv,
+                                                    message):
+        doc = circle_document()
+        doc["space"].update(model=model, curv=curv)
+        _single_fault(doc, f"malformed graph document: {message}")
+
+    def test_dimension_no_array_axis_can_hold(self):
+        doc = circle_document()
+        doc["space"]["dim"] = 10 ** 30
+        _single_fault(doc, f"malformed graph document: manifold dimension "
+                           f"{10 ** 30} is too large")
+
+    def test_first_block_fault_is_raised_before_any_array(self):
+        # a dimension an axis can hold but no memory can: every block
+        # fails, and the first one's fault is raised before any array of
+        # that width is built
+        doc = circle_document()
+        doc["space"]["dim"] = 10 ** 18
+        _single_fault(doc, f"vertex 'v0': expected {10 ** 18} coordinates")
+        _single_fault({**doc, "vertices": [], "edges": []},
+                      "a graph needs at least one closed arc")
+
+
+def _hyperbolic_loop_file(path, n):
+    g = shapes.wavy_closed_curve_graph(SpaceForm(Model.HYPERBOLIC, 3, 1.0),
+                                       n=n)
+    path.write_text(json.dumps(shapes.graph_document(g)))
+    return path
+
+
+@pytest.fixture(scope="module")
+def long_loop_file(tmp_path_factory):
+    """A 32,769-sample hyperbolic loop, the size of the benchmark's."""
+    return _hyperbolic_loop_file(
+        tmp_path_factory.mktemp("loop") / "loop.graph.json", 32768)
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The cyclic collector enabled or disabled as the parameter says, and
+    restored to its state before the test afterwards."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+class TestLoadWithCollectorPaused:
+    """load_graph_file decodes and builds with the cyclic collector paused,
+    frees the document before it resumes, and leaves the collector as it
+    found it on every path."""
+
+    @pytest.mark.parametrize("content, message", [
+        (b"[", "not valid JSON: Expecting value"),
+        (b"\xff\xfe{}", "not valid JSON: 'utf-8' codec can't decode"),
+        (b"[" * 100_000, "not valid JSON: maximum recursion depth exceeded"),
+        (json.dumps({**circle_document(), "tolerance": -1.0}).encode(),
+         "malformed graph document: tolerance must be finite"),
+        (json.dumps(circle_document()).replace('["v0", "v0"]',
+                                               '["v0", "w"]').encode(),
+         "edge 'e0' references unknown vertex 'w'"),
+    ], ids=["invalid-json", "not-utf-8", "too-deep", "bad-tolerance",
+            "unknown-vertex"])
+    def test_failed_load_leaves_the_collector_as_found(
+            self, tmp_path, collector, content, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
+            graph_mod.load_graph_file(path)
+        assert gc.isenabled() is collector
+
+    def test_load_leaves_the_collector_as_found(self, tmp_path, collector):
+        path = _hyperbolic_loop_file(tmp_path / "loop.json", 64)
+        assert len(graph_mod.load_graph_file(path).samples) == 65
+        assert gc.isenabled() is collector
+
+    def test_long_loop_runs_no_collection_and_frees_the_document(
+            self, long_loop_file, monkeypatch):
+        graph_mod.load_graph_file(long_loop_file)  # imports json
+        gc.collect()
+        seen, resumed = [], []
+
+        def record(phase, info):
+            seen.append((phase, info["generation"]))
+
+        def enable():
+            resumed.append(gc.get_count()[0])
+            gc.enable()
+
+        monkeypatch.setattr(graph_mod, "gc", types.SimpleNamespace(
+            isenabled=gc.isenabled, disable=gc.disable, enable=enable))
+        before = gc.get_count()[0]
+        gc.callbacks.append(record)
+        try:
+            g = graph_mod.load_graph_file(long_loop_file)
+        finally:
+            gc.callbacks.remove(record)
+        after = gc.get_count()[0]
+        assert gc.isenabled()
+        assert seen == []
+        # a document still held would leave some 33k containers counted,
+        # at the resume as well as after it
+        assert len(resumed) == 1
+        assert abs(resumed[0] - before) <= 700
+        assert abs(after - before) <= 700
+        assert len(g.samples) == 32769
+
+    def test_equals_load_graph_of_the_decoded_document(self, long_loop_file):
+        with open(long_loop_file, encoding="utf-8") as fh:
+            want = load_graph(json.load(fh))
+        _assert_same_graph(graph_mod.load_graph_file(long_loop_file), want)
 
 
 def _document_round_trips(g):

@@ -242,6 +242,24 @@ class TestSpaceForm:
         with pytest.raises(ValidationError):
             SpaceForm(Model.SPHERICAL, 3, 0.0)
 
+    @pytest.mark.parametrize("model", [Model.HYPERBOLIC, Model.SPHERICAL])
+    def test_curvature_square_must_be_a_normal_float(self, model):
+        # the smallest and largest scales whose squares are normal floats
+        low, high = math.sqrt(2.0 ** -1022), math.sqrt(1.7976931348623157e308)
+        for curv in (low, 1.0, high):
+            k = SpaceForm(model, 3, curv).sectional_curvature
+            assert 0.0 < abs(k) < math.inf and 0.0 < abs(1.0 / k) < math.inf
+        for curv in (math.nextafter(low, 0.0), 1e-300,
+                     math.nextafter(high, math.inf), 1e300, math.inf):
+            with pytest.raises(ValidationError, match="is out of range"):
+                SpaceForm(model, 3, curv)
+        SpaceForm(Model.FLAT, 3, 1e300)  # flat ignores the scale
+
+    def test_dimension_must_fit_an_array_axis(self):
+        for model in Model:
+            with pytest.raises(ValidationError, match="is too large"):
+                SpaceForm(model, 2 ** 63 - 1)
+
     def test_projection_restores_quadric(self):
         rng = np.random.default_rng(2)
         for space in ALL3:

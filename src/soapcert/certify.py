@@ -135,8 +135,7 @@ def karcher_center(space: SpaceForm, points: np.ndarray) -> np.ndarray:
         n = int(away.sum())
         if n == 0:
             return center
-        if n < len(points):
-            w, d = w[away], d[away]
+        w, d = np.compress(away, w, axis=0), np.compress(away, d)
         v = space.chord_log(center, w, d).sum(axis=0) / n \
             * (n / len(points))
         step = float(space.norm(v))

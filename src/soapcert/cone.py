@@ -221,21 +221,18 @@ def _gram_root(space: SpaceForm, alpha: np.ndarray, beta: np.ndarray,
     The Gram kernels are in-place chains: each quantity is allocated once
     and written over, in the order the expressions state.  Here that is
     (4 alpha) gamma, less t t with t = (beta - alpha) - gamma, less
-    ((2K alpha) beta) gamma.  The last term is +0 flat, for the nonnegative
-    half squared chords, and subtracting +0 changes no bit, so it is not
-    computed there."""
+    ((2K alpha) beta) gamma, computed in every model: flat it is +0 on the
+    nonnegative half squared chords, and subtracting +0 changes no bit."""
     g = np.asarray(4.0 * alpha)  # 0-d for scalars, so it can be written
     g *= gamma
     t = beta - alpha
     t -= gamma
     t *= t
     g -= t
-    k = space.sectional_curvature
-    if k != 0.0:
-        t = 2.0 * k * alpha
-        t *= beta
-        t *= gamma
-        g -= t
+    t = 2.0 * space.sectional_curvature * alpha
+    t *= beta
+    t *= gamma
+    g -= t
     np.maximum(g, 0.0, out=g)
     return np.sqrt(g, out=g)
 
@@ -271,15 +268,14 @@ def _apex_angles(space: SpaceForm, alpha: np.ndarray, beta: np.ndarray,
     law of cosines: alpha + beta - gamma - K alpha beta is w1.w2, the dot
     product at the apex of the projected chords, and _gram_root is
     |w1| |w2| times the sine of their angle, so atan2 keeps its digits for
-    thin triangles.  The K term is skipped flat, as in _gram_root."""
+    thin triangles.  The K term is computed in every model, as in
+    _gram_root."""
     out = _gram_root(space, alpha, beta, gamma)
     dot = alpha + beta
     dot -= gamma
-    k = space.sectional_curvature
-    if k != 0.0:
-        t = k * alpha
-        t *= beta
-        dot -= t
+    t = space.sectional_curvature * alpha
+    t *= beta
+    dot -= t
     return np.arctan2(out, dot, out=out)
 
 

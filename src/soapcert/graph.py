@@ -139,10 +139,6 @@ class EmbeddedGraph(_Cached):
     def total_length(self) -> float:
         return sum(e.length for e in self.edges)
 
-    def all_samples(self) -> np.ndarray:
-        """The stacked samples: the same read-only array on every call."""
-        return self.samples
-
 
 # ---------------------------------------------------------------------------
 # construction helpers
@@ -261,27 +257,50 @@ def validate_graph(graph: EmbeddedGraph) -> EmbeddedGraph:
 def _numeric(x: np.ndarray) -> bool:
     """Whether numpy read x as numbers: an integer or float dtype.  Strings,
     which a float conversion would parse, read as a string dtype; null,
-    huge integers and mixed entries as object; booleans as bool."""
+    huge integers and mixed entries as object; booleans alone as bool."""
     return x.dtype.kind in "fiu"
+
+
+def _has_bool(point) -> bool:
+    """Whether a raw point, a list of coordinates, holds a boolean."""
+    return isinstance(point, (list, tuple)) \
+        and any(isinstance(v, (bool, np.bool_)) for v in point)
+
+
+def _bools(coords, x: np.ndarray) -> bool:
+    """Whether raw coordinates that numpy read as the numbers x hold a
+    boolean, which numpy reads as 0 or 1 among numbers.  Only lists and
+    tuples can hold one, and only the points of x with an exact 0 or 1 are
+    walked, which in most graphs are few, so the walk costs little beside
+    the parse."""
+    if not isinstance(coords, (list, tuple)):
+        return False
+    hit = x == 0
+    hit |= x == 1
+    points = coords if x.ndim == 2 else [coords]
+    return any(_has_bool(points[i])
+               for i in (np.flatnonzero(hit) // x.shape[-1]).tolist())
 
 
 def _parsed(space: SpaceForm, coords, ndim: int, what: str) -> np.ndarray:
     """Raw coordinates as one float array of shape (d,) when ndim is 1 or
     (n, d) when it is 2; _placed checks that they are finite.  Entries that
-    numpy does not read as numbers (_numeric) are not coordinates.
-    Otherwise points are judged one by one, so a ragged list whose points
-    are all numbers reads as a wrongly sized point."""
+    numpy does not read as numbers (_numeric) are not coordinates, and
+    neither are booleans among numbers (_bools).  Otherwise points are
+    judged one by one, so a ragged list whose points are all numbers reads
+    as a wrongly sized point."""
     d = space.embedding_dim
     try:
         x = np.array(coords)
-        if _numeric(x) and x.ndim == ndim and x.shape[-1] == d and x.size:
+        if _numeric(x) and x.ndim == ndim and x.shape[-1] == d and x.size \
+                and not _bools(coords, x):
             return x.astype(float, copy=False)
     except (TypeError, ValueError):
         pass
     items = coords if ndim == 2 and isinstance(coords, (list, tuple)) else [coords]
     try:
-        finite = all(_numeric(c) and np.all(np.isfinite(c))
-                     for c in map(np.asarray, items))
+        finite = all(not _has_bool(c) and _numeric(np.asarray(c))
+                     and np.all(np.isfinite(c)) for c in items)
     except (TypeError, ValueError):
         finite = False
     raise ValidationError(f"{what}: expected {d} coordinates" if finite

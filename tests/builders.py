@@ -96,35 +96,67 @@ def random_graph(space, rng, n_vertices=3, n_extra=1, samples_per_edge=256,
 
 def radial_speed(space, apex, edge):
     """dr/ds along an edge: the unit direction away from the apex dotted
-    with the unit curve tangent."""
+    with the unit curve tangent.  A stack of apices of shape (m, 1, d)
+    gives one row per apex."""
     u = space.tangent_project(edge.samples, edge.samples - apex)
-    u = u / space.norm(u)[:, None]
+    u = u / space.norm(u)[..., None]
     return space.mdot(u, edge_unit_tangents(space, edge))
+
+
+# Tries of generic_apex judged together.  Half of criterion 4's instances
+# accept within about 25 tries; batches of 16 and 32 judged more tries
+# than they saved in per-call overhead.
+APEX_BATCH = 8
+
+
+def _generic_tries(space, graph, center, steps, min_clear, max_rprime):
+    """The apices exp(center, step) of a stack of tries, and whether each
+    is generic: clear of the graph by min_clear, spherical ones away from
+    the conjugate radius, and no radial speed above max_rprime.  Each row
+    takes the bits it takes on its own."""
+    apices = space.exp(center, steps)
+    r = space.dist(apices[:, None], graph.samples)
+    ok = ~(np.min(r, axis=1) < min_clear)
+    if space.model is Model.SPHERICAL:
+        ok &= ~(np.max(r, axis=1) >= space.max_radius - 0.05)
+    for e in graph.edges:
+        rows = np.flatnonzero(ok)
+        speed = radial_speed(space, apices[rows, None], e)
+        ok[rows] = np.max(np.abs(speed), axis=1) <= max_rprime
+    return apices, ok
 
 
 def generic_apex(space, graph, rng, min_clear=None, max_rprime=0.8,
                  tries=400):
     """Apex clear of the graph with no near-radial tangencies; None when no
-    such apex is found within the allotted tries."""
+    such apex is found within the allotted tries.  The tries are drawn one
+    by one, each with its own step product, and judged APEX_BATCH at a
+    time.  rng is left where judging them one by one leaves it: a batch
+    with an accepted try is drawn again from its saved state up to that
+    try."""
     if min_clear is None:
         min_clear = 0.25 * MODEL_SCALE[space.model.value]
-    samples = graph.all_samples()
+    samples = graph.samples
     center = karcher_center(space, samples)
     basis = space.tangent_basis(center)
     radius = float(np.max(space.dist(center, samples)))
-    for _ in range(tries):
+
+    def step():
         z = rng.standard_normal(space.dim)
         z *= rng.uniform(0.2, 1.1) * radius / np.linalg.norm(z)
-        apex = space.exp(center, z @ basis)
-        r = space.dist(apex, samples)
-        if np.min(r) < min_clear:
-            continue
-        if space.model is Model.SPHERICAL \
-                and np.max(r) >= space.max_radius - 0.05:
-            continue
-        if all(np.max(np.abs(radial_speed(space, apex, e))) <= max_rprime
-               for e in graph.edges):
-            return apex
+        return z @ basis
+
+    for start in range(0, tries, APEX_BATCH):
+        state = rng.bit_generator.state
+        steps = [step() for _ in range(min(APEX_BATCH, tries - start))]
+        apices, ok = _generic_tries(space, graph, center, np.array(steps),
+                                    min_clear, max_rprime)
+        hit = np.flatnonzero(ok)
+        if hit.size:
+            rng.bit_generator.state = state
+            for _ in range(hit[0] + 1):
+                step()
+            return apices[hit[0]].copy()
     return None
 
 
@@ -477,6 +509,14 @@ def loop_validate_message(graph):
     return None
 
 
+def _holds_bool(coords):
+    """Whether raw coordinates hold a boolean anywhere, which numpy reads
+    as 0 or 1 among numbers."""
+    if isinstance(coords, (bool, np.bool_)):
+        return True
+    return isinstance(coords, (list, tuple)) and any(map(_holds_bool, coords))
+
+
 def _coordinate_fault(coords, ndim, d, what):
     """The error for coordinates that are no finite array of numbers of
     shape (d,) or (n, d), judged point by point."""
@@ -486,8 +526,9 @@ def _coordinate_fault(coords, ndim, d, what):
         items = [coords]
     for c in items:
         try:
+            finite = not _holds_bool(c)
             c = np.asarray(c)
-            finite = c.dtype.kind in "fiu" and bool(np.all(np.isfinite(c)))
+            finite &= c.dtype.kind in "fiu" and bool(np.all(np.isfinite(c)))
         except (TypeError, ValueError):
             finite = False
         if not finite:
@@ -504,7 +545,7 @@ def _take_points(space, coords, ndim, what, tol):
     except (TypeError, ValueError):
         raise _coordinate_fault(coords, ndim, d, what) from None
     if (x.dtype.kind not in "fiu" or x.ndim != ndim or x.shape[-1] != d
-            or not x.size or not np.all(np.isfinite(x))):
+            or not x.size or not np.all(np.isfinite(x)) or _holds_bool(coords)):
         raise _coordinate_fault(coords, ndim, d, what)
     x = x.astype(float)
     try:

@@ -117,7 +117,7 @@ class TestHullApprox:
              "mixed-hyperbolic": lambda: mixed_chord_polygon(HYP1),
              "mixed-spherical": lambda: mixed_chord_polygon(
                  SpaceForm(Model.SPHERICAL, 3, 1.0))}[name]()
-        points = g.all_samples()
+        points = g.samples
         _, first = np.unique(points.round(decimals=12), axis=0,
                              return_index=True)
         distinct = points[np.sort(first)]
@@ -213,7 +213,7 @@ class TestExtremalConeArea:
         # every candidate is a graph sample, so none is admitted
         g = shapes.circle_graph(FLAT, 1.0, 64)
         hull = HullApprox(center=np.zeros(3), radius=1.0,
-                          grid=g.all_samples()[:8])
+                          grid=g.samples[:8])
         with pytest.raises(NumericalError, match="^no usable apex candidate "
                                                  "in the hull grid$"):
             extremal_cone_area(FLAT, g, hull, "min")
@@ -276,7 +276,7 @@ class TestExtremalConeArea:
         monkeypatch.setattr(SpaceForm, "dist", counted)
         extremal_cone_area(HYP1, g, hull, "min")
         extremal_cone_area(HYP1, g, hull, "max")
-        assert rows and max(rows) < len(g.all_samples())
+        assert rows and max(rows) < len(g.samples)
 
     @pytest.mark.parametrize("name", ["hyperbolic", "spherical", "flat"])
     def test_refinement_never_worse_than_the_grid(self, name):

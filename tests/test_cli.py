@@ -419,7 +419,7 @@ class TestDensityMapAndGBCheck:
         assert f"({len(apices)} apices)" in out
         assert np.min(g.space.dist(apices, center)) > SEARCH_CLEARANCE
         for apex in apices:
-            assert np.min(g.space.dist(apex, g.all_samples())) \
+            assert np.min(g.space.dist(apex, g.samples)) \
                 > SEARCH_CLEARANCE
 
     def test_gb_check_without_room_for_apices(self, capsys, tmp_path):
@@ -538,7 +538,7 @@ class TestOneBuildPerGraph:
         monkeypatch.setattr(graph_mod, "unit_tangents", counted)
         code, _, _ = run_capture(capsys, argv + [str(path)])
         assert code == 0
-        assert rows == [len(g.all_samples())]
+        assert rows == [len(g.samples)]
         if name == "cube":
             assert rows == [396]
 
@@ -739,6 +739,8 @@ class TestExitCodes:
          "edge 'e' sample: expected 3 coordinates"),
         ([[0, 0, 0], ["0.5", "-0.5", "0"], [1, 0, 0]],
          "edge 'e' sample: coordinates must be finite numbers"),
+        ([[0, 0, 0], [0.5, True, 0.0], [1, 0, 0]],
+         "edge 'e' sample: coordinates must be finite numbers"),
     ])
     def test_malformed_coordinates_are_validation_failures(
             self, capsys, tmp_path, samples, named):
@@ -784,6 +786,8 @@ class TestExitCodes:
          "malformed graph document: curv must be a number"),
         (lambda d: d["vertices"][0].__setitem__("coords", ["1.0", "0", "0"]),
          "vertex 'a': coordinates must be finite numbers"),
+        (lambda d: d["vertices"][1].__setitem__("coords", [True, 0, 0.0]),
+         "vertex 'b': coordinates must be finite numbers"),
         *[(lambda d, t=t: d.__setitem__("tolerance", t),
            "malformed graph document: tolerance must be finite and "
            "nonnegative") for t in (-1.0, math.nan, math.inf)],
@@ -791,6 +795,7 @@ class TestExitCodes:
             "numeric-endpoints", "list-valued-id", "word-tolerance",
             "string-tolerance", "boolean-tolerance", "fractional-dim",
             "string-dim", "string-curv", "boolean-curv", "string-coords",
+            "boolean-coords",
             "negative-tolerance", "nan-tolerance", "infinite-tolerance"])
     def test_malformed_blocks_are_validation_failures(
             self, capsys, tmp_path, edit, named):

@@ -290,7 +290,7 @@ class TestAmbientConeArea:
         near = np.array([1.001, 0.0, 0.0])
         assert ambient_cone_area(FLAT, near, g) > 0.0
         with pytest.raises(ApexOnGraphError):
-            check_apex(FLAT, near, g.all_samples(), clearance=1e-2)
+            check_apex(FLAT, near, g.samples, clearance=1e-2)
 
     def test_spherical_apex_at_conjugate_distance_rejected(self):
         g = shapes.circle_graph(SPH1, 0.4, 128)
@@ -583,7 +583,7 @@ class TestAdmissibilityRule:
         x0 = g.edges[0].samples[0]
         basis = space.tangent_basis(x0)
         rng = np.random.default_rng(31)
-        samples = g.all_samples()
+        samples = g.samples
         tc = cone_total_curvature(space, g)
         outcomes = []
         for factor in (1.0 - 1e-9, 1.0 + 1e-9):
@@ -616,7 +616,7 @@ class TestAdmissibilityRule:
         g = shapes.circle_graph(SPH1, 0.4, 128)
         apex = -g.edges[0].samples[0]
         with pytest.raises(ConjugatePointError, match="conjugate radius"):
-            check_apex(SPH1, apex, g.all_samples())
+            check_apex(SPH1, apex, g.samples)
         with pytest.raises(ConjugatePointError, match="conjugate radius"):
             ambient_cone_area(SPH1, apex, g)
 

@@ -282,16 +282,25 @@ class TestIngestErrors:
         doc["vertices"][0]["coords"] = coords
         _single_fault(doc, f"vertex 'v0': {message}")
 
+    # numpy reads a boolean among numbers as 1 or 0: [True, 0, 0] would
+    # load as the circle's first point, and a row of booleans among float
+    # rows as floats
     @pytest.mark.parametrize("bad", [["x", 0, 0], [None, 0, 0],
                                      [float("nan"), 0, 0], [[0, 0], 0, 0],
-                                     ["1.0", "0", "0"]])
+                                     ["1.0", "0", "0"], [True, 0, 0],
+                                     [0.5, False, 0.0], [1, 0.5, True],
+                                     [True, False, False]])
     def test_non_numeric_coordinates_name_the_point(self, bad):
         doc = circle_document()
         doc["edges"][0]["samples"][5] = bad
         _single_fault(doc, "edge 'e0' sample: coordinates must be finite numbers")
+        assert _outcome(edge_by_edge_load, doc) == (
+            ValidationError, "edge 'e0' sample: coordinates must be finite numbers")
         doc = circle_document()
         doc["vertices"][0]["coords"] = bad
         _single_fault(doc, "vertex 'v0': coordinates must be finite numbers")
+        assert _outcome(edge_by_edge_load, doc) == (
+            ValidationError, "vertex 'v0': coordinates must be finite numbers")
 
     def test_boolean_coordinates_are_not_numbers(self):
         # a block of booleans only; among numbers a boolean reads as 0 or 1
@@ -797,7 +806,7 @@ class TestSphericalDiameter:
     def test_graph_outside_every_cap_loads(self):
         _, doc = _equator_bulged_triangle(64)
         g = load_graph(doc)
-        assert len(g.all_samples()) == 3 * 65
+        assert len(g.samples) == 3 * 65
 
     @pytest.fixture()
     def no_tree(self, monkeypatch):
@@ -810,9 +819,9 @@ class TestSphericalDiameter:
     def test_loop_in_a_hemisphere_skips_the_exact_query(self, no_tree):
         space = SpaceForm(Model.SPHERICAL, 3, 1.0)
         g = shapes.wavy_closed_curve_graph(space, 1.3, 0.12, 3, 512)
-        points = g.all_samples()
+        points = g.samples
         assert np.max(space.dist(space.base_point(), points)) < 1.5
-        loaded = load_graph(shapes.graph_document(g)).all_samples()
+        loaded = load_graph(shapes.graph_document(g)).samples
         assert loaded.shape == points.shape
         assert np.max(space.dist(loaded, points)) < 1e-12
 
@@ -1062,10 +1071,9 @@ class TestStackedLayout:
                            match="^a graph needs at least one closed arc$"):
             load_graph(document)
 
-    def test_all_samples_is_one_read_only_array(self):
+    def test_samples_is_one_read_only_array(self):
         g = shapes.cube_skeleton_graph()
-        samples = g.all_samples()
-        assert g.all_samples() is samples
+        samples = g.samples
         assert np.array_equal(samples,
                               np.concatenate([e.samples for e in g.edges]))
         with pytest.raises(ValueError):

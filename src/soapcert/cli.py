@@ -93,11 +93,16 @@ def _parse_apex(space: SpaceForm, text: str) -> np.ndarray:
             f"apex needs {space.embedding_dim} comma-separated coordinates")
     if not np.all(np.isfinite(coords)):
         raise ValidationError("apex coordinates must be finite numbers")
-    try:
-        proj = space.project_point(coords)
-    except ValidationError as exc:
-        raise ValidationError(f"apex: {exc}") from None
-    if float(space.manifold_offset(coords)) > APEX_TOLERANCE:
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is judged below
+        try:
+            proj = space.project_point(coords)
+        except ValidationError as exc:
+            raise ValidationError(f"apex: {exc}") from None
+        offset = float(space.manifold_offset(coords))
+        finite = np.all(np.isfinite([coords @ coords, offset, *proj]))
+    if not finite:
+        raise ValidationError("apex coordinates overflow when squared or projected")
+    if offset > APEX_TOLERANCE:
         raise ValidationError("apex is off the manifold beyond tolerance")
     return proj
 
@@ -207,9 +212,22 @@ def _write_files(outputs) -> None:
         raise
 
 
+def _check_outputs(args, *flags: str) -> None:
+    """ValidationError when the path of an output flag names, by realpath,
+    the input graph or the path of an earlier flag, before anything is
+    computed or written."""
+    taken = {os.path.realpath(args.graph): "the input graph"}
+    for flag in flags:
+        path = getattr(args, flag)
+        if path:
+            real = os.path.realpath(path)
+            if real in taken:
+                raise ValidationError(f"--{flag} names {taken[real]}: {path}")
+            taken[real] = f"the --{flag} file"
+
+
 def _cmd_develop(args, graph: EmbeddedGraph, seed: int) -> list[str]:
-    if args.svg and os.path.realpath(args.svg) == os.path.realpath(args.out):
-        raise ValidationError(f"--svg names the --out file: {args.svg}")
+    _check_outputs(args, "out", "svg")
     apex = _parse_apex(graph.space, args.apex)
     dev = cone_mod.develop_cone(graph.space, apex, graph)
     outputs = [(args.out, _develop_csv(dev))]
@@ -222,6 +240,7 @@ def _cmd_develop(args, graph: EmbeddedGraph, seed: int) -> list[str]:
 
 
 def _cmd_density_map(args, graph: EmbeddedGraph, seed: int) -> list[str]:
+    _check_outputs(args, "out")
     report = cone_total_curvature(graph.space, graph)
     hull = hull_approx(graph.space, graph, grid_n=args.grid)
     rows = []

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import _num
 from .curvature import curvature_vectors
-from .errors import ApexOnGraphError, ConjugatePointError, ValidationError
+from .errors import (ApexOnGraphError, ConjugatePointError, NumericalError,
+                     ValidationError)
 from .graph import (
     EdgeCurve,
     EmbeddedGraph,
@@ -77,9 +78,23 @@ def check_apex(space: SpaceForm, apex: np.ndarray, samples: np.ndarray,
     sample sits at or beyond the conjugate radius pi/b less 1e-6 (or within
     the antipodal slack of SpaceForm.dist, when that is nearer).  Half
     squared chords grow with distance, so these are the distance tests,
-    without arcsin or arcsinh per sample."""
+    without arcsin or arcsinh per sample.
+
+    NumericalError when the smallest alpha is not finite or exceeds
+    L = 1e100 / max(|K|, 1e-150)^(1/3), K the sectional curvature.  With
+    every half squared chord of a triangle at most L, the Gram kernel's
+    largest product, ((2K alpha) beta) gamma, is at most 2 |K| L^3 <= 2e300,
+    and (4 alpha) gamma and t t (|t| <= 2L) at most 4 L^2 <= 4e300, below
+    the largest float, 1.8e308.  Every alpha is at least the smallest, so
+    past L no triangle at this apex is within that bound."""
     alpha = _half_sq_chords(space, samples, apex)
-    if alpha.min() <= _half_sq_chord(space, clearance):
+    nearest = alpha.min()
+    ceiling = 1e100 / max(abs(space.sectional_curvature), 1e-150) ** (1.0 / 3.0)
+    if not nearest <= ceiling:
+        raise NumericalError("apex is too far from the graph for the cone "
+                             f"kernels: half squared chord {nearest:.3g} to "
+                             f"its nearest sample, above {ceiling:.3g}")
+    if nearest <= _half_sq_chord(space, clearance):
         raise ApexOnGraphError("apex lies on the graph")
     if space.model is Model.SPHERICAL:
         limit = min(space.max_radius - 1e-6,

@@ -352,11 +352,36 @@ def _scalar(value, what: str, integral: bool = False):
     return int(value) if integral else float(value)
 
 
+def _blocks(space: SpaceForm, vertex_blocks, edge_blocks):
+    """(id, endpoints, name, coordinates) of each vertex block, then of each
+    edge block, parsed (_parsed) in document order: name prefixes the
+    block's faults, and a vertex has endpoints None and shape (1, d)."""
+    for i, vb in enumerate(vertex_blocks):
+        vid = _block_id(vb, f"vertex block {i}")
+        what = f"vertex {vid!r}"
+        coords = _entry(vb, "coords", what)
+        yield vid, None, what, _parsed(space, coords, 1, what)[None]
+    seen = set()
+    for i, eb in enumerate(edge_blocks):
+        eid = _block_id(eb, f"edge block {i}")
+        if eid in seen or seen.add(eid):
+            raise ValidationError(f"duplicate edge id {eid!r}")
+        what = f"edge {eid!r}"
+        ends = _entry(eb, "endpoints", what)
+        if not isinstance(ends, (list, tuple)) or len(ends) != 2 \
+                or any(isinstance(v, (list, dict)) for v in ends):
+            raise ValidationError(f"{what} needs a list of two endpoint ids")
+        what, coords = f"{what} sample", _entry(eb, "samples", what)
+        yield eid, tuple(ends), what, _parsed(space, coords, 2, what)
+
+
 def load_graph(document: dict) -> EmbeddedGraph:
     """Build a validated graph from a parsed document (see the file format
-    in the CLI module).  Each block is parsed on its own, then all points
-    are checked, projected (see _placed) and snapped as one array.  A
-    failure reports the first block to fail when checked one by one."""
+    in the CLI module).  The stacked build parses each block (_blocks), then
+    checks, projects (_placed), snaps and measures all points as one array.
+    If that fails, the fault walk parses the blocks again and places, snaps
+    and measures each on its own: the first block to fail raises its own
+    fault, or else the stacked error goes on.  validate_graph judges last."""
     if not isinstance(document, dict):
         raise ValidationError("graph document must be a mapping")
     try:
@@ -367,63 +392,36 @@ def load_graph(document: dict) -> EmbeddedGraph:
                           curv=_scalar(space_block.get("curv", 0.0), "curv"))
         vertex_blocks = list(document["vertices"])
         edge_blocks = list(document["edges"])
+        tol = _scalar(document.get("tolerance", 1e-6), "tolerance")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed graph document: {exc}") from exc
-    try:
-        tol = _scalar(document.get("tolerance", 1e-6), "tolerance")
-    except TypeError as exc:
-        raise ValidationError(f"malformed graph document: {exc}") from None
     if not 0.0 <= tol < math.inf:
         raise ValidationError("malformed graph document: tolerance must be "
                               "finite and nonnegative")
 
-    d = space.embedding_dim
-    names, raw, vertex_ids, ends_by_id, fault = [], [], [], {}, None
+    if not (vertex_blocks or edge_blocks):
+        raise ValidationError(NO_ARC)
+    nv = len(vertex_blocks)
     try:
-        for i, vb in enumerate(vertex_blocks):
-            vid = _block_id(vb, f"vertex block {i}")
-            what = f"vertex {vid!r}"
-            raw.append(_parsed(space, _entry(vb, "coords", what), 1, what)[None])
-            names.append(what)
-            vertex_ids.append(vid)
-        for i, eb in enumerate(edge_blocks):
-            eid = _block_id(eb, f"edge block {i}")
-            if eid in ends_by_id:
-                raise ValidationError(f"duplicate edge id {eid!r}")
-            what = f"edge {eid!r}"
-            ends = _entry(eb, "endpoints", what)
-            if not isinstance(ends, (list, tuple)) or len(ends) != 2 \
-                    or any(isinstance(v, (list, dict)) for v in ends):
-                raise ValidationError(f"{what} needs a list of two endpoint ids")
-            names.append(f"{what} sample")  # read only for blocks in raw
-            raw.append(_parsed(space, _entry(eb, "samples", what), 2, names[-1]))
-            ends_by_id[eid] = tuple(ends)
-    except ValidationError as exc:
-        fault = exc  # raised once every block before it has passed
-    if not raw:  # the first block failed, or there is none: build no array
-        raise fault or ValidationError(NO_ARC)
-
-    edge_ids, endpoints = list(ends_by_id), list(ends_by_id.values())
-    nv, sizes = len(vertex_ids), [len(x) for x in raw]
-    raw = np.concatenate(raw)  # the parsed blocks are freed
-    index = {vid: i for i, vid in enumerate(vertex_ids)}
-    at = [index.get(v, -1) for pair in endpoints for v in pair]  # -1: the NaN row
-    try:
-        x = _placed(space, raw, "graph", tol)  # raw itself when flat
-        points = np.concatenate([x[:nv], np.full((1, d), np.nan)])
-        edges = _edges(space, x[nv:], sizes[nv:], edge_ids, endpoints, points[at])
-    except SoapcertError:  # the first failing block raises; raw may hold flat
-        # ends snapped above, and snapping them again changes nothing
-        blocks = np.split(raw, np.cumsum(sizes)[:-1])
-        points = np.concatenate([_placed(space, x, what, tol) for what, x in zip(
-            names, blocks[:nv])] + [np.full((1, d), np.nan)])
-        for j, x in enumerate(blocks[nv:]):
-            _edges(space, _placed(space, x, names[nv + j], tol), [len(x)],
-                   edge_ids[j:], endpoints[j:], points[at[2 * j:2 * j + 2]])
+        ids, pairs, _, x = zip(*_blocks(space, vertex_blocks, edge_blocks))
+        sizes = [len(block) for block in x]
+        x = np.concatenate(x)  # the parsed blocks are freed,
+        x = _placed(space, x, "graph", tol)  # and the raw array once placed
+        index = {vid: i for i, vid in enumerate(ids[:nv])}
+        points = np.concatenate([x[:nv], np.full((1, space.embedding_dim), np.nan)])
+        at = [index.get(v, -1) for pair in pairs[nv:] for v in pair]  # -1: NaN
+        edges = _edges(space, x[nv:], sizes[nv:], ids[nv:], pairs[nv:], points[at])
+    except SoapcertError:  # the fault walk: blocks one by one, from the document
+        placed = {}
+        for bid, pair, what, x in _blocks(space, vertex_blocks, edge_blocks):
+            x = _placed(space, x, what, tol)
+            if pair is None:
+                placed[bid] = x[0]  # the last of a repeated id, as index has
+            else:
+                _edges(space, x, [len(x)], [bid], [pair], np.array(
+                    [placed.get(v, np.full_like(x[0], np.nan)) for v in pair]))
         raise
-    if fault is not None:
-        raise fault
-    vertices = [Vertex(id=vid, point=p) for vid, p in zip(vertex_ids, points)]
+    vertices = [Vertex(id=vid, point=p) for vid, p in zip(ids[:nv], points)]
     return validate_graph(EmbeddedGraph(space=space, vertices=vertices,
                                         edges=edges))
 

@@ -38,9 +38,11 @@ SPACES = {
 MODEL_SCALE = {"flat": 1.0, "hyperbolic": 1.0, "spherical": 0.45}
 
 
-def smooth_edge(space, a, b, rng, frac=0.10, n=256):
+def smooth_edge(space, a, b, rng, frac=0.10, n=256, skew=0.0):
     """Edge from a to b: the straight path in midpoint tangent coordinates
-    plus one transverse sine bump of relative amplitude ~frac."""
+    plus one transverse sine bump of relative amplitude ~frac.  A nonzero
+    skew adds skew times that amplitude of the second sine harmonic, which
+    takes away the bump's mirror symmetry about the midpoint."""
     mid = space.geodesic_point(a, b, 0.5)
     basis = space.tangent_basis(mid)
     ca = space.mdot(basis, space.log(mid, a))
@@ -54,6 +56,8 @@ def smooth_edge(space, a, b, rng, frac=0.10, n=256):
     amp = frac * length * rng.uniform(0.3, 1.0)
     coords = ca[None, :] + t[:, None] * (cb - ca)[None, :] \
         + (amp * np.sin(math.pi * t))[:, None] * w[None, :]
+    if skew:
+        coords += (skew * amp * np.sin(2.0 * math.pi * t))[:, None] * w[None, :]
     pts = space.exp(np.broadcast_to(mid, (len(t), len(mid))), coords @ basis)
     pts[0] = a
     pts[-1] = b
@@ -61,10 +65,10 @@ def smooth_edge(space, a, b, rng, frac=0.10, n=256):
 
 
 def random_graph(space, rng, n_vertices=3, n_extra=1, samples_per_edge=256,
-                 ball=None, frac=0.10):
+                 ball=None, frac=0.10, skew=0.0):
     """Connected random graph: a vertex cycle plus extra chords, every edge a
-    smooth bump curve.  Vertices are kept pairwise separated so edge
-    curvatures stay moderate."""
+    smooth bump curve (smooth_edge, with its skew).  Vertices are kept
+    pairwise separated so edge curvatures stay moderate."""
     if ball is None:
         ball = 0.8 * MODEL_SCALE[space.model.value]
     base = space.base_point()
@@ -88,7 +92,7 @@ def random_graph(space, rng, n_vertices=3, n_extra=1, samples_per_edge=256,
     vertices = [Vertex(id=f"v{i}", point=pts[i]) for i in range(n_vertices)]
     edges = [make_edge(space, f"e{k}", (f"v{i}", f"v{j}"),
                        smooth_edge(space, pts[i], pts[j], rng, frac,
-                                   samples_per_edge))
+                                   samples_per_edge, skew))
              for k, (i, j) in enumerate(pairs)]
     return validate_graph(EmbeddedGraph(space=space, vertices=vertices,
                                         edges=edges))

@@ -213,6 +213,40 @@ class TestCone:
         assert err == ("validation error: apex coordinates must be finite "
                        "numbers\n")
 
+    @pytest.mark.parametrize("model, apex", [
+        (Model.FLAT, "1e160,0,0"), (Model.FLAT, "1e154,1e154,1e154"),
+        (Model.HYPERBOLIC, "1e200,1e200,0,0"), (Model.HYPERBOLIC, "1e200,0,0,0"),
+        (Model.SPHERICAL, "1e200,0,0,0")])
+    def test_overflowing_apex_is_validation_failure(self, capsys, tmp_path,
+                                                    model, apex):
+        # squares, projection or offset overflow; judged without a
+        # RuntimeWarning, which the suite turns into an error.  The
+        # hyperbolic (1e200, 1e200) projects to NaN, which once passed as
+        # an apex and failed later with a misleading message
+        path = tmp_path / f"{model.value}.json"
+        path.write_text(json.dumps(shapes.graph_document(
+            shapes.circle_graph(SpaceForm(model, 3, 1.0), 0.8, 64))))
+        code, out, err = run_capture(capsys,
+                                     ["cone", f"--apex={apex}", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err == ("validation error: apex coordinates overflow when "
+                       "squared or projected\n")
+
+    @pytest.mark.parametrize("apex, chord", [("1e154,0,0", "5e+307"),
+                                             ("1e76,0,0", "5e+151")])
+    def test_apex_beyond_the_kernels_range_is_numerical_failure(
+            self, capsys, circle_file, apex, chord):
+        # its squares are finite, but the cone kernels' products of half
+        # squared chords would overflow: once Theta 256 or nan with exit 0
+        code, out, err = run_capture(capsys,
+                                     ["cone", f"--apex={apex}", circle_file])
+        assert code == 3
+        assert out == ""
+        assert err == ("numerical error: apex is too far from the graph for "
+                       f"the cone kernels: half squared chord {chord} to its "
+                       "nearest sample, above 1e+150\n")
+
 
 class TestDevelop:
     def test_csv_columns_and_svg(self, capsys, tmp_path, circle_file):
@@ -290,6 +324,23 @@ class TestDevelop:
         assert code == 2
         assert out == ""
         assert err == f"validation error: --svg names the --out file: {same}\n"
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--svg"])
+    def test_output_naming_the_graph_is_validation_failure(
+            self, capsys, tmp_path, circle_file, flag):
+        # the graph file would be overwritten; nothing is written
+        before = Path(circle_file).read_bytes()
+        same = str(tmp_path / "." / Path(circle_file).name)
+        out_csv = tmp_path / "dev.csv"
+        outputs = ["--out", same] if flag == "--out" else [
+            "--out", str(out_csv), "--svg", same]
+        code, out, err = run_capture(capsys, [
+            "develop", "--apex", "0,0,0.5", *outputs, circle_file])
+        assert code == 2
+        assert out == ""
+        assert err == f"validation error: {flag} names the input graph: {same}\n"
+        assert Path(circle_file).read_bytes() == before
         assert not out_csv.exists()
 
     @pytest.mark.parametrize("model", ["hyperbolic", "spherical"])
@@ -381,6 +432,17 @@ class TestDensityMapAndGBCheck:
         assert len(lines) > 10
         bounds = np.array([float(ln.split(",")[-1]) for ln in lines[1:]])
         assert np.allclose(bounds, 1.0, atol=1e-3)
+
+    def test_density_map_out_naming_the_graph_is_validation_failure(
+            self, capsys, tmp_path, circle_file):
+        before = Path(circle_file).read_bytes()
+        same = str(tmp_path / "." / Path(circle_file).name)
+        code, out, err = run_capture(capsys, [
+            "density-map", "--grid", "8", "--out", same, circle_file])
+        assert code == 2
+        assert out == ""
+        assert err == f"validation error: --out names the input graph: {same}\n"
+        assert Path(circle_file).read_bytes() == before
 
     def test_density_map_spherical(self, capsys, tmp_path):
         space = SpaceForm(Model.SPHERICAL, 3, 1.0)

@@ -621,6 +621,60 @@ class TestAdmissibilityRule:
             ambient_cone_area(SPH1, apex, g)
 
 
+class TestKernelRange:
+    """check_apex raises NumericalError, neither of its admissibility errors,
+    when the smallest half squared chord alpha is not finite or exceeds
+    L = 1e100 / max(|K|, 1e-150)^(1/3), under which the Gram kernels'
+    products stay finite."""
+
+    @staticmethod
+    def limit(space):
+        return 1e100 / max(abs(space.sectional_curvature), 1e-150) ** (1 / 3)
+
+    @pytest.mark.parametrize("space", [
+        FLAT, HYP1, SPH1, SpaceForm(Model.HYPERBOLIC, 3, 1e-100),
+        SpaceForm(Model.HYPERBOLIC, 3, 1e-60),
+        SpaceForm(Model.SPHERICAL, 3, 1e100),
+        SpaceForm(Model.SPHERICAL, 3, 1e150)],
+        ids=lambda s: f"{s.model.value}-{s.curv:g}")
+    def test_kernels_are_finite_up_to_the_limit(self, space):
+        # every triangle with half squared chords in {0, L/2, L}: the
+        # suite turns an overflow's RuntimeWarning into an error
+        grid = np.array([0.0, 0.5, 1.0]) * self.limit(space)
+        alpha, beta, gamma = (a.ravel() for a in np.meshgrid(grid, grid, grid))
+        for kernel in (_gram_root, _triangle_areas, _apex_angles):
+            assert np.all(np.isfinite(kernel(space, alpha, beta, gamma)))
+
+    def test_flat_limit_is_sharp(self):
+        g = shapes.circle_graph(FLAT, 0.4, 128)
+        x = np.sqrt(2e150) + 0.4  # alpha to the nearest sample, (0.4, 0, 0)
+        with pytest.raises(NumericalError, match="too far from the graph"):
+            check_apex(FLAT, np.array([x * (1 + 1e-9), 0.0, 0.0]), g.samples)
+        apex = np.array([x * (1 - 1e-9), 0.0, 0.0])
+        assert check_apex(FLAT, apex, g.samples).min() < 1e150
+        area, grad = cone_area_gradient(FLAT, apex, g)
+        assert math.isfinite(area) and np.all(np.isfinite(grad))
+        assert math.isfinite(ambient_cone_density(FLAT, apex, g))
+
+    @UNIT_MODELS
+    def test_nan_apex_is_numerical_failure(self, space):
+        g = shapes.circle_graph(space, 0.4, 128)
+        apex = np.full(space.embedding_dim, np.nan)
+        tc = cone_total_curvature(space, g)
+        for fn in (lambda: check_apex(space, apex, g.samples),
+                   lambda: develop_cone(space, apex, g),
+                   lambda: ambient_cone_area(space, apex, g),
+                   lambda: cone_area_gradient(space, apex, g),
+                   lambda: density_bound(space, apex, g, tc)):
+            with pytest.raises(NumericalError) as info:
+                fn()
+            assert type(info.value) is NumericalError
+            assert str(info.value) == (
+                "apex is too far from the graph for the cone kernels: half "
+                f"squared chord nan to its nearest sample, above "
+                f"{self.limit(space):.3g}")
+
+
 class TestConeConormalCurvature:
     def test_flat_circle_inward_curvature(self):
         g = shapes.circle_graph(FLAT, 2.0, 1024)

@@ -8,6 +8,8 @@ enforces.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 
@@ -34,17 +36,9 @@ def _column(v: np.ndarray, ndim: int) -> np.ndarray:
 
 _WINDOW = 5
 
-# For window node j: the other nodes (_OTHERS[j]), and for the i-th of
-# them, k = _OTHERS[j, i], the nodes left once j and k are dropped
-# (_REST[j, i]), all in increasing order.
-_OTHERS = np.array([[m for m in range(_WINDOW) if m != j]
-                    for j in range(_WINDOW)])
-_REST = np.array([[[m for m in _OTHERS[j] if m != k] for k in _OTHERS[j]]
-                  for j in range(_WINDOW)])
-
 # Samples per block of the weight build; it keeps the temporaries of a
 # long edge within cache.
-_BLOCK = 2048
+_BLOCK = 8192
 
 
 def first_derivative_stencil(s: np.ndarray, bounds=None
@@ -70,7 +64,7 @@ def first_derivative_stencil(s: np.ndarray, bounds=None
     start = np.clip(np.arange(n) - _WINDOW // 2, np.repeat(bounds[:-1], count),
                     np.repeat(bounds[1:] - _WINDOW, count))
     # node parameters relative to the evaluation point, one row per node
-    t = s[start + np.arange(_WINDOW)[:, None]] - s
+    t = s.take(start + np.arange(_WINDOW)[:, None]) - s  # take: faster than indexing
     weights = np.empty_like(t)
     for lo in range(0, n, _BLOCK):
         weights[:, lo:lo + _BLOCK] = _lagrange_slopes(t[:, lo:lo + _BLOCK])
@@ -83,17 +77,24 @@ def _lagrange_slopes(t: np.ndarray) -> np.ndarray:
 
         sum_{k != j} prod_{m != j, k} (-t_m)  /  prod_{m != j} (t_j - t_m),
 
-    with every product and sum taken in increasing node order."""
+    with every product and sum taken in increasing node order.  The
+    product over the three nodes other than j and k serves rows j and k,
+    so each of the ten is formed once."""
     neg = -t
-    denom = t - t[_OTHERS[:, 0]]
-    for i in range(1, _WINDOW - 1):
-        denom = denom * (t - t[_OTHERS[:, i]])
-    num = None
-    for i in range(_WINDOW - 1):
-        rest = _REST[:, i]
-        prod = neg[rest[:, 0]] * neg[rest[:, 1]] * neg[rest[:, 2]]
-        num = prod if num is None else num + prod
-    return num / denom
+    nodes = range(_WINDOW)
+    rest = {}
+    for a, b, c in itertools.combinations(nodes, 3):
+        j, k = (m for m in nodes if m not in (a, b, c))
+        rest[j, k] = rest[k, j] = neg[a] * neg[b] * neg[c]
+    out = np.empty_like(t)
+    for j in nodes:
+        k, *others = (m for m in nodes if m != j)
+        num, denom = rest[j, k].copy(), t[j] - t[k]
+        for m in others:
+            num += rest[j, m]
+            denom *= t[j] - t[m]
+        np.divide(num, denom, out=out[j])
+    return out
 
 
 def apply_stencil(stencil: tuple[np.ndarray, np.ndarray],

@@ -9,6 +9,7 @@ operations here are read-only.
 from __future__ import annotations
 
 import gc
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -26,6 +27,11 @@ MIN_EDGE_SAMPLES = 8
 ENDPOINT_TOL = 1e-8
 
 NO_ARC = "a graph needs at least one closed arc"
+
+# The types that numpy reads as 0 or 1 among numbers; _bools scans blocks
+# of up to _SCAN_ROWS points for them without a gate.
+_BOOL_TYPES = frozenset((bool, np.bool_))
+_SCAN_ROWS = 64
 
 # resample_arclength makes at most this many samples over a whole graph.
 MAX_RESAMPLED_SAMPLES = 2 ** 20
@@ -143,10 +149,6 @@ class EmbeddedGraph(_Cached):
 # ---------------------------------------------------------------------------
 # construction helpers
 
-def arclength_params(space: SpaceForm, samples: np.ndarray) -> np.ndarray:
-    return np.concatenate(([0.0], np.cumsum(space.dist(samples[:-1], samples[1:]))))
-
-
 def make_edge(space: SpaceForm, edge_id, endpoints, samples) -> EdgeCurve:
     """Validate and build one edge from raw on-manifold samples."""
     samples = np.asarray(samples, float)
@@ -158,9 +160,14 @@ def make_edge(space: SpaceForm, edge_id, endpoints, samples) -> EdgeCurve:
 def _edges(space: SpaceForm, samples: np.ndarray, counts, ids, endpoints,
            targets=None) -> list[EdgeCurve]:
     """make_edge of edges stacked one after another, counts[i] samples of
-    edge ids[i], in one pass.  Given targets (two rows per edge, NaN for
-    none), each end within ENDPOINT_TOL of its own is first snapped onto it.
-    Short edges get geodesic chord midpoints up to MIN_EDGE_SAMPLES."""
+    edge ids[i], in one pass; the one place an EdgeCurve is built.  Given
+    targets (two rows per edge, NaN for none), each end within ENDPOINT_TOL
+    of its own is first snapped onto it.  The chord rule: every chord
+    between consecutive samples is finite and at least 1e-12, and the
+    first chord to break it names its edge.  Short edges get geodesic
+    chord midpoints up to MIN_EDGE_SAMPLES.  s is the running sum of the
+    chords, so it equals the cumsum of space.dist over consecutive samples
+    bit for bit."""
     counts = np.asarray(counts, dtype=int)
     stop = np.cumsum(counts)
     if targets is not None:
@@ -172,10 +179,16 @@ def _edges(space: SpaceForm, samples: np.ndarray, counts, ids, endpoints,
                               "least two samples")
     step = np.diff(samples, axis=0)  # space.dist's q - p, bit for bit
     step[stop[:-1] - 1] = 0.0  # no chord from one edge to the next
-    chords = np.delete(space.chord_dist(space.mdot(step, step)), stop[:-1] - 1)
-    if np.any(chords < 1e-12):
-        i = np.repeat(np.arange(len(counts)), counts - 1)[np.argmax(chords < 1e-12)]
-        raise ValidationError(f"edge {ids[i]!r} has coincident consecutive samples")
+    with np.errstate(over="ignore", invalid="ignore"):  # the rule judges these
+        chords = np.delete(space.chord_dist(space.mdot(step, step)),
+                           stop[:-1] - 1)
+    bad = ~(np.isfinite(chords) & (chords >= 1e-12))
+    if bad.any():
+        j = int(np.argmax(bad))
+        i = np.repeat(np.arange(len(counts)), counts - 1)[j]
+        raise ValidationError(f"edge {ids[i]!r} has " + (
+            "coincident consecutive samples" if chords[j] < 1e-12
+            else "a chord that is not finite"))
     edges = []
     for i, (eid, pair, lo, hi) in enumerate(zip(
             ids, endpoints, (stop - counts).tolist(), stop.tolist())):
@@ -264,22 +277,29 @@ def _numeric(x: np.ndarray) -> bool:
 def _has_bool(point) -> bool:
     """Whether a raw point, a list of coordinates, holds a boolean."""
     return isinstance(point, (list, tuple)) \
-        and any(isinstance(v, (bool, np.bool_)) for v in point)
+        and not _BOOL_TYPES.isdisjoint(map(type, point))
 
 
 def _bools(coords, x: np.ndarray) -> bool:
     """Whether raw coordinates that numpy read as the numbers x hold a
     boolean, which numpy reads as 0 or 1 among numbers.  Only lists and
-    tuples can hold one, and only the points of x with an exact 0 or 1 are
-    walked, which in most graphs are few, so the walk costs little beside
-    the parse."""
+    tuples can hold one.  A block is judged by the types of all its entries
+    in one C-level scan, about 0.1 us a point.  A block of over _SCAN_ROWS
+    points is first gated on exact 0s and 1s: with none (as in most
+    graphs) it holds no boolean, and with few their points are walked one
+    by one, which costs about 8 times a scan per point.  A curve in a
+    coordinate plane has a 0 at every point, so its block is scanned."""
     if not isinstance(coords, (list, tuple)):
         return False
-    hit = x == 0
-    hit |= x == 1
     points = coords if x.ndim == 2 else [coords]
-    return any(_has_bool(points[i])
-               for i in (np.flatnonzero(hit) // x.shape[-1]).tolist())
+    if len(points) > _SCAN_ROWS:
+        hit = x == 0
+        hit |= x == 1
+        rows = np.flatnonzero(hit) // x.shape[1]  # a row per 0 or 1
+        if 8 * len(rows) <= len(points):
+            return any(_has_bool(points[i]) for i in rows.tolist())
+    return not _BOOL_TYPES.isdisjoint(
+        map(type, itertools.chain.from_iterable(points)))
 
 
 def _parsed(space: SpaceForm, coords, ndim: int, what: str) -> np.ndarray:
@@ -464,7 +484,9 @@ def resample_arclength(graph: EmbeddedGraph, h: float) -> EmbeddedGraph:
     """Resample every edge at arclength spacing ~h along its geodesic
     polyline.  Endpoints are kept exactly; each edge keeps at least
     MIN_EDGE_SAMPLES samples even when h is coarse.  A step that would make
-    over MAX_RESAMPLED_SAMPLES samples fails before allocating anything."""
+    over MAX_RESAMPLED_SAMPLES samples fails before allocating anything.
+    All new edges are built by one _edges call, so they keep its chord rule
+    and take their parameters from its chords."""
     if not h > 0.0:
         raise ValidationError("resampling step must be positive")
     # capped before the ceiling, so a quotient that overflowed stays finite
@@ -474,7 +496,7 @@ def resample_arclength(graph: EmbeddedGraph, h: float) -> EmbeddedGraph:
         raise ValidationError(f"step {h:g} would resample the graph to more "
                               f"than {MAX_RESAMPLED_SAMPLES} samples")
     space = graph.space
-    new_edges = []
+    blocks = []
     for e, m in zip(graph.edges, counts):
         total = e.length
         if h > total:
@@ -489,9 +511,13 @@ def resample_arclength(graph: EmbeddedGraph, h: float) -> EmbeddedGraph:
                                    np.clip(lam, 0.0, 1.0))
         pts[0] = e.samples[0]
         pts[-1] = e.samples[-1]
-        new_edges.append(EdgeCurve(id=e.id, endpoints=e.endpoints, samples=pts,
-                                   s=arclength_params(space, pts)))
-    return EmbeddedGraph(space=space, vertices=graph.vertices, edges=new_edges)
+        blocks.append(pts)
+    # an edgeless graph's samples are its empty (0, d) block
+    samples = np.concatenate(blocks or [graph.samples])
+    del blocks  # so the stacked copy is the only one while the graph is built
+    edges = _edges(space, samples, np.add(counts, 1), [e.id for e in graph.edges],
+                   [e.endpoints for e in graph.edges])
+    return EmbeddedGraph(space=space, vertices=graph.vertices, edges=edges)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,22 @@ SPACES = {
 MODEL_SCALE = {"flat": 1.0, "hyperbolic": 1.0, "spherical": 0.45}
 
 
+def arclength_params(space, samples):
+    """Cumulative geodesic chord lengths of the samples, for edges built by
+    hand past the loader's chord rule, degenerate ones included."""
+    return np.concatenate(([0.0], np.cumsum(space.dist(samples[:-1],
+                                                       samples[1:]))))
+
+
+def scaled_document(doc, factor):
+    """A flat graph document with every coordinate multiplied by factor."""
+    return dict(doc, vertices=[dict(v, coords=[factor * c for c in v["coords"]])
+                               for v in doc["vertices"]],
+                edges=[dict(e, samples=[[factor * c for c in p]
+                                        for p in e["samples"]])
+                       for e in doc["edges"]])
+
+
 def smooth_edge(space, a, b, rng, frac=0.10, n=256, skew=0.0):
     """Edge from a to b: the straight path in midpoint tangent coordinates
     plus one transverse sine bump of relative amplitude ~frac.  A nonzero
@@ -614,10 +630,15 @@ def edge_by_edge_load(document):
                     samples[idx] = vpoints[vid]
         if len(samples) < 2:
             raise ValidationError(f"edge {eid!r} needs at least two samples")
-        chords = space.dist(samples[:-1], samples[1:])
-        if np.any(chords < 1e-12):
-            raise ValidationError(f"edge {eid!r} has coincident consecutive "
-                                  "samples")
+        with np.errstate(over="ignore", invalid="ignore"):
+            chords = space.dist(samples[:-1], samples[1:])
+        for chord in chords.tolist():
+            if chord < 1e-12:
+                raise ValidationError(f"edge {eid!r} has coincident "
+                                      "consecutive samples")
+            if not math.isfinite(chord):
+                raise ValidationError(f"edge {eid!r} has a chord that is "
+                                      "not finite")
         full = samples
         while len(full) < MIN_EDGE_SAMPLES:
             merged = np.empty((2 * len(full) - 1, full.shape[1]))

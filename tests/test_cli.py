@@ -18,7 +18,7 @@ from soapcert.cli import run
 from soapcert.graph import EmbeddedGraph, Vertex, make_edge, validate_graph
 
 from builders import (SPACES, figure_eight_graph, four_leg_star_graph,
-                      refuse_allocation)
+                      refuse_allocation, scaled_document)
 
 FLAT = SpaceForm(Model.FLAT, 3)
 
@@ -779,6 +779,20 @@ class TestExitCodes:
     def test_missing_file_is_io_failure(self, capsys):
         code, _, _ = run_capture(capsys, ["tc", "/nonexistent/x.json"])
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["tc", "certify"])
+    def test_overflowing_chords_are_validation_failure(self, capsys, tmp_path,
+                                                       command):
+        # the flat 64-sample circle scaled by 1e160 once loaded with s = inf
+        # and printed nan with exit 0
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(scaled_document(shapes.graph_document(
+            shapes.circle_graph(FLAT, 1.0, 64)), 1e160)))
+        code, out, err = run_capture(capsys, [command, str(path)])
+        assert code == 2
+        assert "nan" not in out
+        assert err == ("validation error: edge 'c0' has a chord that is not "
+                       "finite\n")
 
     def test_invalid_graph_is_validation_failure(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

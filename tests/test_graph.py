@@ -30,15 +30,15 @@ from soapcert import (
 from soapcert import _num, graph as graph_mod, shapes
 from soapcert.graph import (
     _check_spherical_diameter,
-    arclength_params,
     connected_components,
     star_table,
     validate_graph,
 )
 from soapcert.spaceform import ANTIPODAL_SLACK
 
-from builders import (SPACES, edge_by_edge_load, figure_eight_graph,
-                      loop_validate_message, random_graph, refuse_allocation)
+from builders import (SPACES, arclength_params, edge_by_edge_load,
+                      figure_eight_graph, loop_validate_message, random_graph,
+                      refuse_allocation, scaled_document)
 
 FLAT = SpaceForm(Model.FLAT, 3)
 
@@ -307,6 +307,54 @@ class TestIngestErrors:
         doc = circle_document()
         doc["vertices"][0]["coords"] = [True, False, False]
         _single_fault(doc, "vertex 'v0': coordinates must be finite numbers")
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_in_planar_block_is_refused(self, value):
+        # every point of the circle has an exact 0, so the whole block is
+        # scanned; False in place of a 0 reads as the very same number
+        doc = _long_hyperbolic_document()
+        assert doc["edges"][0]["samples"][2000][3] == 0.0
+        doc["edges"][0]["samples"][2000][3] = value
+        _single_fault(doc, "edge 'c0' sample: coordinates must be finite numbers")
+
+    def test_planar_block_walks_no_point(self, monkeypatch):
+        # 4,097 rows, each with an exact 0: one scan of the block's entry
+        # types, not a _has_bool call per point
+        doc = _long_hyperbolic_document()
+        assert all(p[3] == 0.0 for p in doc["edges"][0]["samples"])
+        calls = []
+        has_bool = graph_mod._has_bool
+        monkeypatch.setattr(graph_mod, "_has_bool",
+                            lambda point: calls.append(point) or has_bool(point))
+        assert len(load_graph(doc).samples) == 4097
+        assert calls == []
+
+    def test_overflowing_chords_name_the_edge(self):
+        # the flat circle scaled by 1e160: every squared chord overflows,
+        # which once gave s = inf and a tc of nan
+        doc = scaled_document(circle_document(), 1e160)
+        _single_fault(doc, "edge 'e0' has a chord that is not finite")
+        assert _outcome(edge_by_edge_load, doc) == (
+            ValidationError, "edge 'e0' has a chord that is not finite")
+
+    def test_nan_samples_break_the_chord_rule(self):
+        pts = np.linspace([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 9)
+        pts[4, 1] = np.nan
+        with pytest.raises(ValidationError,
+                           match="^edge 'e' has a chord that is not finite$"):
+            graph_mod.make_edge(FLAT, "e", ("a", "b"), pts)
+
+    def test_first_chord_to_break_the_rule_names_its_edge(self):
+        line = np.linspace([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 9)
+        twice = np.insert(line, 3, line[3], axis=0)
+        wild = line.copy()
+        wild[2, 2] = np.inf
+        for first, second, fault in ((twice, wild, "coincident consecutive"),
+                                     (wild, twice, "a chord that is not")):
+            with pytest.raises(ValidationError, match=f"^edge 'a' has {fault}"):
+                graph_mod._edges(FLAT, np.concatenate([first, second]),
+                                 [len(first), len(second)], ["a", "b"],
+                                 [("u", "v"), ("v", "u")])
 
     def test_integer_coordinates_still_load(self):
         doc = circle_document()
@@ -883,6 +931,25 @@ class TestResample:
                          samples_per_edge=256)
         rg = resample_arclength(g, g.total_length / 400.0)
         assert rg.total_length == pytest.approx(g.total_length, rel=1e-4)
+
+    @pytest.mark.parametrize("model", sorted(SPACES))
+    def test_parameters_come_from_one_edge_build(self, model, monkeypatch):
+        # every resampled edge is built by the loader's _edges, in one call,
+        # and its s is the running sum of space.dist over its chords
+        space = SPACES[model]
+        g = random_graph(space, np.random.default_rng(7), samples_per_edge=64)
+        calls = []
+        edges = graph_mod._edges
+        monkeypatch.setattr(graph_mod, "_edges",
+                            lambda *args: calls.append(args) or edges(*args))
+        for h in (g.total_length / 300.0, g.total_length / 40.0):
+            calls.clear()
+            rg = resample_arclength(g, h)
+            assert len(calls) == 1
+            for e in rg.edges:
+                x = e.samples
+                want = np.concatenate(([0.0], np.cumsum(space.dist(x[:-1], x[1:]))))
+                assert np.array_equal(e.s, want)
 
     def test_step_exceeding_shortest_edge_rejected(self):
         g = shapes.square_graph(FLAT, 1.0)

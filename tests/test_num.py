@@ -64,8 +64,8 @@ def _grids(n):
             "geometric": np.concatenate([[0.0], np.geomspace(1e-3, 5.0, n - 1)])}
 
 
-# 4500 samples span three blocks of the weight build
-@pytest.mark.parametrize("n", [8, 9, 85, 1025, 4500])
+# 17500 samples span three blocks of the weight build
+@pytest.mark.parametrize("n", [8, 9, 85, 1025, 17500])
 @pytest.mark.parametrize("grid", ["uniform", "random", "geometric"])
 @pytest.mark.parametrize("ndim", [1, 2])
 def test_stencil_equals_loop_oracle_bitwise(n, grid, ndim):

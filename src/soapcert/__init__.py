@@ -59,17 +59,6 @@ from .graph import (
     resample_arclength,
     vertex_star,
 )
-from .spaceform import (
-    ComparisonFns,
-    Model,
-    SpaceForm,
-    TangentVector,
-    angle,
-    comparison_fns,
-    dist,
-    exp_map,
-    inner,
-    log_map,
-)
+from .spaceform import ComparisonFns, Model, SpaceForm, TangentVector
 
 __version__ = "0.1.0"

@@ -7,7 +7,8 @@ and the chord's ends.  Unrolling the cone into the model plane of the same
 curvature keeps each such triangle congruent: the development places the
 samples at their apex distances r, and the swept angle theta grows over
 each chord by that triangle's apex angle.  Both the apex angles and the
-triangle areas come from one Gram kernel on half squared chords.
+triangle areas are read off one Gram root per triangle, taken from half
+squared chords.
 
 Apex densities, areas and their apex gradients, boundary conormal
 curvatures and the closed-cone angle-balance residual are all computed from
@@ -121,8 +122,10 @@ def developed_points(plane: SpaceForm, r: np.ndarray,
     k = plane.curv
     sin, cos = (np.sinh, np.cosh) if plane.model is Model.HYPERBOLIC \
         else (np.sin, np.cos)
-    return np.stack([cos(k * r) / k, sin(k * r) * np.cos(theta) / k,
-                     sin(k * r) * np.sin(theta) / k], axis=-1)
+    kr = k * r
+    radial = sin(kr)
+    return np.stack([cos(kr) / k, radial * np.cos(theta) / k,
+                     radial * np.sin(theta) / k], axis=-1)
 
 
 def cone_conormal_curvature(space: SpaceForm, apex: np.ndarray,
@@ -157,9 +160,11 @@ def develop_cone(space: SpaceForm, apex: np.ndarray,
                  graph: EmbeddedGraph) -> ConeDevelopment:
     """Unroll the cone edge by edge.  Over each chord the swept angle grows
     by the apex angle of the chord's geodesic triangle, starting at zero on
-    each edge; an edge's s is a read-only view of graph.s.  hat_density is
-    _cone_density of the same angles and hat_area is _richardson_sum on the
-    same triangles, so both equal their ambient counterparts bit for bit.
+    each edge; an edge's s is a read-only view of graph.s.  One _gram_root
+    pass over all the chords gives the fine chords' apex angles and every
+    triangle's area.  hat_density is _cone_density of those angles and
+    hat_area is _richardson_sum of those areas, so both equal their ambient
+    counterparts bit for bit.
     The developed curves, re-embedded in the 2-D model plane as one array,
     have their conormal curvature measured in one pass: unit_tangents by the
     graph's derivative_stencil, then cone_conormal_curvature's row kernel,
@@ -170,10 +175,12 @@ def develop_cone(space: SpaceForm, apex: np.ndarray,
     developed point lies at its sample's distance r from the plane apex."""
     apex = np.asarray(apex, float)
     table, alpha, a, b = _triangles(space, apex, graph, APEX_CLEARANCE)
+    gamma = table.gamma
+    root = _gram_root(space, a, b, gamma)
     plane, plane_apex = development_plane(space)
     r = space.chord_dist(2.0 * alpha)
     n = table.nfine
-    angles = _apex_angles(space, a[:n], b[:n], table.gamma[:n])
+    angles = _apex_angles(space, a[:n], b[:n], gamma[:n], root[:n])
     theta = np.zeros(len(r))
     bounds = graph.offsets.tolist()
     for e, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
@@ -190,8 +197,8 @@ def develop_cone(space: SpaceForm, apex: np.ndarray,
         for edge, lo, hi in zip(graph.edges, bounds, bounds[1:])]
     return ConeDevelopment(apex=apex, per_edge=per_edge,
                            hat_density=_cone_density(angles),
-                           hat_area=_richardson_sum(_triangle_areas(
-                               space, a, b, table.gamma), table),
+                           hat_area=_richardson_sum(_root_areas(
+                               space, a + b + gamma, root), table),
                            plane=plane, plane_apex=plane_apex)
 
 
@@ -205,7 +212,9 @@ def ambient_cone_density(space: SpaceForm, apex: np.ndarray,
     bit for bit."""
     table, _, a, b = _triangles(space, apex, graph, APEX_CLEARANCE)
     n = table.nfine
-    return _cone_density(_apex_angles(space, a[:n], b[:n], table.gamma[:n]))
+    a, b, gamma = a[:n], b[:n], table.gamma[:n]
+    return _cone_density(_apex_angles(space, a, b, gamma,
+                                      _gram_root(space, a, b, gamma)))
 
 
 def _cone_density(angles: np.ndarray) -> float:
@@ -252,20 +261,13 @@ def _gram_root(space: SpaceForm, alpha: np.ndarray, beta: np.ndarray,
     return np.sqrt(g, out=g)
 
 
-def _triangle_areas(space: SpaceForm, alpha: np.ndarray, beta: np.ndarray,
-                    gamma: np.ndarray) -> np.ndarray:
-    """Areas of the geodesic triangles of _gram_root."""
-    total = alpha + beta
-    total += gamma
-    return _root_areas(space, total, _gram_root(space, alpha, beta, gamma))
-
-
 def _root_areas(space: SpaceForm, total: np.ndarray,
                 root: np.ndarray) -> np.ndarray:
-    """_triangle_areas from the triangles' _gram_root and the sums
-    alpha + beta + gamma of their half squared chords: root/2 flat, else
-    (2/|K|) atan2(|K| root, 4 - K total), with 4 - K total taken as
-    (-K total) + 4, the same bits."""
+    """Areas of the geodesic triangles of _gram_root, from their root and
+    the sums alpha + beta + gamma of their half squared chords, added in
+    that order: root/2 flat, else (2/|K|) atan2(|K| root, 4 - K total),
+    with 4 - K total taken as (-K total) + 4, the same bits.  The root is
+    read, not written."""
     k = space.sectional_curvature
     if k == 0.0:
         return 0.5 * root
@@ -278,20 +280,19 @@ def _root_areas(space: SpaceForm, total: np.ndarray,
 
 
 def _apex_angles(space: SpaceForm, alpha: np.ndarray, beta: np.ndarray,
-                 gamma: np.ndarray) -> np.ndarray:
-    """Apex angles of the geodesic triangles of _gram_root, by the model's
-    law of cosines: alpha + beta - gamma - K alpha beta is w1.w2, the dot
-    product at the apex of the projected chords, and _gram_root is
-    |w1| |w2| times the sine of their angle, so atan2 keeps its digits for
-    thin triangles.  The K term is computed in every model, as in
-    _gram_root."""
-    out = _gram_root(space, alpha, beta, gamma)
-    dot = alpha + beta
+                 gamma: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """Apex angles of the geodesic triangles of _gram_root, from their
+    root, by the model's law of cosines: alpha + beta - gamma - K alpha
+    beta is w1.w2, the dot product at the apex of the projected chords, and
+    the root is |w1| |w2| times the sine of their angle, so atan2 keeps its
+    digits for thin triangles.  The K term is computed in every model, as
+    in _gram_root.  The root is read, not written."""
+    dot = np.asarray(alpha + beta)  # 0-d for scalars, so it can be written
     dot -= gamma
     t = space.sectional_curvature * alpha
     t *= beta
     dot -= t
-    return np.arctan2(out, dot, out=out)
+    return np.arctan2(root, dot, out=dot)
 
 
 @dataclass(eq=False)
@@ -378,7 +379,9 @@ def ambient_cone_area(space: SpaceForm, apex: np.ndarray,
     must pass check_apex at `clearance`, on the same half squared chords that
     feed the triangles."""
     table, _, a, b = _triangles(space, apex, graph, clearance)
-    return _richardson_sum(_triangle_areas(space, a, b, table.gamma), table)
+    gamma = table.gamma
+    return _richardson_sum(_root_areas(space, a + b + gamma,
+                                       _gram_root(space, a, b, gamma)), table)
 
 
 def cone_area_gradient(space: SpaceForm, apex: np.ndarray,

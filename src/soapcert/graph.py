@@ -162,12 +162,12 @@ def _edges(space: SpaceForm, samples: np.ndarray, counts, ids, endpoints,
     """make_edge of edges stacked one after another, counts[i] samples of
     edge ids[i], in one pass; the one place an EdgeCurve is built.  Given
     targets (two rows per edge, NaN for none), each end within ENDPOINT_TOL
-    of its own is first snapped onto it.  The chord rule: every chord
-    between consecutive samples is finite and at least 1e-12, and the
-    first chord to break it names its edge.  Short edges get geodesic
-    chord midpoints up to MIN_EDGE_SAMPLES.  s is the running sum of the
-    chords, so it equals the cumsum of space.dist over consecutive samples
-    bit for bit."""
+    of its own is first snapped onto it.  Short edges get geodesic chord
+    midpoints up to MIN_EDGE_SAMPLES.  The chord rule: every chord between
+    consecutive samples, padded ones included, is finite and at least
+    1e-12, and the first chord to break it names its edge.  s is the
+    running sum of the chords, so it equals the cumsum of space.dist over
+    consecutive samples bit for bit."""
     counts = np.asarray(counts, dtype=int)
     stop = np.cumsum(counts)
     if targets is not None:
@@ -182,23 +182,42 @@ def _edges(space: SpaceForm, samples: np.ndarray, counts, ids, endpoints,
     with np.errstate(over="ignore", invalid="ignore"):  # the rule judges these
         chords = np.delete(space.chord_dist(space.mdot(step, step)),
                            stop[:-1] - 1)
-    bad = ~(np.isfinite(chords) & (chords >= 1e-12))
-    if bad.any():
-        j = int(np.argmax(bad))
-        i = np.repeat(np.arange(len(counts)), counts - 1)[j]
-        raise ValidationError(f"edge {ids[i]!r} has " + (
-            "coincident consecutive samples" if chords[j] < 1e-12
-            else "a chord that is not finite"))
+    j = _broken_chord(chords)
+    # the edge of the first broken stored chord; those before it are padded
+    # and judged first
+    first = len(counts) if j is None else \
+        int(np.repeat(np.arange(len(counts)), counts - 1)[j])
     edges = []
     for i, (eid, pair, lo, hi) in enumerate(zip(
-            ids, endpoints, (stop - counts).tolist(), stop.tolist())):
+            ids[:first], endpoints, (stop - counts).tolist(), stop.tolist())):
         x, c = samples[lo:hi], chords[lo - i:hi - i - 1]
         while len(x) < MIN_EDGE_SAMPLES:
             mids = space.geodesic_point(x[:-1], x[1:], np.full(len(x) - 1, 0.5))
             x = np.insert(mids, np.arange(len(x)), x, axis=0)
+        if len(x) > hi - lo:  # padded: the new chords obey the rule too
             c = space.dist(x[:-1], x[1:])
+            _check_chords(c, eid)
         edges.append(EdgeCurve(eid, pair, x, np.concatenate(([0.0], np.cumsum(c)))))
+    if j is not None:
+        _check_chords(chords[j:j + 1], ids[first])
     return edges
+
+
+def _broken_chord(chords: np.ndarray) -> int | None:
+    """The index of the first chord that breaks the chord rule (finite and
+    at least 1e-12), or None."""
+    bad = ~(np.isfinite(chords) & (chords >= 1e-12))
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+def _check_chords(chords: np.ndarray, edge_id) -> None:
+    """ValidationError naming the edge when one of its chords breaks the
+    chord rule."""
+    j = _broken_chord(chords)
+    if j is not None:
+        raise ValidationError(f"edge {edge_id!r} has " + (
+            "coincident consecutive samples" if chords[j] < 1e-12
+            else "a chord that is not finite"))
 
 
 def _check_spherical_diameter(space: SpaceForm, points: np.ndarray):

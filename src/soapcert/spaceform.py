@@ -48,11 +48,12 @@ class Model(enum.Enum):
 
 @dataclass(eq=False)
 class TangentVector:
-    """A tangent vector `vec` attached to the manifold point `base`.
+    """A tangent vector `vec` attached to the manifold point `base`, as
+    graph.vertex_star and VertexTC.argmax_dir report them.
 
     For the curved models tangency means the ambient bilinear form of base
-    and vec vanishes; this is checked where vectors enter computations, not
-    on construction.
+    and vec vanishes (SpaceForm.tangency_residual).  It is not checked: the
+    SpaceForm methods take plain arrays and trust their callers.
     """
 
     base: np.ndarray
@@ -333,46 +334,3 @@ class SpaceForm:
         f, fp, _ = self.comparison(r)
         return fp / f
 
-
-# ---------------------------------------------------------------------------
-# Operation-style wrappers working with explicit tangent vectors.
-
-def _check_same_base(space: SpaceForm, u: TangentVector, v: TangentVector):
-    if float(space.dist(u.base, v.base)) >= 1e-9:
-        raise ValidationError("tangent vectors have mismatched base points")
-
-
-def inner(space: SpaceForm, u: TangentVector, v: TangentVector) -> float:
-    """Riemannian inner product of two tangent vectors at a common base."""
-    _check_same_base(space, u, v)
-    return float(space.mdot(u.vec, v.vec))
-
-
-def angle(space: SpaceForm, u: TangentVector, v: TangentVector) -> float:
-    """Angle in [0, pi] between two nonzero tangent vectors at a common base."""
-    _check_same_base(space, u, v)
-    return float(space.angle_between(u.vec, v.vec))
-
-
-def dist(space: SpaceForm, p: np.ndarray, q: np.ndarray) -> float:
-    return float(space.dist(p, q))
-
-
-def exp_map(space: SpaceForm, p: np.ndarray, v: TangentVector) -> np.ndarray:
-    """Geodesic endpoint from p with initial velocity v; v must be tangent."""
-    if not np.allclose(v.base, p, atol=1e-9):
-        raise ValidationError("vector is not based at the given point")
-    scale = max(1.0, float(space.norm(v.vec)))
-    if float(space.tangency_residual(p, v.vec)) > 1e-9 * scale:
-        raise ValidationError("vector is not tangent to the manifold at p")
-    return space.exp(p, v.vec)
-
-
-def log_map(space: SpaceForm, p: np.ndarray, q: np.ndarray) -> TangentVector:
-    """Initial velocity of the geodesic segment from p to q."""
-    return TangentVector(base=np.asarray(p, float), vec=space.log(p, q))
-
-
-def comparison_fns(space: SpaceForm, r: float) -> ComparisonFns:
-    f, fp, big_f = space.comparison(float(r))
-    return ComparisonFns(float(f), float(fp), float(big_f))

@@ -22,8 +22,8 @@ from soapcert import (IterationError, Model, SpaceForm, TangentVector,
 from soapcert import curvature
 from soapcert._num import apply_stencil, first_derivative_stencil, trapezoid
 from soapcert.certify import KARCHER_MAX_ITER, KARCHER_TOL
-from soapcert.cone import (_chord_table, _half_sq_chords, _triangle_areas,
-                           developed_points)
+from soapcert.cone import (_apex_angles, _chord_table, _gram_root,
+                           _half_sq_chords, _root_areas, developed_points)
 from soapcert.graph import (ENDPOINT_TOL, MIN_EDGE_SAMPLES, EdgeCurve,
                             EmbeddedGraph, Vertex, _block_id, _entry,
                             make_edge, validate_graph)
@@ -365,6 +365,20 @@ def figure_eight_graph(space, samples_per_edge=32):
                                         edges=edges))
 
 
+def gram_triangle_areas(space, alpha, beta, gamma):
+    """The triangle areas as the program takes them: cone._root_areas on
+    one cone._gram_root, with alpha + beta + gamma added in that order."""
+    return _root_areas(space, alpha + beta + gamma,
+                       _gram_root(space, alpha, beta, gamma))
+
+
+def gram_apex_angles(space, alpha, beta, gamma):
+    """The apex angles as the program takes them: cone._apex_angles on
+    one cone._gram_root."""
+    return _apex_angles(space, alpha, beta, gamma,
+                        _gram_root(space, alpha, beta, gamma))
+
+
 def plain_cone_area(space, apex, graph):
     """Cone area as the plain sum of the geodesic triangles (apex, x_i,
     x_{i+1}) over consecutive samples, without a Richardson step: the exact
@@ -373,8 +387,8 @@ def plain_cone_area(space, apex, graph):
     for e in graph.edges:
         alpha = _half_sq_chords(space, e.samples, apex)
         gamma = _half_sq_chords(space, e.samples[:-1], e.samples[1:])
-        total += float(np.sum(_triangle_areas(space, alpha[:-1], alpha[1:],
-                                              gamma)))
+        total += float(np.sum(gram_triangle_areas(space, alpha[:-1],
+                                                  alpha[1:], gamma)))
     return total
 
 
@@ -529,6 +543,25 @@ def loop_validate_message(graph):
     return None
 
 
+def padded_short_edge_document(gap=1.5e-12, n=200):
+    """A flat graph document: edge 'short' of two samples from v0 = (0, 0,
+    0) to v1 = (gap, 0, 0), and a loop of n samples on the circle of
+    radius 1/2 from v1 back to v0.  The short edge's one chord passes the
+    chord rule at the default gap, but padding it to MIN_EDGE_SAMPLES
+    splits it into eight chords of gap/8, below 1e-12."""
+    t = np.linspace(0.0, 2.0 * math.pi, n)
+    loop = np.stack([0.5 * (1.0 - np.cos(t)), 0.5 * np.sin(t),
+                     np.zeros(n)], axis=1).tolist()
+    loop[0], loop[-1] = [gap, 0.0, 0.0], [0.0, 0.0, 0.0]
+    return {"space": {"model": "flat", "dim": 3},
+            "vertices": [{"id": "v0", "coords": [0.0, 0.0, 0.0]},
+                         {"id": "v1", "coords": [gap, 0.0, 0.0]}],
+            "edges": [{"id": "short", "endpoints": ["v0", "v1"],
+                       "samples": [[0.0, 0.0, 0.0], [gap, 0.0, 0.0]]},
+                      {"id": "loop", "endpoints": ["v1", "v0"],
+                       "samples": loop}]}
+
+
 def _holds_bool(coords):
     """Whether raw coordinates hold a boolean anywhere, which numpy reads
     as 0 or 1 among numbers."""
@@ -576,6 +609,17 @@ def _take_points(space, coords, ndim, what, tol):
         raise ValidationError(f"{what}: point is off the manifold "
                               f"beyond tolerance {tol:g}")
     return proj
+
+
+def _judge_chords(eid, chords):
+    """The chord rule, chord by chord: each is finite and at least 1e-12."""
+    for chord in chords.tolist():
+        if chord < 1e-12:
+            raise ValidationError(f"edge {eid!r} has coincident "
+                                  "consecutive samples")
+        if not math.isfinite(chord):
+            raise ValidationError(f"edge {eid!r} has a chord that is "
+                                  "not finite")
 
 
 def edge_by_edge_load(document):
@@ -632,13 +676,7 @@ def edge_by_edge_load(document):
             raise ValidationError(f"edge {eid!r} needs at least two samples")
         with np.errstate(over="ignore", invalid="ignore"):
             chords = space.dist(samples[:-1], samples[1:])
-        for chord in chords.tolist():
-            if chord < 1e-12:
-                raise ValidationError(f"edge {eid!r} has coincident "
-                                      "consecutive samples")
-            if not math.isfinite(chord):
-                raise ValidationError(f"edge {eid!r} has a chord that is "
-                                      "not finite")
+        _judge_chords(eid, chords)
         full = samples
         while len(full) < MIN_EDGE_SAMPLES:
             merged = np.empty((2 * len(full) - 1, full.shape[1]))
@@ -648,6 +686,7 @@ def edge_by_edge_load(document):
             full = merged
         if len(full) > len(samples):
             chords = space.dist(full[:-1], full[1:])
+            _judge_chords(eid, chords)  # the padded chords obey it too
         s = np.empty(len(full))
         s[0] = 0.0
         np.cumsum(chords, out=s[1:])
@@ -790,13 +829,14 @@ def expression_root_areas(space, total, root):
 
 
 def expression_triangle_areas(space, alpha, beta, gamma):
-    """cone._triangle_areas as one expression."""
+    """cone._root_areas on cone._gram_root, the triangle areas, as one
+    expression."""
     return expression_root_areas(space, alpha + beta + gamma,
                                  expression_gram_root(space, alpha, beta, gamma))
 
 
 def expression_apex_angles(space, alpha, beta, gamma):
-    """cone._apex_angles as one expression."""
+    """cone._apex_angles on cone._gram_root as one expression."""
     return np.arctan2(expression_gram_root(space, alpha, beta, gamma),
                       alpha + beta - gamma
                       - space.sectional_curvature * alpha * beta)

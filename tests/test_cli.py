@@ -18,7 +18,8 @@ from soapcert.cli import run
 from soapcert.graph import EmbeddedGraph, Vertex, make_edge, validate_graph
 
 from builders import (SPACES, figure_eight_graph, four_leg_star_graph,
-                      refuse_allocation, scaled_document)
+                      padded_short_edge_document, refuse_allocation,
+                      scaled_document)
 
 FLAT = SpaceForm(Model.FLAT, 3)
 
@@ -374,6 +375,23 @@ class TestDevelop:
             "develop", "--apex", "0,0,1", "--out", str(out_csv), str(bad)])
         assert code in (2, 3)
         assert not out_csv.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["tc"], ["cone", "--apex=0.3,0.2,0.4"],
+        ["develop", "--apex=0.3,0.2,0.4", "--out", "dev.csv"]],
+        ids=lambda argv: argv[0])
+    def test_padded_short_edge_is_refused(self, capsys, tmp_path, argv):
+        # padding the 1.5e-12 chord of edge 'short' makes chords of
+        # 1.875e-13: develop once wrote khat_nu values near +-3.7e9
+        bad = tmp_path / "short.json"
+        bad.write_text(json.dumps(padded_short_edge_document()))
+        argv = [str(tmp_path / a) if a == "dev.csv" else a for a in argv]
+        code, out, err = run_capture(capsys, argv + [str(bad)])
+        assert code == 2
+        assert out == ""
+        assert err == ("validation error: edge 'short' has coincident "
+                       "consecutive samples\n")
+        assert not (tmp_path / "dev.csv").exists()
 
     def test_non_finite_apex_writes_nothing(self, capsys, tmp_path,
                                             circle_file):

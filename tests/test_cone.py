@@ -36,7 +36,6 @@ from soapcert.cone import (
     _half_sq_chords,
     _richardson_sum,
     _root_areas,
-    _triangle_areas,
     developed_points,
     development_plane,
 )
@@ -55,6 +54,8 @@ from builders import (
     expression_triangle_areas,
     figure_eight_graph,
     four_leg_star_graph,
+    gram_apex_angles,
+    gram_triangle_areas,
     loop_gauss_bonnet_residual,
     mixed_chord_polygon,
     plain_cone_area,
@@ -179,9 +180,9 @@ class TestDevelopCone:
             step = space.tangent_project(
                 x1, rng.standard_normal((200, len(apex))))
             x2 = space.exp(x1, chord * step / space.norm(step)[:, None])
-            got = _apex_angles(space, _half_sq_chords(space, x1, apex),
-                               _half_sq_chords(space, x2, apex),
-                               _half_sq_chords(space, x1, x2))
+            got = gram_apex_angles(space, _half_sq_chords(space, x1, apex),
+                                   _half_sq_chords(space, x2, apex),
+                                   _half_sq_chords(space, x1, x2))
             u1, u2 = (w / space.norm(w)[:, None] for w in (
                 space.tangent_project(apex, x - apex) for x in (x1, x2)))
             want = 2.0 * np.arctan2(space.norm(u1 - u2), space.norm(u1 + u2))
@@ -308,13 +309,13 @@ def _edge_triangles(space, apex, edge):
     the last fine chord of each coarse chord."""
     x = edge.samples
     alpha = _half_sq_chords(space, x, apex)
-    fine = _triangle_areas(space, alpha[:-1], alpha[1:],
-                           _half_sq_chords(space, x[:-1], x[1:]))
+    fine = gram_triangle_areas(space, alpha[:-1], alpha[1:],
+                               _half_sq_chords(space, x[:-1], x[1:]))
     nodes = np.arange(0, len(fine) + 1, 2)
     nodes[-1] = len(fine)
     lo, hi = nodes[:-1], nodes[1:]
-    coarse = _triangle_areas(space, alpha[lo], alpha[hi],
-                             _half_sq_chords(space, x[lo], x[hi]))
+    coarse = gram_triangle_areas(space, alpha[lo], alpha[hi],
+                                 _half_sq_chords(space, x[lo], x[hi]))
     return fine, coarse, lo, hi
 
 
@@ -642,7 +643,7 @@ class TestKernelRange:
         # suite turns an overflow's RuntimeWarning into an error
         grid = np.array([0.0, 0.5, 1.0]) * self.limit(space)
         alpha, beta, gamma = (a.ravel() for a in np.meshgrid(grid, grid, grid))
-        for kernel in (_gram_root, _triangle_areas, _apex_angles):
+        for kernel in (_gram_root, gram_triangle_areas, gram_apex_angles):
             assert np.all(np.isfinite(kernel(space, alpha, beta, gamma)))
 
     def test_flat_limit_is_sharp(self):
@@ -922,8 +923,8 @@ def edge_by_edge_development(space, apex, graph):
     for e in graph.edges:
         x = e.samples
         alpha = _half_sq_chords(space, x, apex)
-        angles.append(_apex_angles(space, alpha[:-1], alpha[1:],
-                                   _half_sq_chords(space, x[:-1], x[1:])))
+        angles.append(gram_apex_angles(space, alpha[:-1], alpha[1:],
+                                       _half_sq_chords(space, x[:-1], x[1:])))
         theta = np.concatenate(([0.0], np.cumsum(angles[-1])))
         r = space.chord_dist(2.0 * alpha)
         curve = EdgeCurve(id=e.id, endpoints=e.endpoints,
@@ -1042,18 +1043,18 @@ class TestInPlaceKernels:
     of their expression forms (kept in builders), so they give the same
     bits, signed zeros included, in every model."""
 
-    KERNELS = [(_gram_root, expression_gram_root),
-               (_triangle_areas, expression_triangle_areas),
-               (_apex_angles, expression_apex_angles)]
-
     def _check(self, space, alpha, beta, gamma):
-        for new, old in self.KERNELS:
-            assert _same_bits(new(space, alpha, beta, gamma),
-                              old(space, alpha, beta, gamma)), new.__name__
+        root = _gram_root(space, alpha, beta, gamma)
+        assert _same_bits(root, expression_gram_root(space, alpha, beta,
+                                                     gamma))
+        # the areas and the apex angles are read off that one root
         total = alpha + beta + gamma
-        root = expression_gram_root(space, alpha, beta, gamma)
+        assert _same_bits(_root_areas(space, total, root),
+                          expression_triangle_areas(space, alpha, beta, gamma))
         assert _same_bits(_root_areas(space, total, root),
                           expression_root_areas(space, total, root))
+        assert _same_bits(_apex_angles(space, alpha, beta, gamma, root),
+                          expression_apex_angles(space, alpha, beta, gamma))
 
     @MODELS
     def test_thin_triangles(self, name):
@@ -1124,6 +1125,28 @@ class TestInPlaceKernels:
             assert _same_bits(got[1], want[1])
 
 
+class TestOneGramPass:
+    """develop_cone reads its fine chords' apex angles and all its
+    triangle areas off one _gram_root pass over the chord table."""
+
+    @UNIT_MODELS
+    def test_one_gram_root_per_development(self, space, monkeypatch):
+        g = mixed_chord_polygon(space)
+        apex = _off_base_apex(space)
+        calls = []
+        gram_root = cone_mod._gram_root
+
+        def counted(space, alpha, beta, gamma):
+            calls.append(np.shape(gamma))
+            return gram_root(space, alpha, beta, gamma)
+
+        monkeypatch.setattr(cone_mod, "_gram_root", counted)
+        dev = develop_cone(space, apex, g)
+        assert calls == [(len(_chord_table(g).gamma),)]  # every chord at once
+        assert dev.hat_area == ambient_cone_area(space, apex, g)
+        assert dev.hat_density == ambient_cone_density(space, apex, g)
+
+
 class TestReadOnlyChordTable:
     @pytest.mark.parametrize("space", [FLAT, HYP1, SPH1],
                              ids=lambda s: s.model.value)
@@ -1147,8 +1170,7 @@ class TestReadOnlyChordTable:
         root = _gram_root(space, *inputs)
         kept = total.copy(), root.copy()
         _gram_root(space, *inputs)
-        _triangle_areas(space, *inputs)
-        _apex_angles(space, *inputs)
+        _apex_angles(space, *inputs, root)
         _root_areas(space, total, root)
         _cone_density(root)
         for x, y in zip(inputs + [total, root], before + list(kept)):

@@ -37,7 +37,8 @@ from soapcert.graph import (
 from soapcert.spaceform import ANTIPODAL_SLACK
 
 from builders import (SPACES, arclength_params, edge_by_edge_load,
-                      figure_eight_graph, loop_validate_message, random_graph,
+                      figure_eight_graph, loop_validate_message,
+                      padded_short_edge_document, random_graph,
                       refuse_allocation, scaled_document)
 
 FLAT = SpaceForm(Model.FLAT, 3)
@@ -354,6 +355,36 @@ class TestIngestErrors:
             with pytest.raises(ValidationError, match=f"^edge 'a' has {fault}"):
                 graph_mod._edges(FLAT, np.concatenate([first, second]),
                                  [len(first), len(second)], ["a", "b"],
+                                 [("u", "v"), ("v", "u")])
+
+    def test_padded_chords_obey_the_chord_rule(self):
+        # one stored chord of 1.5e-12 passes; padding to MIN_EDGE_SAMPLES
+        # makes eight of 1.875e-13, which once loaded
+        doc = padded_short_edge_document()
+        fault = "edge 'short' has coincident consecutive samples"
+        _single_fault(doc, fault)
+        assert _outcome(edge_by_edge_load, doc) == (ValidationError, fault)
+        with pytest.raises(ValidationError, match=f"^{fault}$"):
+            graph_mod.make_edge(FLAT, "short", ("v0", "v1"),
+                                doc["edges"][0]["samples"])
+        # at eight times the gap the padded chords are 1.5e-12, and it loads
+        g = load_graph(padded_short_edge_document(gap=1.2e-11))
+        assert np.min(np.diff(g.edges[0].s)) >= 1e-12
+        _assert_same_graph(g, edge_by_edge_load(
+            padded_short_edge_document(gap=1.2e-11)))
+
+    def test_first_broken_chord_names_its_edge_when_padded(self):
+        # a padded chord and a stored chord break the rule: the edge first
+        # in order is named, whichever kind its chord is
+        short = np.array([[0.0, 0.0, 0.0], [1.5e-12, 0.0, 0.0]])
+        line = np.linspace([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 9)
+        twice = np.insert(line, 3, line[3], axis=0)
+        for (a, b), named in (((short, twice), "a"), ((twice, short), "a"),
+                              ((short, line), "a"), ((line, short), "b")):
+            with pytest.raises(ValidationError, match=f"^edge '{named}' has "
+                               "coincident consecutive samples$"):
+                graph_mod._edges(FLAT, np.concatenate([a, b]),
+                                 [len(a), len(b)], ["a", "b"],
                                  [("u", "v"), ("v", "u")])
 
     def test_integer_coordinates_still_load(self):

@@ -109,14 +109,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from builders import (SPACES, developed_plain_area, generic_apex,
-                      random_instance)
+                      gram_apex_angles, gram_triangle_areas, random_instance)
 from soapcert import (EdgeCurve, EmbeddedGraph, Mode, Verdict, Vertex,
                       ambient_cone_area, ambient_cone_density,
                       cone_total_curvature, develop_cone,
                       evaluate_certificates, gauss_bonnet_residual, shapes)
 from soapcert import _num
-from soapcert.cone import (APEX_CLEARANCE, _apex_angles, _gram_root,
-                           _triangle_areas, _triangles, developed_points)
+from soapcert.cone import (APEX_CLEARANCE, _gram_root, _triangles,
+                           developed_points)
 from soapcert.curvature import edge_curvature, edge_total_curvature
 from soapcert.graph import MIN_EDGE_SAMPLES, make_edge, validate_graph
 from soapcert.spaceform import Model
@@ -139,9 +139,9 @@ def results(space, graph, apex):
     table, _, a, b = _triangles(space, apex, graph, APEX_CLEARANCE)
     nfine, chords = table.nfine, len(table.gamma)
     area_mag = float(np.sum(np.abs(
-        table.weight * _triangle_areas(space, a, b, table.gamma))))
-    angle_mag = float(np.sum(_apex_angles(space, a[:nfine], b[:nfine],
-                                          table.gamma[:nfine])))
+        table.weight * gram_triangle_areas(space, a, b, table.gamma))))
+    angle_mag = float(np.sum(gram_apex_angles(space, a[:nfine], b[:nfine],
+                                              table.gamma[:nfine])))
     dev = develop_cone(space, apex, graph)
     edge_mag = sum(abs(float(np.trapezoid(np.nan_to_num(ed.khat_nu), ed.s)))
                    for ed in dev.per_edge)
@@ -282,7 +282,7 @@ def fine_angles(space, apex, graph):
     """The fine chords' apex angles and their angle_errors, edge by edge."""
     table, _, a, b = _triangles(space, apex, graph, APEX_CLEARANCE)
     n = table.nfine
-    return (_apex_angles(space, a[:n], b[:n], table.gamma[:n]),
+    return (gram_apex_angles(space, a[:n], b[:n], table.gamma[:n]),
             angle_errors(space, a[:n], b[:n], table.gamma[:n]))
 
 

@@ -11,15 +11,8 @@ from soapcert import (
     Model,
     NumericalError,
     SpaceForm,
-    TangentVector,
     ValidationError,
-    angle,
-    comparison_fns,
     cone_total_curvature,
-    dist,
-    exp_map,
-    inner,
-    log_map,
 )
 from soapcert import shapes
 
@@ -46,84 +39,79 @@ def random_tangent(space, p, rng):
     return rng.standard_normal(space.dim) @ basis
 
 
-class TestInner:
+class TestMdotMetric:
     def test_unit_vector(self):
-        u = TangentVector(np.zeros(3), np.array([0.0, 1.0, 0.0]))
-        assert inner(FLAT, u, u) == pytest.approx(1.0)
+        assert float(FLAT.mdot([0.0, 1.0, 0.0], [0.0, 1.0, 0.0])) \
+            == pytest.approx(1.0)
 
     def test_orthonormal_pair(self):
-        p = np.zeros(3)
-        u = TangentVector(p, np.array([1.0, 0.0, 0.0]))
-        v = TangentVector(p, np.array([0.0, 1.0, 0.0]))
-        assert inner(FLAT, u, v) == pytest.approx(0.0)
+        assert float(FLAT.mdot([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])) \
+            == pytest.approx(0.0)
 
     def test_minkowski_spacelike(self):
-        p = np.array([1.0, 0.0, 0.0])
-        u = TangentVector(p, np.array([0.0, 2.0, 0.0]))
-        assert inner(HYP, u, u) == pytest.approx(4.0)
-
-    def test_base_mismatch_rejected(self):
-        u = TangentVector(np.zeros(3), np.ones(3))
-        v = TangentVector(np.array([1.0, 0.0, 0.0]), np.ones(3))
-        with pytest.raises(ValidationError):
-            inner(FLAT, u, v)
+        u = np.array([0.0, 2.0, 0.0])  # tangent at (1, 0, 0)
+        assert float(HYP.mdot(u, u)) == pytest.approx(4.0)
 
 
 class TestDist:
     def test_identity(self):
         p = np.array([0.2, -0.4, 1.0])
-        assert dist(FLAT, p, p) == 0.0
+        assert float(FLAT.dist(p, p)) == 0.0
 
     def test_euclidean(self):
-        assert dist(FLAT, np.zeros(3), np.array([3.0, 4.0, 0.0])) == pytest.approx(5.0)
+        assert float(FLAT.dist(np.zeros(3), np.array([3.0, 4.0, 0.0]))) \
+            == pytest.approx(5.0)
 
     def test_hyperboloid(self):
         p = np.array([1.0, 0.0, 0.0])
         q = np.array([math.cosh(1.0), math.sinh(1.0), 0.0])
-        assert dist(HYP, p, q) == pytest.approx(1.0, abs=1e-12)
+        assert float(HYP.dist(p, q)) == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric(self):
         rng = np.random.default_rng(3)
         for space in ALL3:
             p, q = random_point(space, rng), random_point(space, rng)
-            assert dist(space, p, q) == pytest.approx(dist(space, q, p), abs=1e-13)
+            assert float(space.dist(p, q)) \
+                == pytest.approx(float(space.dist(q, p)), abs=1e-13)
 
     def test_spherical_antipodal_rejected(self):
         p = np.array([1.0, 0.0, 0.0])
         with pytest.raises(DiameterBoundError):
-            dist(SPH, p, -p)
+            SPH.dist(p, -p)
 
     def test_triangle_inequality_random(self):
         rng = np.random.default_rng(7)
         for space in ALL3:
-            for _ in range(60):
-                p, q, r = (random_point(space, rng) for _ in range(3))
-                assert dist(space, p, r) <= dist(space, p, q) + dist(space, q, r) + 1e-10
+            p, q, r = (np.array([random_point(space, rng) for _ in range(60)])
+                       for _ in range(3))
+            assert np.all(space.dist(p, r) <= space.dist(p, q)
+                          + space.dist(q, r) + 1e-10)
 
 
 class TestExpLog:
     def test_flat_log_is_subtraction(self):
-        v = log_map(FLAT, np.zeros(3), np.array([1.0, 2.0, 2.0]))
-        assert np.allclose(v.vec, [1.0, 2.0, 2.0])
-        assert float(np.linalg.norm(v.vec)) == pytest.approx(
-            dist(FLAT, np.zeros(3), np.array([1.0, 2.0, 2.0])))
+        q = np.array([1.0, 2.0, 2.0])
+        v = FLAT.log(np.zeros(3), q)
+        assert np.allclose(v, q)
+        assert float(np.linalg.norm(v)) \
+            == pytest.approx(float(FLAT.dist(np.zeros(3), q)))
 
     def test_exp_zero_vector(self):
         for space in ALL3:
             p = space.base_point()
-            out = exp_map(space, p, TangentVector(p, np.zeros(space.embedding_dim)))
+            out = space.exp(p, np.zeros(space.embedding_dim))
             assert np.allclose(out, p, atol=1e-12)
 
     def test_hyperboloid_geodesic_formula(self):
         p = np.array([1.0, 0.0, 0.0])
         for t in (0.3, 1.0, 2.5):
-            out = exp_map(HYP, p, TangentVector(p, np.array([0.0, t, 0.0])))
+            out = HYP.exp(p, np.array([0.0, t, 0.0]))
             assert np.allclose(out, [math.cosh(t), math.sinh(t), 0.0], atol=1e-12)
 
     def test_spherical_quarter_circle(self):
         p = np.array([1.0, 0.0, 0.0])
-        v = log_map(SPH, p, np.array([0.0, 1.0, 0.0]))
-        assert np.allclose(v.vec, [0.0, math.pi / 2.0, 0.0], atol=1e-12)
+        v = SPH.log(p, np.array([0.0, 1.0, 0.0]))
+        assert np.allclose(v, [0.0, math.pi / 2.0, 0.0], atol=1e-12)
 
     def test_roundtrip_random_pairs(self):
         rng = np.random.default_rng(11)
@@ -140,62 +128,61 @@ class TestExpLog:
             for _ in range(100):
                 p = random_point(space, rng)
                 v = random_tangent(space, p, rng)
-                assert dist(space, p, space.exp(p, v)) == pytest.approx(
+                assert float(space.dist(p, space.exp(p, v))) == pytest.approx(
                     float(space.norm(v)), abs=1e-8)
 
-    def test_log_coincident_rejected(self):
-        p = SPH3.base_point()
-        with pytest.raises(NumericalError):
-            log_map(SPH3, p, p)
-
-    def test_exp_requires_tangency(self):
-        p = np.array([1.0, 0.0, 0.0])
-        with pytest.raises(ValidationError):
-            exp_map(HYP, p, TangentVector(p, np.array([1.0, 0.0, 0.0])))
+    @pytest.mark.parametrize("space", [HYP3, SPH3],
+                             ids=lambda s: s.model.value)
+    def test_log_coincident_rejected(self, space):
+        p = space.base_point()
+        with pytest.raises(NumericalError, match="coincident"):
+            space.log(p, p)
 
 
-class TestAngle:
+class TestAngleBetween:
     def test_self_zero_and_reverse_pi(self):
         rng = np.random.default_rng(5)
         for space in ALL3:
             p = random_point(space, rng)
             v = random_tangent(space, p, rng)
-            u = TangentVector(p, v)
-            assert angle(space, u, u) == pytest.approx(0.0, abs=1e-7)
-            assert angle(space, u, TangentVector(p, -v)) == pytest.approx(math.pi, abs=1e-7)
+            assert float(space.angle_between(v, v)) \
+                == pytest.approx(0.0, abs=1e-7)
+            assert float(space.angle_between(v, -v)) \
+                == pytest.approx(math.pi, abs=1e-7)
 
     def test_perpendicular(self):
-        p = FLAT.base_point()
-        u = TangentVector(p, np.array([2.0, 0.0, 0.0]))
-        v = TangentVector(p, np.array([0.0, 0.5, 0.0]))
-        assert angle(FLAT, u, v) == pytest.approx(math.pi / 2.0)
+        u, v = np.array([2.0, 0.0, 0.0]), np.array([0.0, 0.5, 0.0])
+        assert float(FLAT.angle_between(u, v)) == pytest.approx(math.pi / 2.0)
 
     def test_zero_vector_rejected(self):
-        p = FLAT.base_point()
-        u = TangentVector(p, np.zeros(3))
-        with pytest.raises(ValidationError):
-            angle(FLAT, u, u)
+        for space in ALL3:
+            p = space.base_point()
+            v = random_tangent(space, p, np.random.default_rng(6))
+            zero = np.zeros(space.embedding_dim)
+            for u, w in ((zero, zero), (zero, v), (v, zero)):
+                with pytest.raises(ValidationError, match="zero vector"):
+                    space.angle_between(u, w)
 
 
-class TestComparisonFns:
+class TestComparison:
     def test_flat_closed_form(self):
-        c = comparison_fns(FLAT, 2.0)
+        c = FLAT.comparison(2.0)
         assert (c.f, c.fprime, c.F) == (2.0, 1.0, 2.0)
 
     def test_hyperbolic_closed_form(self):
-        c = comparison_fns(HYP, 1.0)
-        assert c.f == pytest.approx(1.175201, abs=1e-6)
-        assert c.F == pytest.approx(0.543081, abs=1e-6)
-        assert c.fprime == pytest.approx(math.cosh(1.0))
+        c = HYP.comparison(1.0)
+        assert float(c.f) == pytest.approx(1.175201, abs=1e-6)
+        assert float(c.F) == pytest.approx(0.543081, abs=1e-6)
+        assert float(c.fprime) == pytest.approx(math.cosh(1.0))
 
     def test_spherical_closed_form(self):
-        c = comparison_fns(SPH, math.pi / 2.0)
-        assert c.f == pytest.approx(1.0)
-        assert c.F == pytest.approx(1.0)
+        c = SPH.comparison(math.pi / 2.0)
+        assert float(c.f) == pytest.approx(1.0)
+        assert float(c.F) == pytest.approx(1.0)
 
     def test_at_zero(self):
         for space in ALL3:
-            c = comparison_fns(space, 0.0)
+            c = space.comparison(0.0)
             assert (c.f, c.fprime, c.F) == (0.0, 1.0, 0.0)
 
     def test_bigf_is_primitive_of_f(self):
@@ -209,11 +196,12 @@ class TestComparisonFns:
 
     def test_conjugate_point_rejected(self):
         with pytest.raises(ConjugatePointError):
-            comparison_fns(SPH, math.pi)
+            SPH.comparison(math.pi)
 
     def test_negative_radius_rejected(self):
-        with pytest.raises(ValidationError):
-            comparison_fns(FLAT, -0.1)
+        for space in ALL3:
+            with pytest.raises(ValidationError):
+                space.comparison(-0.1)
 
     def test_flat_limit_small_curvature(self):
         kappa = 1e-4

@@ -32,7 +32,6 @@ from .cone import (
 from .curvature import (
     TCReport,
     cone_total_curvature,
-    edge_curvature,
     edge_total_curvature,
     vertex_tc,
     vertex_tc_grid,

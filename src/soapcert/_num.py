@@ -1,9 +1,9 @@
 """Small numerical helpers shared across modules.
 
 All routines are second order (or better) on smoothly graded grids and make
-no uniform-spacing assumption.  They take the samples of one edge, so they
-assume at least ``graph.MIN_EDGE_SAMPLES`` nodes, which ``EdgeCurve``
-enforces.
+no uniform-spacing assumption.  They take the samples of one edge, or of
+several stacked one after another, so they assume at least
+``graph.MIN_EDGE_SAMPLES`` nodes per edge, which ``EdgeCurve`` enforces.
 """
 
 from __future__ import annotations
@@ -13,8 +13,18 @@ import itertools
 import numpy as np
 
 
-def trapezoid(y: np.ndarray, x: np.ndarray) -> float:
-    return float(np.trapezoid(y, x))
+def edge_trapezoids(y: np.ndarray, s: np.ndarray,
+                    offsets: np.ndarray) -> np.ndarray:
+    """np.trapezoid(y[lo:hi], s[lo:hi]) of every edge stacked at rows
+    lo:hi = offsets[i]:offsets[i + 1], bit for bit: one pass of its terms
+    diff(s) * (y[1:] + y[:-1]) / 2.0 over all the rows, then each edge's
+    slice summed by np.add.reduce as np.trapezoid sums it.  The terms that
+    straddle two edges are never read.  np.add.reduceat would sum in
+    another order."""
+    terms = np.diff(s) * (y[1:] + y[:-1]) / 2.0
+    bounds = offsets.tolist()
+    return np.array([terms[lo:hi - 1].sum()
+                     for lo, hi in zip(bounds, bounds[1:])], dtype=float)
 
 
 def rowsum(x: np.ndarray) -> np.ndarray:

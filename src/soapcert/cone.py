@@ -438,10 +438,10 @@ def gauss_bonnet_residual(space: SpaceForm, apex: np.ndarray,
     with K the model's sectional curvature.  Zero in exact arithmetic; the
     numerical value shrinks at second order under sample refinement.  A
     given `dev` must be develop_cone's for this apex and graph (same apex,
-    edge ids and parameters), or ValidationError.  Each edge adds its slice
-    of one pass of np.trapezoid's terms over graph.s, which is np.trapezoid
-    bit for bit; each edge-end's angle of the star_table is taken in one
-    pass.  Both terms are added in graph order."""
+    edge ids and parameters), or ValidationError.  Each edge adds its
+    integral of one _num.edge_trapezoids pass over graph.s, which is
+    np.trapezoid bit for bit; each edge-end's angle of the star_table is
+    taken in one pass.  Both terms are added in graph order."""
     apex = np.asarray(apex, float)
     if dev is None:
         dev = develop_cone(space, apex, graph)
@@ -450,9 +450,8 @@ def gauss_bonnet_residual(space: SpaceForm, apex: np.ndarray,
     k_ambient = space.sectional_curvature
     total = 2.0 * math.pi * dev.hat_density - k_ambient * dev.hat_area
     y = np.nan_to_num(np.concatenate([ed.khat_nu for ed in dev.per_edge]))
-    terms = np.diff(graph.s) * (y[1:] + y[:-1]) / 2.0
-    for lo, hi in zip(graph.offsets.tolist(), graph.offsets[1:].tolist()):
-        total += float(terms[lo:hi - 1].sum())
+    for term in _num.edge_trapezoids(y, graph.s, graph.offsets).tolist():
+        total += term
     stars = star_table(graph)
     angles = space.angle_between(stars.vec, space.log(stars.base, apex))
     for ang in angles.tolist():

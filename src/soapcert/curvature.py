@@ -23,13 +23,7 @@ import numpy as np
 
 from . import _num
 from .errors import IterationError
-from .graph import (
-    EdgeCurve,
-    EmbeddedGraph,
-    edge_unit_tangents,
-    stacked_unit_tangents,
-    star_table,
-)
+from .graph import EmbeddedGraph, stacked_unit_tangents, star_table
 from .spaceform import SpaceForm, TangentVector
 
 # Fixed grid starts of the vertex ascent, on top of the structured ones.
@@ -37,15 +31,6 @@ VERTEX_GRID_STARTS = 32
 # Iteration cap of the lockstep vertex ascent; reaching it raises.  The
 # stopping rule (every step below 1e-13) ends it first: largest need 18,402.
 VERTEX_ASCENT_MAX_ITER = 50_000
-
-
-@dataclass(eq=False)
-class EdgeCurvatureSamples:
-    """Curvature estimates at the interior samples of one edge."""
-
-    s: np.ndarray
-    kvec: np.ndarray
-    kmag: np.ndarray
 
 
 @dataclass(eq=False)
@@ -80,24 +65,29 @@ def curvature_vectors(space: SpaceForm, x: np.ndarray, t: np.ndarray,
     return acc - space.mdot(acc, t)[:, None] * t
 
 
-def edge_curvature(space: SpaceForm, edge: EdgeCurve) -> EdgeCurvatureSamples:
-    """Geodesic-curvature vector of the curve in the model space at interior
-    samples, by curvature_vectors."""
-    kvec = curvature_vectors(space, edge.samples,
-                             edge_unit_tangents(space, edge), edge.s)
-    return EdgeCurvatureSamples(s=edge.s[1:-1].copy(), kvec=kvec,
-                                kmag=space.norm(kvec))
+def edge_total_curvature(space: SpaceForm, graph: EmbeddedGraph) -> np.ndarray:
+    """Integral of |curvature vector| ds over each edge, composite
+    trapezoid, as a float array in graph order.
 
-
-def edge_total_curvature(space: SpaceForm, edge: EdgeCurve) -> float:
-    """Integral of |curvature vector| ds over the edge, composite trapezoid.
-
-    The one-sided stencils at the two endpoint samples are not trusted (the
-    curve is only C^1 there when edges meet); the end subintervals instead
-    carry the nearest interior value.
+    One curvature_vectors pass runs over the stacked samples with the
+    graph's stacked_unit_tangents.  Every row is computed from its sample
+    and two neighbours alone, so each edge's rows read what that edge alone
+    would.  The one-sided stencils at the endpoint samples are not trusted
+    (the curve is only C^1 there when edges meet); the end subintervals
+    instead carry the nearest interior value, by _num.extend_interior.
+    Each integral is its edge's slice of one _num.edge_trapezoids pass,
+    np.trapezoid bit for bit.
     """
-    ec = edge_curvature(space, edge)
-    return _num.trapezoid(_num.extend_interior(ec.kmag), edge.s)
+    # all edges as one curve: the rows at an edge's two ends mix two edges
+    # and are dropped below, so their floating-point faults are ignored
+    with np.errstate(all="ignore"):
+        kmag = space.norm(curvature_vectors(
+            space, graph.samples, stacked_unit_tangents(graph), graph.s))
+    bounds = graph.offsets.tolist()
+    # kmag[i] belongs to sample i + 1
+    y = np.concatenate([_num.extend_interior(kmag[lo:hi - 2])
+                        for lo, hi in zip(bounds, bounds[1:])])
+    return _num.edge_trapezoids(y, graph.s, graph.offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +275,11 @@ def vertex_tc_grid(space: SpaceForm, graph: EmbeddedGraph, vertex_id,
 
 
 def cone_total_curvature(space: SpaceForm, graph: EmbeddedGraph) -> TCReport:
-    """Assemble the cone total curvature: per-edge curvature integrals over
-    the regular part plus the vertex contributions, whose valence >= 3
-    ascents run in one call.  Each edge is handed its rows of the graph's
-    one stacked_unit_tangents pass before its edge term reads them."""
-    t = stacked_unit_tangents(graph)
-    for e, lo, hi in zip(graph.edges, graph.offsets, graph.offsets[1:]):
-        e.cached("unit_tangents", lambda: t[lo:hi])
-    per_edge = [EdgeTC(edge_id=e.id, integral=edge_total_curvature(space, e))
-                for e in graph.edges]
+    """Assemble the cone total curvature: the per-edge curvature integrals
+    of one edge_total_curvature pass over the regular part plus the vertex
+    contributions, whose valence >= 3 ascents run in one call."""
+    per_edge = [EdgeTC(edge_id=e.id, integral=integral) for e, integral in
+                zip(graph.edges, edge_total_curvature(space, graph).tolist())]
     per_vertex = _vertex_terms(space, graph, [v.id for v in graph.vertices])
     total = sum(e.integral for e in per_edge) + sum(v.tc for v in per_vertex)
     return TCReport(per_edge=per_edge, per_vertex=per_vertex, total=total)

@@ -44,23 +44,7 @@ class Vertex:
 
 
 @dataclass(eq=False)
-class _Cached:
-    """An object that is immutable after construction, so whatever is
-    derived from it alone is built once and kept on it by cached."""
-
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
-
-    def cached(self, key: str, build):
-        """The value of build() under key, built on the first call."""
-        try:
-            return self._cache[key]
-        except KeyError:
-            value = self._cache[key] = build()
-            return value
-
-
-@dataclass(eq=False)
-class EdgeCurve(_Cached):
+class EdgeCurve:
     """A sampled edge: points joined by model-space geodesics.
 
     ``s`` holds cumulative geodesic chord lengths, so consecutive chord
@@ -88,7 +72,7 @@ class EdgeCurve(_Cached):
 
 
 @dataclass(eq=False)
-class EmbeddedGraph(_Cached):
+class EmbeddedGraph:
     """Vertices joined by edges.  One pass over the edges builds the
     incidence map from vertex id to its (edge, end) pairs, in graph order
     with end 0 before end 1, and the stacked layout of the graph-wide
@@ -98,13 +82,16 @@ class EmbeddedGraph(_Cached):
     end_points their vertex points.  An edge no graph holds yet (its arrays
     writeable) gets read-only views of its rows as samples and s.  An edge
     naming an unknown vertex is filed under that id, after the vertices, so
-    construction succeeds and validate_graph can report it."""
+    construction succeeds and validate_graph can report it.  A graph is
+    immutable after construction, so whatever is derived from it alone is
+    built once and kept on it by cached."""
 
     space: SpaceForm
     vertices: list[Vertex]
     edges: list[EdgeCurve]
     _by_id: dict = field(init=False, repr=False)
     _ends: dict = field(init=False, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self._by_id = {v.id: v for v in self.vertices}
@@ -126,6 +113,14 @@ class EmbeddedGraph(_Cached):
         for e, lo, stop in zip(self.edges, self.offsets.tolist(), self.offsets[1:]):
             if e.samples.flags.writeable and e.s.flags.writeable:
                 e.samples, e.s = self.samples[lo:stop], self.s[lo:stop]
+
+    def cached(self, key: str, build):
+        """The value of build() under key, built on the first call."""
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = self._cache[key] = build()
+            return value
 
     def vertex_point(self, vertex_id) -> np.ndarray:
         try:
@@ -576,11 +571,10 @@ def stacked_unit_tangents(graph: EmbeddedGraph) -> np.ndarray:
 
 def edge_unit_tangents(space: SpaceForm, edge: EdgeCurve) -> np.ndarray:
     """The edge's unit tangents by its own stencil, so one-sided at the
-    ends, cached on the edge: its rows of a graph's stacked_unit_tangents
-    when cone_total_curvature handed them over, else those of the edge
-    alone as a one-edge graph."""
-    return edge.cached("unit_tangents", lambda: stacked_unit_tangents(
-        EmbeddedGraph(space=space, vertices=[], edges=[edge])))
+    ends: the stacked_unit_tangents of the edge alone as a one-edge graph,
+    built on every call."""
+    return stacked_unit_tangents(
+        EmbeddedGraph(space=space, vertices=[], edges=[edge]))
 
 
 def vertex_star(graph: EmbeddedGraph, vertex_id) -> list[TangentVector]:

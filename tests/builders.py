@@ -4,9 +4,10 @@ areas that serve as independent references.  It also keeps loop-by-loop
 forms of the first-derivative stencil, of the angle-balance vertex term,
 of the vertex ascent, of the tangent basis, of validation's edge-end
 and valence checks and of the loader, as oracles for their array and
-closed forms, and the vertex stars built edge by edge.  The Gram kernels
-of the cone module and the Karcher iteration are kept in the expression
-forms they had before they became in-place chains, as bitwise oracles."""
+closed forms, and the vertex stars and TC's edge terms built edge by
+edge.  The Gram kernels of the cone module and the Karcher iteration are
+kept in the expression forms they had before they became in-place chains,
+as bitwise oracles."""
 
 from __future__ import annotations
 
@@ -17,16 +18,16 @@ from scipy.linalg import expm
 
 from soapcert import (IterationError, Model, SpaceForm, TangentVector,
                       ValidationError, check_apex, develop_cone,
-                      edge_unit_tangents, karcher_center, resample_arclength,
-                      shapes, vertex_star)
+                      karcher_center, resample_arclength, shapes, vertex_star)
 from soapcert import curvature
-from soapcert._num import apply_stencil, first_derivative_stencil, trapezoid
+from soapcert._num import (apply_stencil, extend_interior,
+                           first_derivative_stencil)
 from soapcert.certify import KARCHER_MAX_ITER, KARCHER_TOL
 from soapcert.cone import (_apex_angles, _chord_table, _gram_root,
                            _half_sq_chords, _root_areas, developed_points)
 from soapcert.graph import (ENDPOINT_TOL, MIN_EDGE_SAMPLES, EdgeCurve,
                             EmbeddedGraph, Vertex, _block_id, _entry,
-                            make_edge, validate_graph)
+                            make_edge, stacked_unit_tangents, validate_graph)
 
 SPACES = {
     "flat": SpaceForm(Model.FLAT, 3),
@@ -114,13 +115,13 @@ def random_graph(space, rng, n_vertices=3, n_extra=1, samples_per_edge=256,
                                         edges=edges))
 
 
-def radial_speed(space, apex, edge):
-    """dr/ds along an edge: the unit direction away from the apex dotted
-    with the unit curve tangent.  A stack of apices of shape (m, 1, d)
-    gives one row per apex."""
-    u = space.tangent_project(edge.samples, edge.samples - apex)
+def radial_speed(space, apex, x, t):
+    """dr/ds along a curve sampled at x with unit tangents t: the unit
+    direction away from the apex dotted with t.  A stack of apices of
+    shape (m, 1, d) gives one row per apex."""
+    u = space.tangent_project(x, x - apex)
     u = u / space.norm(u)[..., None]
-    return space.mdot(u, edge_unit_tangents(space, edge))
+    return space.mdot(u, t)
 
 
 # Tries of generic_apex judged together.  Half of criterion 4's instances
@@ -139,9 +140,12 @@ def _generic_tries(space, graph, center, steps, min_clear, max_rprime):
     ok = ~(np.min(r, axis=1) < min_clear)
     if space.model is Model.SPHERICAL:
         ok &= ~(np.max(r, axis=1) >= space.max_radius - 0.05)
-    for e in graph.edges:
+    t = stacked_unit_tangents(graph)
+    bounds = graph.offsets.tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
         rows = np.flatnonzero(ok)
-        speed = radial_speed(space, apices[rows, None], e)
+        speed = radial_speed(space, apices[rows, None], graph.samples[lo:hi],
+                             t[lo:hi])
         ok[rows] = np.max(np.abs(speed), axis=1) <= max_rprime
     return apices, ok
 
@@ -510,7 +514,8 @@ def loop_gauss_bonnet_residual(space, apex, graph, dev=None):
     total = 2.0 * math.pi * dev.hat_density \
         - space.sectional_curvature * dev.hat_area
     for ed in dev.per_edge:
-        total += trapezoid(np.nan_to_num(ed.khat_nu, nan=0.0), ed.s)
+        y = np.nan_to_num(ed.khat_nu, nan=0.0)
+        total += float(np.trapezoid(y, ed.s))
     for vertex in graph.vertices:
         toward_apex = space.log(vertex.point, apex)
         for tv in vertex_star(graph, vertex.id):
@@ -704,6 +709,21 @@ def edge_own_tangents(space, edge):
     t = space.tangent_project(
         x, apply_stencil(first_derivative_stencil(edge.s), x))
     return t / space.norm(t)[:, None]
+
+
+def edge_by_edge_tc(space, graph):
+    """edge_total_curvature edge by edge: each edge, on fresh copies of its
+    arrays, alone as a one-edge graph, and np.trapezoid of its own
+    curvature magnitudes with the ends extended."""
+    out = []
+    for e in graph.edges:
+        alone = EmbeddedGraph(space=space, vertices=[], edges=[EdgeCurve(
+            id=e.id, endpoints=e.endpoints, samples=e.samples.copy(),
+            s=e.s.copy())])
+        kmag = space.norm(curvature.curvature_vectors(
+            space, alone.samples, stacked_unit_tangents(alone), alone.s))
+        out.append(np.trapezoid(extend_interior(kmag), alone.s))
+    return np.array(out, dtype=float)
 
 
 def edge_by_edge_star(graph, vertex_id):

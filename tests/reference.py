@@ -1,5 +1,6 @@
-"""An independent 40-digit reference for the plain cone area and the apex
-density, in mpmath.
+"""An independent 40-digit reference for the plain cone area, the apex
+density and the apex derivative of the Richardson-weighted cone area, in
+mpmath.
 
 Every stored sample, and the apex, is projected onto the model at DIGITS
 decimal digits: x itself flat, x / (b |x|) on the sphere and
@@ -19,9 +20,20 @@ over 2 pi.  Neither uses the Gram determinant of the package's kernels.
 chord_triangles gives every fine chord's three half squared chords, and
 area_and_density sums the triangles from them, so a test can also feed the
 same half squared chords, rounded to floats, to the package's kernels.
+
+The Richardson-weighted area adds, edge by edge, the triangles on the fine
+chords and on the coarse chords: an edge of n chords has n // 2 coarse
+chords, each spanning j = 2 fine chords, or j = 3 for the last one when n
+is odd.  A fine chord under a coarse chord of span j has the weight
+1 + 1/(j^2 - 1) and the coarse chord -1/(j^2 - 1), both exact rationals.
+area_derivative differentiates that sum along a tangent direction at the
+apex by mpmath.diff, moving the apex by the reference's own exponential
+map.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from mpmath import mp
 
@@ -41,6 +53,25 @@ def _projected(space, x):
         scale = mp.mpf(space.curv) * mp.sqrt(
             x[0] * x[0] - mp.fsum(c * c for c in x[1:]))
     return [c / scale for c in x]
+
+
+def _mdot(space, x, y):
+    """The model's ambient inner product: Minkowski on the hyperboloid."""
+    dot = mp.fsum(a * b for a, b in zip(x, y))
+    if space.model is Model.HYPERBOLIC:
+        dot -= 2 * x[0] * y[0]
+    return dot
+
+
+def _exp(space, p, v, t):
+    """The point exp_p(t v) of a projected p and a tangent v at it."""
+    if space.model is Model.FLAT:
+        return [a + t * b for a, b in zip(p, v)]
+    k, n = mp.mpf(space.curv), mp.sqrt(_mdot(space, v, v))
+    cos, sin = (mp.cos, mp.sin) if space.model is Model.SPHERICAL \
+        else (mp.cosh, mp.sinh)
+    c, s = cos(k * n * t), sin(k * n * t) / (k * n)
+    return [c * a + s * b for a, b in zip(p, v)]
 
 
 def _half_sq_chord(space, x, y):
@@ -114,6 +145,57 @@ def area_and_density(space, triangles):
             area += da
             angle += dt
         return area, angle / (2 * mp.pi)
+
+
+def _richardson_triangles(n):
+    """(tail, head, weight) of the Richardson sum's triangles over an edge
+    of n chords, by sample index: its fine chords, then its coarse ones."""
+    lo = list(range(0, n - 1, 2))
+    hi = lo[1:] + [n]
+    fine = [(i, i + 1, 1 + Fraction(1, (b - a) ** 2 - 1))
+            for a, b in zip(lo, hi) for i in range(a, b)]
+    return fine + [(a, b, -Fraction(1, (b - a) ** 2 - 1))
+                   for a, b in zip(lo, hi)]
+
+
+def _weighted_areas(space, p, edges):
+    """The weighted areas of the Richardson sum's triangles at the apex p,
+    edges holding each edge's projected samples and its triangles as
+    (tail, head, weight, chord length) rows."""
+    out = []
+    for x, triangles in edges:
+        r = [_distance(space, _half_sq_chord(space, p, q)) for q in x]
+        for a, b, w, c in triangles:
+            area = _triangle(space, r[a], r[b], c)[0]
+            out.append(area * w.numerator / w.denominator)
+    return out
+
+
+def area_derivative(space, apex, v, graph):
+    """The derivative of the Richardson-weighted cone area at t = 0 as the
+    apex moves to exp_p(t v), p the projected apex and v the float tangent
+    made tangent at p; and the sum of its terms' magnitudes, each
+    triangle's weighted derivative, by central differences of step 2^-40.
+    Both are mpf at DIGITS digits."""
+    with mp.workdps(DIGITS):
+        p = _projected(space, apex)
+        v = [mp.mpf(float(c)) for c in v]
+        if space.model is not Model.FLAT:
+            along = _mdot(space, v, p) / _mdot(space, p, p)
+            v = [a - along * b for a, b in zip(v, p)]
+        edges = []
+        for edge in graph.edges:
+            x = [_projected(space, row) for row in edge.samples]
+            edges.append((x, [(a, b, w, _distance(
+                space, _half_sq_chord(space, x[a], x[b])))
+                for a, b, w in _richardson_triangles(len(x) - 1)]))
+        derivative = mp.diff(lambda t: mp.fsum(_weighted_areas(
+            space, _exp(space, p, v, t), edges)), 0)
+        h = mp.ldexp(1, -40)
+        up = _weighted_areas(space, _exp(space, p, v, h), edges)
+        down = _weighted_areas(space, _exp(space, p, v, -h), edges)
+        scale = mp.fsum(abs(a - b) for a, b in zip(up, down)) / (2 * h)
+        return derivative, scale
 
 
 def relative_error(value, exact) -> float:

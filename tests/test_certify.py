@@ -9,6 +9,7 @@ from soapcert import (
     ApexOnGraphError,
     CROSSING_DENSITY,
     HullApprox,
+    IterationError,
     Mode,
     Model,
     NumericalError,
@@ -147,6 +148,10 @@ class TestHullApprox:
             hull_approx(space, g, grid_n=4)
 
 
+def refuse_step(*args):
+    raise AssertionError("the iteration took a step")
+
+
 class TestKarcherCenter:
     """One chord pass per iteration gives the center of the two-pass
     iteration (builders) bit for bit."""
@@ -178,6 +183,36 @@ class TestKarcherCenter:
         points = np.concatenate([points, space.exp(base, 0.2 * v[0])[None]])
         assert karcher_center(space, points).tobytes() == \
             two_pass_karcher_center(space, points).tobytes()
+
+    def test_a_mean_at_the_sphere_center_is_ill_posed(self):
+        space = SpaceForm(Model.SPHERICAL, 3, 0.7)
+        base = space.base_point()
+        with pytest.raises(IterationError,
+                           match="^intrinsic mean is ill-posed: cannot "
+                                 "project the origin onto the sphere$"):
+            karcher_center(space, np.stack([base, -base]))
+
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_points_all_at_the_center_return_it_without_a_step(
+            self, name, monkeypatch):
+        space = SpaceForm(SPACES[name].model, 3, 1.0)
+        base = space.base_point()
+        monkeypatch.setattr(SpaceForm, "exp", refuse_step)
+        center = karcher_center(space, np.stack([base] * 5))
+        assert center.tobytes() == base.tobytes()
+
+    @pytest.mark.parametrize("name", ["hyperbolic", "spherical"])
+    def test_iteration_cap_raises(self, name, monkeypatch):
+        # curved means take more than one step (see the test below)
+        space = SPACES[name]
+        points = random_graph(space, np.random.default_rng(13),
+                              samples_per_edge=32).samples
+        monkeypatch.setattr(importlib.import_module("soapcert.certify"),
+                            "KARCHER_MAX_ITER", 1)
+        with pytest.raises(IterationError,
+                           match="^intrinsic mean iteration did not "
+                                 "converge$"):
+            karcher_center(space, points)
 
     @pytest.mark.parametrize("name", sorted(SPACES))
     def test_one_chord_pass_per_iteration(self, name, monkeypatch):

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from soapcert import (
+    EmbeddedGraph,
     IterationError,
     Model,
     SpaceForm,
     ValidationError,
     cone_total_curvature,
-    edge_curvature,
     edge_total_curvature,
     resample_arclength,
     vertex_star,
@@ -17,11 +17,11 @@ from soapcert import (
     vertex_tc_grid,
 )
 from soapcert import curvature, shapes
-from soapcert.graph import (EdgeCurve, edge_unit_tangents, make_edge,
-                            stacked_unit_tangents, star_table)
+from soapcert.curvature import curvature_vectors
+from soapcert.graph import edge_unit_tangents, make_edge, star_table
 
 from builders import (SPACES, carried_graph, edge_by_edge_star,
-                      edge_own_tangents, figure_eight_graph,
+                      edge_by_edge_tc, edge_own_tangents, figure_eight_graph,
                       four_leg_star_graph, random_graph, random_isometry,
                       star_ascent, transform_graph, wedge_graph)
 
@@ -46,44 +46,56 @@ def open_arc_edge(space, radius, angle_span, n):
     return make_edge(space, "arc", ("x", "y"), coords)
 
 
+def edge_alone(space, edge):
+    """The edge as a one-edge graph with no vertices, for the graph-wide
+    kernels; it needs no validation."""
+    return EmbeddedGraph(space=space, vertices=[], edges=[edge])
+
+
+def edge_kvec(space, edge):
+    """Curvature vectors at the edge's interior samples, by its own
+    tangents."""
+    return curvature_vectors(space, edge.samples,
+                             edge_unit_tangents(space, edge), edge.s)
+
+
 class TestEdgeCurvature:
     def test_straight_polyline_vanishes(self):
         g = shapes.square_graph(FLAT, 1.0, samples_per_edge=32)
         for e in g.edges:
-            ec = edge_curvature(FLAT, e)
-            assert np.max(ec.kmag) < 1e-8
+            assert np.max(FLAT.norm(edge_kvec(FLAT, e))) < 1e-8
 
     def test_unit_circle_curvature_one(self):
         g = shapes.circle_graph(FLAT, 1.0, 512)
-        ec = edge_curvature(FLAT, g.edges[0])
-        assert np.max(np.abs(ec.kmag - 1.0)) < 1e-3
+        kmag = FLAT.norm(edge_kvec(FLAT, g.edges[0]))
+        assert np.max(np.abs(kmag - 1.0)) < 1e-3
 
     def test_hyperbolic_circle_curvature(self):
         space = SpaceForm(Model.HYPERBOLIC, 3, 1.0)
         for radius in (0.7, 1.0):
             g = shapes.circle_graph(space, radius, 512)
-            ec = edge_curvature(space, g.edges[0])
+            kmag = space.norm(edge_kvec(space, g.edges[0]))
             expected = float(space.circle_curvature(radius))
-            assert np.max(np.abs(ec.kmag - expected)) < 1e-3
+            assert np.max(np.abs(kmag - expected)) < 1e-3
 
     def test_curvature_vector_is_tangent_and_normal(self):
         space = SPACES["spherical"]
         g = shapes.circle_graph(space, 0.5, 256)
         e = g.edges[0]
-        ec = edge_curvature(space, e)
         mid = e.samples[1:-1]
-        assert np.max(space.tangency_residual(mid, ec.kvec)) < 1e-8
+        assert np.max(space.tangency_residual(mid, edge_kvec(space, e))) < 1e-8
 
 
 class TestEdgeTotalCurvature:
     def test_unit_circle(self):
         g = shapes.circle_graph(FLAT, 1.0, 1024)
-        assert edge_total_curvature(FLAT, g.edges[0]) == pytest.approx(
-            2.0 * math.pi, abs=1e-4)
+        (integral,) = edge_total_curvature(FLAT, g)
+        assert integral == pytest.approx(2.0 * math.pi, abs=1e-4)
 
     def test_flat_half_circle(self):
         e = open_arc_edge(FLAT, 2.0, math.pi, 1024)
-        assert edge_total_curvature(FLAT, e) == pytest.approx(math.pi, abs=1e-4)
+        (integral,) = edge_total_curvature(FLAT, edge_alone(FLAT, e))
+        assert integral == pytest.approx(math.pi, abs=1e-4)
 
     def test_geodesic_edge_every_model(self):
         for space in SPACES.values():
@@ -93,7 +105,33 @@ class TestEdgeTotalCurvature:
             pts = space.exp(np.broadcast_to(base, (len(t), len(base))),
                             np.outer(t, basis[0]))
             e = make_edge(space, "g", ("x", "y"), pts)
-            assert abs(edge_total_curvature(space, e)) < 1e-8
+            (integral,) = edge_total_curvature(space, edge_alone(space, e))
+            assert abs(integral) < 1e-8
+
+    def test_float_array_in_graph_order(self):
+        g = shapes.square_graph(FLAT, 1.0, samples_per_edge=32)
+        integrals = edge_total_curvature(FLAT, g)
+        assert integrals.dtype == np.float64
+        assert integrals.shape == (len(g.edges),)
+        rep = cone_total_curvature(FLAT, g)
+        assert [e.edge_id for e in rep.per_edge] == [e.id for e in g.edges]
+        assert _same_bits([e.integral for e in rep.per_edge], integrals)
+
+    def test_one_curvature_pass_per_tc(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return curvature_vectors(*args)
+
+        monkeypatch.setattr(curvature, "curvature_vectors", counted)
+        g = shapes.cube_skeleton_graph()
+        cone_total_curvature(g.space, g)
+        assert calls == [len(g.samples)]
+
+
+def _same_bits(got, want):
+    return np.asarray(got, float).tobytes() == np.asarray(want, float).tobytes()
 
 
 class TestVertexTC:
@@ -347,7 +385,8 @@ STAR_CASES = _star_cases()
 class TestStarTableIsEdgeByEdge:
     """The star table gathers every edge-end's row of the graph's one
     tangent pass, and each row is bit for bit the tangent of that edge's
-    own stencil build."""
+    own stencil build.  TC's edge terms, taken in one pass over the
+    stacked samples, are bit for bit those of each edge built alone."""
 
     @pytest.mark.parametrize("name", sorted(STAR_CASES))
     def test_stars_and_table_rows_match_the_edge_builds(self, name):
@@ -367,19 +406,13 @@ class TestStarTableIsEdgeByEdge:
             assert all(np.array_equal(tv.base, v.point) for tv in star)
 
     @pytest.mark.parametrize("name", sorted(STAR_CASES))
-    def test_tc_hands_each_edge_its_rows(self, name):
+    def test_edge_terms_match_the_edge_builds(self, name):
         g = STAR_CASES[name]()
-        cone_total_curvature(g.space, g)
-        stacked = stacked_unit_tangents(g)
         for e in g.edges:
-            fresh = EdgeCurve(id=e.id, endpoints=e.endpoints,
-                              samples=e.samples.copy(), s=e.s.copy())
-            own = edge_unit_tangents(g.space, fresh)
-            t = edge_unit_tangents(g.space, e)
-            assert np.array_equal(t, own)
-            assert np.array_equal(t, edge_own_tangents(g.space, e))
-            assert np.shares_memory(t, stacked)
-            assert not np.shares_memory(own, stacked)
+            assert np.array_equal(edge_unit_tangents(g.space, e),
+                                  edge_own_tangents(g.space, e))
+        assert _same_bits(edge_total_curvature(g.space, g),
+                          edge_by_edge_tc(g.space, g))
 
 
 class TestConeTotalCurvature:

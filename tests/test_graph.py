@@ -338,6 +338,12 @@ class TestIngestErrors:
         assert _outcome(edge_by_edge_load, doc) == (
             ValidationError, "edge 'e0' has a chord that is not finite")
 
+    def test_samples_that_are_not_two_dimensional_are_refused(self):
+        for samples in ([0.0, 0.0, 0.0], [[[0.0, 0.0, 0.0]]]):
+            with pytest.raises(ValidationError,
+                               match="^edge 'e' needs at least two samples$"):
+                graph_mod.make_edge(FLAT, "e", ("a", "b"), samples)
+
     def test_nan_samples_break_the_chord_rule(self):
         pts = np.linspace([0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 9)
         pts[4, 1] = np.nan

@@ -117,8 +117,9 @@ from soapcert import (EdgeCurve, EmbeddedGraph, Mode, Verdict, Vertex,
 from soapcert import _num
 from soapcert.cone import (APEX_CLEARANCE, _gram_root, _triangles,
                            developed_points)
-from soapcert.curvature import edge_curvature, edge_total_curvature
-from soapcert.graph import MIN_EDGE_SAMPLES, make_edge, validate_graph
+from soapcert.curvature import curvature_vectors, edge_total_curvature
+from soapcert.graph import (MIN_EDGE_SAMPLES, edge_unit_tangents, make_edge,
+                            validate_graph)
 from soapcert.spaceform import Model
 
 U = 2.0 ** -53
@@ -326,9 +327,9 @@ def plain_area_bound(dev, edge, dphi):
 
 
 def curvature_error(space, edge):
-    """Bound on the distance of edge_total_curvature from its value in
-    exact arithmetic on the exact sums of the edge's chords (the module
-    docstring derives it)."""
+    """Bound on the distance of the edge's edge_total_curvature integral
+    from its value in exact arithmetic on the exact sums of the edge's
+    chords (the module docstring derives it)."""
     x, s = edge.samples, edge.s
     h = np.diff(s)
     dh = U * (s[-1] + 2 * h.max())
@@ -368,7 +369,8 @@ def curvature_error(space, edge):
     an = np.linalg.norm(A, axis=1)
     e_A = p * (e_D + 5 * U * np.linalg.norm(D, axis=1))
     e_kvec = (1 + m * m) * e_A + 2 * an * m * e_t + 6 * U * an * (1 + m * m)
-    kappa = edge_curvature(space, edge).kmag
+    kappa = space.norm(curvature_vectors(
+        space, x, edge_unit_tangents(space, edge), s))
     y = _num.extend_interior(kappa)
     e_y = _num.extend_interior(m * e_kvec + 3 * U * m * m * kappa)
     mid = (y[1:] + y[:-1]) / 2
@@ -456,9 +458,9 @@ class TestEdgeReversal:
         moved = developed_plain_area(develop_cone(space, apex, back)) \
             - developed_plain_area(dev)
         assert abs(moved) <= plain_area_bound(dev, j, dphi)
-        for e, f in zip(graph.edges, back.edges):
-            got, want = (edge_total_curvature(space, f),
-                         edge_total_curvature(space, e))
+        for e, f, got, want in zip(graph.edges, back.edges,
+                                   edge_total_curvature(space, back),
+                                   edge_total_curvature(space, graph)):
             if e is f:
                 assert _same_bits(got, want)
             else:

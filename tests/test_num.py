@@ -4,10 +4,10 @@ import pytest
 from soapcert._num import (
     apply_stencil,
     curve_second_derivative_interior,
+    edge_trapezoids,
     extend_interior,
     first_derivative_stencil,
     rowsum,
-    trapezoid,
 )
 
 from builders import loop_first_derivative
@@ -54,7 +54,26 @@ def test_end_fill_equals_trapezoid_with_copied_ends():
     assert np.array_equal(full[1:-1], interior)
     assert (full[0], full[-1]) == (interior[0], interior[-1])
     # end subintervals carry 2 and 3, the interior ramps from 2 to 3
-    assert trapezoid(full, s) == pytest.approx(0.1 * 2.0 + 0.8 * 2.5 + 0.1 * 3.0)
+    assert np.trapezoid(full, s) == pytest.approx(
+        0.1 * 2.0 + 0.8 * 2.5 + 0.1 * 3.0)
+
+
+def test_edge_trapezoids_equal_np_trapezoid_edge_by_edge():
+    """Stacked edges of 8 to 300 samples on jittered grids.  Each grid
+    restarts at 0, so the unread terms that straddle two edges run
+    backwards."""
+    rng = np.random.default_rng(5)
+    counts = rng.integers(8, 300, size=40)
+    offsets = np.cumsum(np.concatenate([[0], counts]))
+    s = np.concatenate([_jittered_grid(n, rng, rng.uniform(0.1, 9.0))
+                        for n in counts])
+    y = rng.standard_normal(len(s))
+    got = edge_trapezoids(y, s, offsets)
+    want = [np.trapezoid(y[lo:hi], s[lo:hi])
+            for lo, hi in zip(offsets, offsets[1:])]
+    assert got.dtype == np.float64
+    assert got.tobytes() == np.array(want).tobytes()
+    assert edge_trapezoids(y, s, offsets[:1]).shape == (0,)
 
 
 def _grids(n):

@@ -248,6 +248,30 @@ class TestSpaceForm:
             with pytest.raises(ValidationError, match="is too large"):
                 SpaceForm(model, 2 ** 63 - 1)
 
+    @pytest.mark.parametrize("space", ALL3, ids=lambda s: s.model.value)
+    def test_projection_needs_every_coordinate(self, space):
+        d = space.embedding_dim
+        with pytest.raises(ValidationError,
+                           match=f"^expected {d} coordinates, got {d - 1}$"):
+            space.project_point(np.ones((2, d - 1)))
+
+    def test_chord_beyond_the_spherical_diameter_is_refused(self):
+        space = SpaceForm(Model.SPHERICAL, 3, 0.8)
+        diameter_sq = (2.0 / 0.8) ** 2
+        space.chord_dist(np.array([0.25 * diameter_sq]))
+        with pytest.raises(NumericalError, match="^spherical chord exceeds "
+                           "the embedded diameter$"):
+            space.chord_dist(np.array([0.25 * diameter_sq, 1.01 * diameter_sq]))
+
+    @pytest.mark.parametrize("space", [HYP3, SPH3], ids=lambda s: s.model.value)
+    def test_log_of_a_null_direction_is_refused(self, space):
+        # the chord's length is that of a distinct point, but the chord
+        # itself is zero, so it has no tangent direction
+        p = space.base_point()
+        with pytest.raises(NumericalError,
+                           match="^log map direction is degenerate$"):
+            space.chord_log(p, np.zeros_like(p), np.array(0.5))
+
     def test_projection_restores_quadric(self):
         rng = np.random.default_rng(2)
         for space in ALL3:
